@@ -1,7 +1,15 @@
-"""Pure-Python backend for the step-curve core.
+"""Step curves: integer piecewise-constant functions of time.
 
-Semantics here are the reference; the compiled backend in _curvecore.pyx
-mirrors this class method for method.
+`window_overflow_area` is the planner's benefit query, asked once per live
+candidate per round with the same (cap, clamp) for every candidate of one
+padded size. It walks the segments of the window until the segments walked
+for that key since the curve last changed exceed the curve's segment count;
+from then on it answers from a prefix sum of the clamped overflow, built for
+that key, by two bisects. That is ski rental: the work is at most twice the
+cheaper of walking every query and building up front. Short windows over a
+curve with many distinct clamps keep walking; many queries with one clamp
+go to the prefix. `add` drops every prefix and count, since any change can
+move every later prefix entry.
 """
 
 from bisect import bisect_right
@@ -15,7 +23,7 @@ class StepCurve:
     is canonical and equality is structural.
     """
 
-    __slots__ = ("horizon", "_times", "_vals")
+    __slots__ = ("horizon", "_times", "_vals", "_overflow_index")
 
     def __init__(self, horizon=0):
         if horizon < 0:
@@ -23,12 +31,16 @@ class StepCurve:
         self.horizon = horizon
         self._times = [0]
         self._vals = [0]
+        # (cap, clamp) -> segments walked since the last change (int), or
+        # the prefix sums of the clamped overflow once built (list)
+        self._overflow_index = {}
 
     def copy(self):
         c = StepCurve.__new__(StepCurve)
         c.horizon = self.horizon
         c._times = self._times[:]
         c._vals = self._vals[:]
+        c._overflow_index = {}
         return c
 
     def _seg(self, t):
@@ -56,6 +68,7 @@ class StepCurve:
         t1 = min(t1, self.horizon)
         if t0 >= t1 or delta == 0:
             return
+        self._overflow_index.clear()
         i = self._split(t0)
         j = self._split(t1)
         for k in range(i, j):
@@ -112,22 +125,57 @@ class StepCurve:
 
     def window_overflow_area(self, cap, clamp, t0, t1):
         """Integral of min(clamp, max(0, value - cap)) over [t0, t1)."""
-        t0 = max(t0, 0)
-        t1 = min(t1, self.horizon)
+        if t0 < 0:
+            t0 = 0
+        if t1 > self.horizon:
+            t1 = self.horizon
         if t0 >= t1:
             return 0
+        times = self._times
+        vals = self._vals
+        key = (cap, clamp)
+        walked = self._overflow_index.get(key, 0)
+        if type(walked) is list:
+            prefix = walked
+            i = bisect_right(times, t0) - 1
+            j = bisect_right(times, t1, i) - 1
+            total = prefix[j] - prefix[i]
+            over = vals[i] - cap
+            if over > 0:
+                total -= (over if over < clamp else clamp) * (t0 - times[i])
+            over = vals[j] - cap
+            if over > 0:
+                total += (over if over < clamp else clamp) * (t1 - times[j])
+            return total
         total = 0
-        n = len(self._times)
-        k = self._seg(t0)
-        while k < n and self._times[k] < t1:
-            over = self._vals[k] - cap
+        n = len(times)
+        k = start = bisect_right(times, t0) - 1
+        while k < n and times[k] < t1:
+            over = vals[k] - cap
             if over > 0:
                 if over > clamp:
                     over = clamp
-                end = self._times[k + 1] if k + 1 < n else self.horizon
-                total += over * (min(end, t1) - max(self._times[k], t0))
+                end = times[k + 1] if k + 1 < n else self.horizon
+                total += over * (min(end, t1) - max(times[k], t0))
             k += 1
+        walked += k - start
+        if walked > n:
+            self._overflow_index[key] = self._overflow_prefix(cap, clamp)
+        else:
+            self._overflow_index[key] = walked
         return total
+
+    def _overflow_prefix(self, cap, clamp):
+        """prefix[k]: integral of the clamped overflow over [0, times[k])."""
+        times = self._times
+        prefix = [0]
+        acc = 0
+        for k in range(1, len(times)):
+            over = self._vals[k - 1] - cap
+            if over > 0:
+                acc += min(over, clamp) * (times[k] - times[k - 1])
+            prefix.append(acc)
+        return prefix
 
     def earliest_below(self, cap, lo, hi):
         """Smallest t in [lo, hi] such that max_over(t, hi) <= cap.

@@ -13,7 +13,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from tensortier.config import (ConfigError, ExperimentConfig, _POLICY_NAMES,
                                gbps_to_bytes_per_us, parse_bytes, parse_config,
@@ -190,6 +189,10 @@ def _cmd_sweep(args) -> int:
     axes = tuple(sorted(cfg.sweep))
     combos = list(itertools.product(*(cfg.sweep[a] for a in axes)))
     if cfg.workers > 1:
+        # imported here: only a parallel sweep needs the process pool, and
+        # the import costs every other CLI process resident memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_sweep_cell, itertools.repeat(cfg),
                                  itertools.repeat(base),

@@ -1,28 +1,13 @@
 """Step curves: integer piecewise-constant functions of time.
 
-The planner uses them for GPU memory pressure and host occupancy. A compiled
-backend is preferred when built; TENSORTIER_CURVE=py forces the pure-Python
-one and TENSORTIER_CURVE=cy makes a missing extension an error.
+The planner uses them for GPU memory pressure and host occupancy. There is
+one implementation, in pure Python (`_curve_py`); BACKEND names it for run
+records.
 """
 
-import os
+from tensortier._curve_py import StepCurve
 
-_choice = os.environ.get("TENSORTIER_CURVE", "")
-if _choice == "py":
-    from tensortier._curve_py import StepCurve
-
-    BACKEND = "py"
-else:
-    try:
-        from tensortier._curvecore import StepCurve
-
-        BACKEND = "cy"
-    except ImportError:
-        if _choice == "cy":
-            raise
-        from tensortier._curve_py import StepCurve
-
-        BACKEND = "py"
+BACKEND = "py"
 
 __all__ = ["StepCurve", "BACKEND", "wrap_pieces", "wrap_add", "wrap_max",
            "wrap_window_overflow_area"]

@@ -8,6 +8,18 @@ pressure curve fits GPU memory, no candidate helps, or periods run out.
 
 Times on the unrolled axis: a wrapping period's prefetch lands in the next
 iteration's prefix (window values >= total_us map into [0, total) mod total).
+
+Scoring is incremental and exact: every round gives the same answers as
+calling choose_destination afresh (use_cache=False does just that). Per
+(period, destination) the planner keeps the constant parts (padded size,
+transfer times, lanes) and the slot windows. Bookings only take lane time
+away, so a cached earliest or latest slot moves exactly when a new booking
+on its lane overlaps the slot itself, and a slot search that failed keeps
+failing. The host-capacity check is redone only after a host pick whose
+occupancy change overlaps the freed window, the SSD-utilization test only
+after an SSD booking inside the period. Benefit moves with every pick, so
+it is recomputed each round; the pressure curve's prefix index (see
+_curve_py) makes that a pair of bisects.
 """
 
 from __future__ import annotations
@@ -99,6 +111,118 @@ class SchedulingResult:
     state: SchedulerState
 
 
+_STALE = object()  # slot not searched since a booking took its span
+
+
+def _overlaps(pieces_a, pieces_b) -> bool:
+    for a0, a1 in pieces_a:
+        for b0, b1 in pieces_b:
+            if a0 < b1 and b0 < a1:
+                return True
+    return False
+
+
+class _Route:
+    """Scoring inputs for evicting one period to one destination.
+
+    Size, transfer times and lanes never change. The slot starts are kept
+    between rounds: e0 on the outbound lane and p0 on the inbound lane (in
+    lane time, before the wrap shift). Bookings only take free time away,
+    so the earliest (latest) fitting slot moves exactly when a new booking
+    overlaps the slot itself, and a slot that found no room never finds
+    any. host_ok caches the host-capacity check for the current window.
+    """
+
+    __slots__ = ("period", "dest", "size", "cost_us", "e_dur", "p_dur",
+                 "from_lane", "to_lane", "e_hi", "p_hi", "shift", "e0", "p0",
+                 "host_ok")
+
+    def __init__(self, period: InactivePeriod, dest: Destination, size: int,
+                 state: SchedulerState, config: DeviceConfig):
+        spec = config.channel(dest.channel)
+        self.period = period
+        self.dest = dest
+        self.size = size
+        self.e_dur = transfer_time(size, spec, Direction.FROM_DEVICE)
+        self.p_dur = transfer_time(size, spec, Direction.TO_DEVICE)
+        self.cost_us = self.e_dur + self.p_dur
+        self.from_lane = state.reservations.lane(dest.channel,
+                                                 Direction.FROM_DEVICE)
+        self.to_lane = state.reservations.lane(dest.channel,
+                                               Direction.TO_DEVICE)
+        if period.wraps_iteration:
+            # eviction completes inside this iteration, prefetch lands
+            # entirely in the next iteration's prefix
+            self.e_hi = state.total_us
+            self.p_hi = period.end_us - state.total_us
+            self.shift = state.total_us
+        else:
+            self.e_hi = None
+            self.p_hi = period.end_us
+            self.shift = 0
+        self.e0 = self.p0 = _STALE
+        self.host_ok = None
+
+    def window(self):
+        """(e0, e1, p0) on the unrolled axis, or None if no pair fits."""
+        if self.e0 is _STALE:
+            self.e0 = self.from_lane.earliest_slot(self.e_dur,
+                                                   self.period.start_us,
+                                                   self.e_hi)
+        if self.e0 is None:
+            return None
+        if self.p0 is _STALE:
+            self.p0 = self.to_lane.latest_slot(self.p_dur, self.p_hi)
+        if self.p0 is None:
+            return None
+        e1 = self.e0 + self.e_dur
+        p0 = self.p0 + self.shift
+        if e1 > p0:
+            return None
+        return self.e0, e1, p0
+
+    def candidate(self, state: SchedulerState, config: DeviceConfig):
+        window = self.window()
+        if window is None:
+            return None
+        e0, e1, p0 = window
+        if self.dest is Destination.HOST:
+            if self.host_ok is None:
+                self.host_ok = (wrap_max(state.host_occupancy, e1, p0)
+                                + self.size <= config.host_mem_bytes)
+            if not self.host_ok:
+                return None
+        elif state.ssd_occupancy + self.size > config.ssd_capacity_bytes:
+            return None
+        benefit = wrap_window_overflow_area(state.pressure,
+                                            config.gpu_mem_bytes, self.size,
+                                            e1, p0)
+        return EvictionCandidate(self.period, self.size, self.dest, e0, e1,
+                                 p0, p0 + self.p_dur, benefit, self.cost_us)
+
+    def forget(self, evict, prefetch, freed, total):
+        """Forget what a pick on this route's channel can have changed.
+
+        evict and prefetch are its (start, end) bookings in lane time; a
+        slot they overlap is searched again. freed holds the pieces of its
+        host-occupancy change (empty for an SSD pick); the host check is
+        redone if they overlap this window.
+        """
+        e0, p0 = self.e0, self.p0
+        if (e0 is not _STALE and e0 is not None
+                and evict[0] < e0 + self.e_dur and e0 < evict[1]):
+            self.e0 = _STALE
+            self.host_ok = None
+        if (p0 is not _STALE and p0 is not None
+                and prefetch[0] < p0 + self.p_dur and p0 < prefetch[1]):
+            self.p0 = _STALE
+            self.host_ok = None
+        # host_ok is only ever set on a window with both slots found
+        if self.host_ok is not None and _overlaps(
+                freed, wrap_pieces(e0 + self.e_dur, p0 + self.shift, total)):
+            self.host_ok = None
+
+
 def score_candidate(period: InactivePeriod, size: int, dest: Destination,
                     state: SchedulerState, config: DeviceConfig):
     """Windows, benefit, and cost for evicting this period to dest.
@@ -106,44 +230,7 @@ def score_candidate(period: InactivePeriod, size: int, dest: Destination,
     Returns None when no feasible eviction/prefetch window pair exists (or a
     capacity bound already rules the destination out).
     """
-    total = state.total_us
-    spec = config.channel(dest.channel)
-    e_dur = transfer_time(size, spec, Direction.FROM_DEVICE)
-    p_dur = transfer_time(size, spec, Direction.TO_DEVICE)
-    from_lane = state.reservations.lane(dest.channel, Direction.FROM_DEVICE)
-    to_lane = state.reservations.lane(dest.channel, Direction.TO_DEVICE)
-
-    if period.wraps_iteration:
-        # eviction completes inside this iteration, prefetch lands entirely
-        # in the next iteration's prefix
-        e0 = from_lane.earliest_slot(e_dur, period.start_us, hi=total)
-        if e0 is None:
-            return None
-        deadline_rel = period.end_us - total
-        p0_rel = to_lane.latest_slot(p_dur, deadline_rel)
-        if p0_rel is None:
-            return None
-        p0 = p0_rel + total
-    else:
-        e0 = from_lane.earliest_slot(e_dur, period.start_us)
-        p0 = to_lane.latest_slot(p_dur, period.end_us)
-        if p0 is None:
-            return None
-    e1 = e0 + e_dur
-    if e1 > p0:
-        return None
-
-    if dest is Destination.HOST:
-        if wrap_max(state.host_occupancy, e1, p0) + size > config.host_mem_bytes:
-            return None
-    else:
-        if state.ssd_occupancy + size > config.ssd_capacity_bytes:
-            return None
-
-    benefit = wrap_window_overflow_area(state.pressure, config.gpu_mem_bytes,
-                                        size, e1, p0)
-    return EvictionCandidate(period, size, dest, e0, e1, p0, p0 + p_dur,
-                             benefit, e_dur + p_dur)
+    return _Route(period, dest, size, state, config).candidate(state, config)
 
 
 def _ssd_utilization_high(period: InactivePeriod, state: SchedulerState,
@@ -249,19 +336,83 @@ def item_from_candidate(cand: EvictionCandidate) -> PlanItem:
     )
 
 
-def _windows_overlap(pa: InactivePeriod, pb: InactivePeriod, total: int) -> bool:
-    """Circular overlap of two period windows on the iteration axis."""
-    for a0, a1 in wrap_pieces(pa.start_us, pa.end_us, total):
-        for b0, b1 in wrap_pieces(pb.start_us, pb.end_us, total):
-            if a0 < b1 and b0 < a1:
-                return True
-    return False
+class _Entry:
+    """A remaining period, its two routes and its cached SSD-lane verdict."""
+
+    __slots__ = ("period", "pieces", "ssd", "host", "ssd_busy")
+
+    def __init__(self, period, size, state, config):
+        self.period = period
+        self.pieces = wrap_pieces(period.start_us, period.end_us,
+                                  state.total_us)
+        self.ssd = _Route(period, Destination.SSD, size, state, config)
+        self.host = _Route(period, Destination.HOST, size, state, config)
+        self.ssd_busy = None
+
+
+class _RouteCache:
+    """choose_destination for every remaining period, round after round,
+    from routes kept between rounds (invalidation rules: module docstring).
+    """
+
+    def __init__(self, periods, sizes, state: SchedulerState,
+                 config: DeviceConfig, allow_host: bool):
+        self._state = state
+        self._config = config
+        self._allow_host = allow_host
+        self._entries = {(p.tensor_id, p.start_us):
+                         _Entry(p, sizes[p.tensor_id], state, config)
+                         for p in periods}
+
+    def _ssd_busy(self, entry: _Entry) -> bool:
+        if entry.ssd_busy is None:
+            entry.ssd_busy = _ssd_utilization_high(entry.period, self._state,
+                                                   self._config)
+        return entry.ssd_busy
+
+    def score(self, remaining):
+        """This round's choose_destination result for each remaining key,
+        in order; None means the period cannot be scheduled."""
+        out = []
+        for key in remaining:
+            entry = self._entries[key]
+            cand = entry.ssd.candidate(self._state, self._config)
+            if self._allow_host and (cand is None or cand.benefit == 0
+                                     or self._ssd_busy(entry)):
+                host = entry.host.candidate(self._state, self._config)
+                if host is not None:
+                    cand = host
+            if cand is None:
+                del self._entries[key]
+            out.append(cand)
+        return out
+
+    def picked(self, best: EvictionCandidate) -> None:
+        """Forget what booking best can have changed."""
+        del self._entries[best.owner()]
+        total = self._state.total_us
+        evict = (best.evict_start, best.evict_end)
+        shift = total if best.prefetch_start >= total else 0
+        prefetch = (best.prefetch_start - shift, best.prefetch_end - shift)
+        to_ssd = best.dest is Destination.SSD
+        freed = () if to_ssd else wrap_pieces(best.evict_end,
+                                              best.prefetch_start, total)
+        for entry in self._entries.values():
+            route = entry.ssd if to_ssd else entry.host
+            route.forget(evict, prefetch, freed, total)
+            if to_ssd and entry.ssd_busy is not None and _overlaps(
+                    entry.pieces, (evict, prefetch)):
+                entry.ssd_busy = None
 
 
 def schedule_evictions(analysis: VitalityAnalysis, config: DeviceConfig, *,
                        allow_host: bool = True,
                        use_cache: bool = True) -> SchedulingResult:
-    """Iterative greedy selection over all inactive periods."""
+    """Iterative greedy selection over all inactive periods.
+
+    use_cache=False calls choose_destination afresh for every period in
+    every round; it is the reference the cached path must reproduce.
+    """
     total = analysis.timeline.total_us
     state = SchedulerState(
         total_us=total,
@@ -278,49 +429,32 @@ def schedule_evictions(analysis: VitalityAnalysis, config: DeviceConfig, *,
     }
     sizes = {tid: config.padded(t.size_bytes)
              for tid, t in analysis.trace.tensors.items()}
-    cache: dict[tuple[int, int], EvictionCandidate | None] = {}
+    routes = (_RouteCache(remaining.values(), sizes, state, config,
+                          allow_host) if use_cache else None)
 
     while remaining and state.pressure.max_value() > config.gpu_mem_bytes:
+        if routes is None:
+            scored = [choose_destination(period, sizes[period.tensor_id],
+                                         state, config, allow_host)
+                      for period in remaining.values()]
+        else:
+            scored = routes.score(remaining)
         candidates = []
-        dropped = []
-        for key, period in remaining.items():
-            if key in cache:
-                cand = cache[key]
-            else:
-                cand = choose_destination(period, sizes[period.tensor_id],
-                                          state, config, allow_host)
-                cache[key] = cand
+        for key, cand in zip(list(remaining), scored):
             if cand is None:
-                dropped.append(key)
-            else:
+                period = remaining.pop(key)
+                plan.unschedulable.append((period.tensor_id, period.start_us,
+                                           period.end_us))
+            elif cand.benefit > 0:
                 candidates.append(cand)
-        for key in dropped:
-            period = remaining.pop(key)
-            plan.unschedulable.append((period.tensor_id, period.start_us,
-                                       period.end_us))
-            del cache[key]
-
-        useful = [c for c in candidates if c.benefit > 0]
-        if not useful:
+        if not candidates:
             break
-        best = select_best(useful)
+        best = select_best(candidates)
         apply_candidate(best, state, config)
         plan.items.append(item_from_candidate(best))
         del remaining[best.owner()]
-        del cache[best.owner()]
-        if not use_cache:
-            cache.clear()
-            continue
-        # Booked windows and the pressure delta lie inside the picked
-        # period's circular window, so entries elsewhere stay valid. The
-        # SSD byte count is global state, so recheck that bound too.
-        stale = [key for key, cand in cache.items()
-                 if _windows_overlap(remaining[key], best.period, total)
-                 or (cand is not None and cand.dest is Destination.SSD
-                     and state.ssd_occupancy + cand.size_bytes
-                     > config.ssd_capacity_bytes)]
-        for key in stale:
-            del cache[key]
+        if routes is not None:
+            routes.picked(best)
 
     plan.residual_overflow = state.pressure.overflow_area(config.gpu_mem_bytes)
     return SchedulingResult(plan=plan, state=state)

@@ -1,17 +1,11 @@
-"""Step-curve core: both backends against a dense brute-force model."""
+"""Step-curve core against a dense brute-force model."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensortier import _curve_py
 from tensortier import curve as curve_mod
-
-BACKENDS = [("py", _curve_py.StepCurve)]
-if curve_mod.BACKEND == "cy":
-    from tensortier import _curvecore
-
-    BACKENDS.append(("cy", _curvecore.StepCurve))
+from tensortier._curve_py import StepCurve
 
 
 class DenseCurve:
@@ -52,9 +46,8 @@ class DenseCurve:
         return hi  # empty suffix qualifies vacuously
 
 
-@pytest.mark.parametrize("name,cls", BACKENDS)
-def test_basic_shape(name, cls):
-    c = cls(100)
+def test_basic_shape():
+    c = StepCurve(100)
     assert c.max_value() == 0
     assert c.area() == 0
     c.add(10, 40, 7)
@@ -68,9 +61,8 @@ def test_basic_shape(name, cls):
     assert c.area() == 7 * 30 - 2 * 40
 
 
-@pytest.mark.parametrize("name,cls", BACKENDS)
-def test_adjacent_segments_stay_merged(name, cls):
-    c = cls(100)
+def test_adjacent_segments_stay_merged():
+    c = StepCurve(100)
     c.add(0, 50, 3)
     c.add(50, 100, 3)
     assert list(c.breakpoints()) == [(0, 3)]
@@ -79,9 +71,8 @@ def test_adjacent_segments_stay_merged(name, cls):
     assert list(c.breakpoints()) == [(0, 3)]
 
 
-@pytest.mark.parametrize("name,cls", BACKENDS)
-def test_add_outside_domain_is_clipped(name, cls):
-    c = cls(10)
+def test_add_outside_domain_is_clipped():
+    c = StepCurve(10)
     c.add(-5, 3, 2)
     c.add(8, 99, 4)
     c.add(50, 60, 1)
@@ -90,18 +81,16 @@ def test_add_outside_domain_is_clipped(name, cls):
     assert c.area() == 2 * 3 + 4 * 2
 
 
-@pytest.mark.parametrize("name,cls", BACKENDS)
-def test_value_at_rejects_out_of_domain(name, cls):
-    c = cls(10)
+def test_value_at_rejects_out_of_domain():
+    c = StepCurve(10)
     with pytest.raises(ValueError):
         c.value_at(10)
     with pytest.raises(ValueError):
         c.value_at(-1)
 
 
-@pytest.mark.parametrize("name,cls", BACKENDS)
-def test_earliest_below_prefix(name, cls):
-    c = cls(100)
+def test_earliest_below_prefix():
+    c = StepCurve(100)
     c.add(0, 30, 10)
     c.add(30, 70, 4)
     # suffix max drops to 4 once t reaches 30
@@ -124,29 +113,69 @@ ops = st.lists(
 def test_backends_match_dense_model(ops, cap, clamp, t0, t1):
     horizon = 64
     dense = DenseCurve(horizon)
-    curves = [cls(horizon) for _, cls in BACKENDS]
+    c = StepCurve(horizon)
     for a, b, delta in ops:
         lo, hi = min(a, b), max(a, b)
         dense.add(lo, hi, delta)
-        for c in curves:
-            c.add(lo, hi, delta)
+        c.add(lo, hi, delta)
     lo, hi = min(t0, t1), max(t0, t1)
-    for c in curves:
-        assert c.max_value() == dense.max_value()
-        assert c.area() == dense.area()
-        assert c.overflow_area(cap) == dense.overflow_area(cap)
-        assert c.max_over(lo, hi) == dense.max_over(lo, hi)
-        assert (c.window_overflow_area(cap, clamp, lo, hi)
-                == dense.window_overflow_area(cap, clamp, lo, hi))
-        assert c.earliest_below(cap, lo, horizon) == dense.earliest_below(cap, lo, horizon)
-        for t in range(horizon):
-            assert c.value_at(t) == dense.value_at(t)
-        points = list(c.breakpoints())
-        times = [t for t, _ in points]
-        assert times == sorted(set(times))
-        # canonical form: no two adjacent segments share a value
-        values = [v for _, v in points]
-        assert all(a != b for a, b in zip(values, values[1:]))
+    assert c.max_value() == dense.max_value()
+    assert c.area() == dense.area()
+    assert c.overflow_area(cap) == dense.overflow_area(cap)
+    assert c.max_over(lo, hi) == dense.max_over(lo, hi)
+    assert (c.window_overflow_area(cap, clamp, lo, hi)
+            == dense.window_overflow_area(cap, clamp, lo, hi))
+    assert c.earliest_below(cap, lo, horizon) == dense.earliest_below(cap, lo, horizon)
+    for t in range(horizon):
+        assert c.value_at(t) == dense.value_at(t)
+    points = list(c.breakpoints())
+    times = [t for t, _ in points]
+    assert times == sorted(set(times))
+    # canonical form: no two adjacent segments share a value
+    values = [v for _, v in points]
+    assert all(a != b for a, b in zip(values, values[1:]))
+
+
+windows = st.lists(st.tuples(st.integers(0, 70), st.integers(0, 70)),
+                   min_size=1, max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.tuples(ops, windows), min_size=1, max_size=4),
+       cap=st.integers(-20, 60), clamps=st.lists(st.integers(1, 100),
+                                                 min_size=1, max_size=3),
+       copy_at=st.integers(0, 4))
+def test_window_overflow_area_across_adds(steps, cap, clamps, copy_at):
+    """Repeated queries per (cap, clamp) walk, then use the prefix index;
+    every add and every copy must start the index over."""
+    horizon = 64
+    dense = DenseCurve(horizon)
+    c = StepCurve(horizon)
+    for step, (adds, queries) in enumerate(steps):
+        if step == copy_at:
+            c = c.copy()
+        for a, b, delta in adds:
+            lo, hi = min(a, b), max(a, b)
+            dense.add(lo, hi, delta)
+            c.add(lo, hi, delta)
+        for a, b in queries:
+            lo, hi = min(a, b), max(a, b)
+            for clamp in clamps:
+                assert (c.window_overflow_area(cap, clamp, lo, hi)
+                        == dense.window_overflow_area(cap, clamp, lo, hi))
+
+
+def test_copy_keeps_its_own_overflow_index():
+    c = StepCurve(100)
+    c.add(0, 100, 5)
+    c.add(50, 100, 3)
+    for _ in range(3):  # enough repeats to build the prefix index
+        assert c.window_overflow_area(0, 10, 0, 100) == 650
+    d = c.copy()
+    d.add(0, 50, 5)
+    for _ in range(3):
+        assert d.window_overflow_area(0, 10, 0, 100) == 900
+    assert c.window_overflow_area(0, 10, 0, 100) == 650
 
 
 def test_wrap_pieces_cases():
@@ -171,8 +200,8 @@ wrap_ops = st.lists(
 def test_wrap_add_matches_two_piece_sum(ops, t):
     """A wrapping [a, b) add equals add on [a, total) plus [0, b - total)."""
     total = 64
-    direct = _curve_py.StepCurve(total)
-    pieces = _curve_py.StepCurve(total)
+    direct = StepCurve(total)
+    pieces = StepCurve(total)
     for start, length, delta in ops:
         end = start + length
         curve_mod.wrap_add(direct, start, end, delta)

@@ -1,13 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_device
 from tensortier.config import DeviceConfig
 from tensortier.eviction import (Destination, EvictionCandidate,
                                  plan_from_json, plan_to_json,
                                  schedule_evictions, select_best)
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
-                              WorkloadTrace)
+                              WorkloadTrace, synthesize_trace)
 from tensortier.vitality import InactivePeriod, analyze
 
 
@@ -53,6 +56,38 @@ def test_cache_and_no_cache_agree(s1r_trace, device):
     a = schedule_evictions(analyze(s1r_trace), device, use_cache=True)
     b = schedule_evictions(analyze(s1r_trace), device, use_cache=False)
     assert plan_to_json(a.plan) == plan_to_json(b.plan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layers=st.integers(1, 8), seed=st.integers(0, 10_000),
+       gpu_frac=st.floats(0.3, 0.9), host_frac=st.floats(0.05, 1.0),
+       ssd_frac=st.floats(0.05, 1.0), ssd_bw=st.sampled_from([1024, 4096]),
+       host_bw=st.sampled_from([1024, 4096, 16_384]),
+       threshold=st.sampled_from([0.1, 0.5, 0.9]))
+def test_cache_matches_rescoring_on_generated_traces(
+        layers, seed, gpu_frac, host_frac, ssd_frac, ssd_bw, host_bw,
+        threshold):
+    """Cached slot windows and verdicts reproduce a from-scratch rescoring,
+    with tight host and flash capacities, slow lanes and busy thresholds."""
+    trace = synthesize_trace(layers, (20_480, 61_440), (8_192, 30_720),
+                             (20, 150), seed)
+    base = make_device()
+    sizes = [base.padded(t.size_bytes) for t in trace.tensors.values()]
+    max_ws = max(sum(base.padded(trace.tensors[t].size_bytes)
+                     for t in k.tensors()) for k in trace.kernels)
+    footprint = sum(sizes)
+    dev = make_device(
+        gpu_mem_bytes=max(max_ws, int(footprint * gpu_frac) // 1024 * 1024),
+        host_mem_bytes=int(footprint * host_frac),
+        ssd_capacity_bytes=int(footprint * ssd_frac),
+        ssd_read_bw=ssd_bw, ssd_write_bw=ssd_bw, host_bw=host_bw,
+        hp_utilization_threshold=threshold)
+    analysis = analyze(trace)
+    for allow_host in (True, False):
+        cached = schedule_evictions(analysis, dev, allow_host=allow_host)
+        fresh = schedule_evictions(analysis, dev, allow_host=allow_host,
+                                   use_cache=False)
+        assert plan_to_json(cached.plan) == plan_to_json(fresh.plan)
 
 
 def _cand(benefit, cost, start=0, tid=0):
