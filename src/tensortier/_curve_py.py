@@ -177,6 +177,30 @@ class StepCurve:
             prefix.append(acc)
         return prefix
 
+    def pieces_between(self, lo, hi, t0, t1):
+        """Maximal intervals inside [t0, t1) where lo < value < hi."""
+        t0 = max(t0, 0)
+        t1 = min(t1, self.horizon)
+        if t0 >= t1:
+            return []
+        times = self._times
+        vals = self._vals
+        n = len(times)
+        out = []
+        k = bisect_right(times, t0) - 1
+        while k < n and times[k] < t1:
+            if lo < vals[k] < hi:
+                a = times[k] if times[k] > t0 else t0
+                b = times[k + 1] if k + 1 < n else self.horizon
+                if b > t1:
+                    b = t1
+                if out and out[-1][1] == a:
+                    out[-1] = (out[-1][0], b)
+                else:
+                    out.append((a, b))
+            k += 1
+        return out
+
     def earliest_below(self, cap, lo, hi):
         """Smallest t in [lo, hi] such that max_over(t, hi) <= cap.
 

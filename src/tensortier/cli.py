@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from tensortier.config import (ConfigError, ExperimentConfig, _POLICY_NAMES,
+from tensortier.config import (POLICY_NAMES, ConfigError, ExperimentConfig,
                                gbps_to_bytes_per_us, parse_bytes, parse_config,
                                with_device)
 from tensortier.eviction import plan_to_json
@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         if policy:
-            p.add_argument("--policy", choices=_POLICY_NAMES, default=None,
+            p.add_argument("--policy", choices=POLICY_NAMES, default=None,
                            help="override the config policy")
         if workers:
             p.add_argument("--workers", type=int, default=None,
@@ -142,17 +142,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "trace":
-        cfg = with_device(cfg)
-        cfg.trace = value
-        return cfg
-    if axis == "policy":
-        cfg = with_device(cfg)
-        cfg.policy = value
-        return cfg
-    if axis == "noise_pct":
-        cfg = with_device(cfg)
-        cfg.noise_pct = value
+    if axis in ("trace", "policy", "noise_pct"):
+        cfg = with_device(cfg)  # a copy, so the sweep's base stays as is
+        setattr(cfg, axis, value)
         return cfg
     if axis in ("gpu_mem_bytes", "host_mem_bytes"):
         return with_device(cfg, **{axis: value})

@@ -98,12 +98,8 @@ class DeviceConfig:
         return (size_bytes + page - 1) // page * page
 
 
-_POLICY_NAMES = ("ideal", "base-uvm", "deepum-like", "flashneuron-like",
-                 "g10", "g10-ssd-only")
-
-_SWEEP_AXES = ("trace", "policy", "host_mem_bytes", "gpu_mem_bytes",
-               "ssd_read_bw_gbps", "ssd_write_bw_gbps", "ssd_bw_gbps",
-               "noise_pct")
+POLICY_NAMES = ("ideal", "base-uvm", "deepum-like", "flashneuron-like",
+                "g10", "g10-ssd-only")
 
 
 @dataclass
@@ -118,8 +114,8 @@ class ExperimentConfig:
     sweep: dict[str, list] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.policy not in _POLICY_NAMES:
-            raise ConfigError(f"unknown policy {self.policy!r} (one of {', '.join(_POLICY_NAMES)})")
+        if self.policy not in POLICY_NAMES:
+            raise ConfigError(f"unknown policy {self.policy!r} (one of {', '.join(POLICY_NAMES)})")
         if not 0.0 <= self.noise_pct < 1.0:
             raise ConfigError("noise_pct must be in [0, 1)")
         if self.workers < 1:
@@ -197,6 +193,8 @@ _SWEEP_PARSERS = {
     "ssd_bw_gbps": float,
     "noise_pct": float,
 }
+
+_SWEEP_AXES = tuple(_SWEEP_PARSERS)
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -10,16 +10,32 @@ Times on the unrolled axis: a wrapping period's prefetch lands in the next
 iteration's prefix (window values >= total_us map into [0, total) mod total).
 
 Scoring is incremental and exact: every round gives the same answers as
-calling choose_destination afresh (use_cache=False does just that). Per
-(period, destination) the planner keeps the constant parts (padded size,
-transfer times, lanes) and the slot windows. Bookings only take lane time
-away, so a cached earliest or latest slot moves exactly when a new booking
-on its lane overlaps the slot itself, and a slot search that failed keeps
-failing. The host-capacity check is redone only after a host pick whose
-occupancy change overlaps the freed window, the SSD-utilization test only
-after an SSD booking inside the period. Benefit moves with every pick, so
-it is recomputed each round; the pressure curve's prefix index (see
-_curve_py) makes that a pair of bisects.
+calling choose_destination afresh (use_cache=False does just that), and
+redoes only what the last pick can have changed. While the planner runs,
+the pressure curve and the flash left only fall, and host occupancy and
+lane bookings only grow. Per (period, destination) route the planner keeps
+the constant parts (padded size, transfer times, lanes), the slot starts
+e0 and p0, the host-capacity verdict, the benefit and the
+EvictionCandidate made from them:
+
+- a slot moves exactly when a new booking on its lane overlaps it, and is
+  searched again from where it was; a search that failed keeps failing;
+- a passed host check is redone only after a host pick whose occupancy
+  change overlaps the window [e1, p0) and leaves less host memory than
+  the route's size somewhere; a failed one keeps failing;
+- the benefit (the overflow area inside [e1, p0), each point's overflow
+  clamped to the route's size) is recomputed when a slot moved, or when a
+  pick lowered the pressure inside the window where it was above capacity
+  and is now below capacity plus the largest size. A zero benefit stays
+  zero: the window only shrinks and the pressure in it only falls;
+- the candidate object is rebuilt only when a slot or the benefit changed.
+
+Per period, the SSD lanes' busy time inside it is kept up to date with
+each SSD booking; it only grows, so a busy verdict stays busy. A period's
+choice is made again only when one of these changed for it, or an SSD pick
+left too little flash for its size. Every other period keeps its choice
+from the last round; the periods that fit nowhere any more are dropped in
+the order a full rescoring drops them.
 """
 
 from __future__ import annotations
@@ -111,7 +127,7 @@ class SchedulingResult:
     state: SchedulerState
 
 
-_STALE = object()  # slot not searched since a booking took its span
+_STALE = object()  # not computed since something it depends on changed
 
 
 def _overlaps(pieces_a, pieces_b) -> bool:
@@ -122,20 +138,33 @@ def _overlaps(pieces_a, pieces_b) -> bool:
     return False
 
 
+def _overlap_us(pieces, interval) -> int:
+    lo, hi = interval
+    total = 0
+    for a, b in pieces:
+        if a < hi and lo < b:
+            total += min(b, hi) - max(a, lo)
+    return total
+
+
 class _Route:
     """Scoring inputs for evicting one period to one destination.
 
     Size, transfer times and lanes never change. The slot starts are kept
     between rounds: e0 on the outbound lane and p0 on the inbound lane (in
-    lane time, before the wrap shift). Bookings only take free time away,
-    so the earliest (latest) fitting slot moves exactly when a new booking
-    overlaps the slot itself, and a slot that found no room never finds
-    any. host_ok caches the host-capacity check for the current window.
+    lane time, before the wrap shift); win is the window they make and span
+    its pieces in the iteration. A slot is searched within [e_lo, e_hi) or
+    [0, p_hi); a search again after a booking took the slot starts from
+    it, since the times it skipped were taken before and still are.
+    host_ok caches the host-capacity check, benefit the overflow the window
+    removes and cand the candidate, each for the current window (when they
+    go stale: module docstring).
     """
 
     __slots__ = ("period", "dest", "size", "cost_us", "e_dur", "p_dur",
-                 "from_lane", "to_lane", "e_hi", "p_hi", "shift", "e0", "p0",
-                 "host_ok")
+                 "from_lane", "to_lane", "e_lo", "e_hi", "p_hi", "shift",
+                 "total", "e0", "p0", "win", "span", "host_ok", "benefit",
+                 "cand")
 
     def __init__(self, period: InactivePeriod, dest: Destination, size: int,
                  state: SchedulerState, config: DeviceConfig):
@@ -150,6 +179,8 @@ class _Route:
                                                  Direction.FROM_DEVICE)
         self.to_lane = state.reservations.lane(dest.channel,
                                                Direction.TO_DEVICE)
+        self.total = state.total_us
+        self.e_lo = period.start_us
         if period.wraps_iteration:
             # eviction completes inside this iteration, prefetch lands
             # entirely in the next iteration's prefix
@@ -160,14 +191,17 @@ class _Route:
             self.e_hi = None
             self.p_hi = period.end_us
             self.shift = 0
-        self.e0 = self.p0 = _STALE
-        self.host_ok = None
+        self.e0 = self.p0 = self.win = _STALE
+        self.span = ()
+        self.host_ok = self.benefit = self.cand = None
 
     def window(self):
         """(e0, e1, p0) on the unrolled axis, or None if no pair fits."""
+        if self.win is not _STALE:
+            return self.win
+        self.win = None
         if self.e0 is _STALE:
-            self.e0 = self.from_lane.earliest_slot(self.e_dur,
-                                                   self.period.start_us,
+            self.e0 = self.from_lane.earliest_slot(self.e_dur, self.e_lo,
                                                    self.e_hi)
         if self.e0 is None:
             return None
@@ -179,48 +213,74 @@ class _Route:
         p0 = self.p0 + self.shift
         if e1 > p0:
             return None
-        return self.e0, e1, p0
+        self.win = (self.e0, e1, p0)
+        self.span = wrap_pieces(e1, p0, self.total)
+        return self.win
 
     def candidate(self, state: SchedulerState, config: DeviceConfig):
         window = self.window()
         if window is None:
             return None
-        e0, e1, p0 = window
         if self.dest is Destination.HOST:
             if self.host_ok is None:
-                self.host_ok = (wrap_max(state.host_occupancy, e1, p0)
+                self.host_ok = (wrap_max(state.host_occupancy, window[1],
+                                         window[2])
                                 + self.size <= config.host_mem_bytes)
             if not self.host_ok:
                 return None
         elif state.ssd_occupancy + self.size > config.ssd_capacity_bytes:
             return None
-        benefit = wrap_window_overflow_area(state.pressure,
-                                            config.gpu_mem_bytes, self.size,
-                                            e1, p0)
-        return EvictionCandidate(self.period, self.size, self.dest, e0, e1,
-                                 p0, p0 + self.p_dur, benefit, self.cost_us)
+        if self.cand is None:
+            e0, e1, p0 = window
+            if self.benefit is None:
+                self.benefit = wrap_window_overflow_area(
+                    state.pressure, config.gpu_mem_bytes, self.size, e1, p0)
+            self.cand = EvictionCandidate(self.period, self.size, self.dest,
+                                          e0, e1, p0, p0 + self.p_dur,
+                                          self.benefit, self.cost_us)
+        return self.cand
 
-    def forget(self, evict, prefetch, freed, total):
-        """Forget what a pick on this route's channel can have changed.
-
-        evict and prefetch are its (start, end) bookings in lane time; a
-        slot they overlap is searched again. freed holds the pieces of its
-        host-occupancy change (empty for an SSD pick); the host check is
-        redone if they overlap this window.
-        """
+    def booked(self, evict, prefetch) -> bool:
+        """Forget the slots that a pick on this route's channel took; True
+        if one was. evict and prefetch are its (start, end) bookings in
+        lane time."""
         e0, p0 = self.e0, self.p0
+        moved = False
         if (e0 is not _STALE and e0 is not None
                 and evict[0] < e0 + self.e_dur and e0 < evict[1]):
+            self.e_lo = e0
             self.e0 = _STALE
-            self.host_ok = None
+            moved = True
         if (p0 is not _STALE and p0 is not None
                 and prefetch[0] < p0 + self.p_dur and p0 < prefetch[1]):
+            self.p_hi = p0 + self.p_dur
             self.p0 = _STALE
-            self.host_ok = None
+            moved = True
+        if moved:
+            self.win = _STALE
+            self.host_ok = self.cand = None
+            if self.benefit:  # a zero benefit stays zero on a smaller window
+                self.benefit = None
+        return moved
+
+    def crowded(self, freed, room) -> bool:
+        """Forget a passed host check that a host pick can have failed;
+        True if it was forgotten. freed holds the pieces of the pick's
+        occupancy change and room the host memory left at their fullest
+        point."""
         # host_ok is only ever set on a window with both slots found
-        if self.host_ok is not None and _overlaps(
-                freed, wrap_pieces(e0 + self.e_dur, p0 + self.shift, total)):
+        if self.host_ok and self.size > room and _overlaps(freed, self.span):
             self.host_ok = None
+            return True
+        return False
+
+    def relieved(self, pieces) -> bool:
+        """Forget the benefit if the pieces where a pick moved the clamped
+        overflow overlap the window; True if it was forgotten."""
+        if self.benefit and _overlaps(pieces, self.span):
+            self.benefit = self.cand = None
+            return True
+        return False
 
 
 def score_candidate(period: InactivePeriod, size: int, dest: Destination,
@@ -337,9 +397,12 @@ def item_from_candidate(cand: EvictionCandidate) -> PlanItem:
 
 
 class _Entry:
-    """A remaining period, its two routes and its cached SSD-lane verdict."""
+    """A remaining period, its two routes, the SSD lanes' busy time inside
+    the period (outbound, inbound) and its choice in the last round
+    (_STALE once an input of it changed)."""
 
-    __slots__ = ("period", "pieces", "ssd", "host", "ssd_busy")
+    __slots__ = ("period", "pieces", "ssd", "host", "busy_out", "busy_in",
+                 "busy_limit", "choice")
 
     def __init__(self, period, size, state, config):
         self.period = period
@@ -347,7 +410,27 @@ class _Entry:
                                   state.total_us)
         self.ssd = _Route(period, Destination.SSD, size, state, config)
         self.host = _Route(period, Destination.HOST, size, state, config)
-        self.ssd_busy = None
+        self.busy_out = sum(self.ssd.from_lane.busy_within(a, b)
+                            for a, b in self.pieces)
+        self.busy_in = sum(self.ssd.to_lane.busy_within(a, b)
+                           for a, b in self.pieces)
+        self.busy_limit = (config.hp_utilization_threshold
+                           * (period.end_us - period.start_us))
+        self.choice = _STALE
+
+    def ssd_busy(self) -> bool:
+        """_ssd_utilization_high, from the kept busy times."""
+        return self.busy_limit > 0 and (self.busy_out > self.busy_limit
+                                        or self.busy_in > self.busy_limit)
+
+    def ssd_booked(self, evict, prefetch) -> bool:
+        """Add an SSD pick's bookings to the busy times; True if that made
+        the SSD lanes count as busy (bookings only add lane time, so a busy
+        verdict stays busy)."""
+        idle = not self.ssd_busy()
+        self.busy_out += _overlap_us(self.pieces, evict)
+        self.busy_in += _overlap_us(self.pieces, prefetch)
+        return idle and self.ssd_busy()
 
 
 class _RouteCache:
@@ -363,46 +446,74 @@ class _RouteCache:
         self._entries = {(p.tensor_id, p.start_us):
                          _Entry(p, sizes[p.tensor_id], state, config)
                          for p in periods}
+        # the largest clamp of any benefit query
+        self._max_size = max((e.ssd.size for e in self._entries.values()),
+                             default=0)
 
-    def _ssd_busy(self, entry: _Entry) -> bool:
-        if entry.ssd_busy is None:
-            entry.ssd_busy = _ssd_utilization_high(entry.period, self._state,
-                                                   self._config)
-        return entry.ssd_busy
+    def _choose(self, entry: _Entry):
+        cand = entry.ssd.candidate(self._state, self._config)
+        if self._allow_host and (cand is None or cand.benefit == 0
+                                 or entry.ssd_busy()):
+            host = entry.host.candidate(self._state, self._config)
+            if host is not None:
+                cand = host
+        return cand
 
     def score(self, remaining):
         """This round's choose_destination result for each remaining key,
         in order; None means the period cannot be scheduled."""
+        entries = self._entries
         out = []
         for key in remaining:
-            entry = self._entries[key]
-            cand = entry.ssd.candidate(self._state, self._config)
-            if self._allow_host and (cand is None or cand.benefit == 0
-                                     or self._ssd_busy(entry)):
-                host = entry.host.candidate(self._state, self._config)
-                if host is not None:
-                    cand = host
-            if cand is None:
-                del self._entries[key]
+            entry = entries[key]
+            cand = entry.choice
+            if cand is _STALE:
+                cand = entry.choice = self._choose(entry)
+                if cand is None:
+                    del entries[key]
             out.append(cand)
         return out
 
     def picked(self, best: EvictionCandidate) -> None:
-        """Forget what booking best can have changed."""
+        """Forget what booking best can have changed (after apply_candidate
+        booked it)."""
         del self._entries[best.owner()]
-        total = self._state.total_us
+        state, config = self._state, self._config
+        total = state.total_us
         evict = (best.evict_start, best.evict_end)
         shift = total if best.prefetch_start >= total else 0
         prefetch = (best.prefetch_start - shift, best.prefetch_end - shift)
+        freed = wrap_pieces(best.evict_end, best.prefetch_start, total)
+        # The pressure fell by best's size on freed. A benefit clamps the
+        # overflow to its route's size, so it moved only where the pressure
+        # was above capacity and is now below capacity plus that size.
+        cap = config.gpu_mem_bytes
+        relieved = [piece for a, b in freed
+                    for piece in state.pressure.pieces_between(
+                        cap - best.size_bytes, cap + self._max_size, a, b)]
         to_ssd = best.dest is Destination.SSD
-        freed = () if to_ssd else wrap_pieces(best.evict_end,
-                                              best.prefetch_start, total)
+        if to_ssd:
+            flash = config.ssd_capacity_bytes - state.ssd_occupancy
+        else:
+            room = config.host_mem_bytes - wrap_max(
+                state.host_occupancy, best.evict_end, best.prefetch_start)
         for entry in self._entries.values():
-            route = entry.ssd if to_ssd else entry.host
-            route.forget(evict, prefetch, freed, total)
-            if to_ssd and entry.ssd_busy is not None and _overlaps(
-                    entry.pieces, (evict, prefetch)):
-                entry.ssd_busy = None
+            ssd, host = entry.ssd, entry.host
+            dirty = ssd.relieved(relieved)
+            if host.relieved(relieved):
+                dirty = True
+            if to_ssd:
+                if ssd.booked(evict, prefetch):
+                    dirty = True
+                # sizes that fitted the flash left before this pick only
+                if flash < ssd.size <= flash + best.size_bytes:
+                    dirty = True
+                if entry.ssd_booked(evict, prefetch):
+                    dirty = True
+            elif host.booked(evict, prefetch) or host.crowded(freed, room):
+                dirty = True
+            if dirty:
+                entry.choice = _STALE
 
 
 def schedule_evictions(analysis: VitalityAnalysis, config: DeviceConfig, *,

@@ -19,7 +19,7 @@ g10-ssd-only       the same planner forbidden from touching host memory
 
 from __future__ import annotations
 
-from tensortier.config import DeviceConfig
+from tensortier.config import POLICY_NAMES, DeviceConfig
 from tensortier.eviction import (Destination, MigrationPlan, SchedulerState,
                                  SchedulingResult, apply_candidate,
                                  item_from_candidate, score_candidate)
@@ -31,9 +31,6 @@ from tensortier.simulate import (GPU, HOST, SSD, SimResult, ideal_run,
                                  perturb_durations, simulate)
 from tensortier.trace import WorkloadTrace
 from tensortier.vitality import analyze, initial_pressure_curve
-
-POLICY_NAMES = ("ideal", "base-uvm", "deepum-like", "flashneuron-like",
-                "g10", "g10-ssd-only")
 
 DEFAULT_LOOKAHEAD = 1
 

@@ -61,9 +61,11 @@ class LaneReservations:
     def latest_slot(self, duration, hi, lo=0):
         """Latest s >= lo with [s, s+duration) free and s+duration <= hi."""
         end = hi
-        for s, e, _ in reversed(self._ivals):
-            if s >= end:
-                continue
+        # walk back from the last interval that starts before hi; disjoint
+        # intervals end no later than the next one starts
+        ivals = self._ivals
+        for k in range(bisect_left(ivals, (hi,)) - 1, -1, -1):
+            s, e, _ = ivals[k]
             if end - max(e, lo) >= duration:
                 return end - duration
             end = s
@@ -74,13 +76,20 @@ class LaneReservations:
         return None
 
     def busy_within(self, lo, hi):
+        """Busy time inside [lo, hi)."""
+        ivals = self._ivals
+        i = bisect_left(ivals, (lo,))
+        # step back one: the previous interval may still cover lo
+        if i > 0 and ivals[i - 1][1] > lo:
+            i -= 1
         total = 0
-        for s, e, _ in self._ivals:
-            if e <= lo:
-                continue
+        n = len(ivals)
+        while i < n:
+            s, e, _ = ivals[i]
             if s >= hi:
                 break
             total += min(e, hi) - max(s, lo)
+            i += 1
         return total
 
 

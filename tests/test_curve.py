@@ -39,6 +39,16 @@ class DenseCurve:
         return sum(min(clamp, max(0, v - cap))
                    for v in self.vals[max(t0, 0):min(t1, self.horizon)])
 
+    def pieces_between(self, lo, hi, t0, t1):
+        out = []
+        for t in range(max(t0, 0), min(t1, self.horizon)):
+            if lo < self.vals[t] < hi:
+                if out and out[-1][1] == t:
+                    out[-1] = (out[-1][0], t + 1)
+                else:
+                    out.append((t, t + 1))
+        return out
+
     def earliest_below(self, cap, lo, hi):
         for t in range(lo, hi):
             if self.max_over(t, hi) <= cap:
@@ -126,6 +136,8 @@ def test_backends_match_dense_model(ops, cap, clamp, t0, t1):
     assert (c.window_overflow_area(cap, clamp, lo, hi)
             == dense.window_overflow_area(cap, clamp, lo, hi))
     assert c.earliest_below(cap, lo, horizon) == dense.earliest_below(cap, lo, horizon)
+    assert (c.pieces_between(cap, cap + clamp, lo, hi)
+            == dense.pieces_between(cap, cap + clamp, lo, hi))
     for t in range(horizon):
         assert c.value_at(t) == dense.value_at(t)
     points = list(c.breakpoints())

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_device
@@ -58,6 +58,26 @@ def test_cache_and_no_cache_agree(s1r_trace, device):
     assert plan_to_json(a.plan) == plan_to_json(b.plan)
 
 
+def _assert_cache_matches(trace, gpu_frac, host_frac, ssd_frac, **device):
+    """The cached planner and a from-scratch rescoring give the same plan,
+    with the host route on and off."""
+    base = make_device()
+    sizes = [base.padded(t.size_bytes) for t in trace.tensors.values()]
+    max_ws = max(sum(base.padded(trace.tensors[t].size_bytes)
+                     for t in k.tensors()) for k in trace.kernels)
+    footprint = sum(sizes)
+    dev = make_device(
+        gpu_mem_bytes=max(max_ws, int(footprint * gpu_frac) // 1024 * 1024),
+        host_mem_bytes=int(footprint * host_frac),
+        ssd_capacity_bytes=int(footprint * ssd_frac), **device)
+    analysis = analyze(trace)
+    for allow_host in (True, False):
+        cached = schedule_evictions(analysis, dev, allow_host=allow_host)
+        fresh = schedule_evictions(analysis, dev, allow_host=allow_host,
+                                   use_cache=False)
+        assert plan_to_json(cached.plan) == plan_to_json(fresh.plan)
+
+
 @settings(max_examples=60, deadline=None)
 @given(layers=st.integers(1, 8), seed=st.integers(0, 10_000),
        gpu_frac=st.floats(0.3, 0.9), host_frac=st.floats(0.05, 1.0),
@@ -71,23 +91,44 @@ def test_cache_matches_rescoring_on_generated_traces(
     with tight host and flash capacities, slow lanes and busy thresholds."""
     trace = synthesize_trace(layers, (20_480, 61_440), (8_192, 30_720),
                              (20, 150), seed)
-    base = make_device()
-    sizes = [base.padded(t.size_bytes) for t in trace.tensors.values()]
-    max_ws = max(sum(base.padded(trace.tensors[t].size_bytes)
-                     for t in k.tensors()) for k in trace.kernels)
-    footprint = sum(sizes)
-    dev = make_device(
-        gpu_mem_bytes=max(max_ws, int(footprint * gpu_frac) // 1024 * 1024),
-        host_mem_bytes=int(footprint * host_frac),
-        ssd_capacity_bytes=int(footprint * ssd_frac),
-        ssd_read_bw=ssd_bw, ssd_write_bw=ssd_bw, host_bw=host_bw,
-        hp_utilization_threshold=threshold)
-    analysis = analyze(trace)
-    for allow_host in (True, False):
-        cached = schedule_evictions(analysis, dev, allow_host=allow_host)
-        fresh = schedule_evictions(analysis, dev, allow_host=allow_host,
-                                   use_cache=False)
-        assert plan_to_json(cached.plan) == plan_to_json(fresh.plan)
+    _assert_cache_matches(trace, gpu_frac, host_frac, ssd_frac,
+                          ssd_read_bw=ssd_bw, ssd_write_bw=ssd_bw,
+                          host_bw=host_bw, hp_utilization_threshold=threshold)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layers=st.integers(2, 10), seed=st.integers(0, 10_000),
+       size=st.sampled_from([8_192, 20_480, 40_960]),
+       gpu_frac=st.floats(0.1, 0.45), ssd_frac=st.floats(0.1, 1.0),
+       bw=st.sampled_from([1024, 2048, 4096]))
+def test_cache_matches_rescoring_at_zero_benefit(layers, seed, size,
+                                                 gpu_frac, ssd_frac, bw):
+    """Uniform sizes under tight GPU memory: one benefit query clamp,
+    windows that collapse as the lanes fill, and routes whose benefit falls
+    to zero and must stay there."""
+    trace = synthesize_trace(layers, size, size, (20, 150), seed)
+    _assert_cache_matches(trace, gpu_frac, 1.0, ssd_frac, ssd_read_bw=bw,
+                          ssd_write_bw=bw, host_bw=bw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layers=st.integers(2, 10), seed=st.integers(0, 10_000),
+       gpu_frac=st.floats(0.3, 0.8), host_frac=st.floats(0.05, 0.6),
+       threshold=st.sampled_from([0.05, 0.3]))
+# a host pick leaves a waiting route less than one page short of host
+# memory inside its window, so its host check must be redone
+@example(layers=4, seed=4722, gpu_frac=0.3508258511974197,
+         host_frac=0.1251495071123052, threshold=0.05)
+def test_cache_matches_rescoring_with_host_picks(layers, seed, gpu_frac,
+                                                 host_frac, threshold):
+    """A slow, soon busy SSD lane and a fast host lane: many picks go to the
+    host, and their freed windows partly overlap the windows of routes still
+    waiting, with host memory tight enough for the capacity check to flip."""
+    trace = synthesize_trace(layers, (20_480, 61_440), (8_192, 30_720),
+                             (20, 150), seed)
+    _assert_cache_matches(trace, gpu_frac, host_frac, 1.0, ssd_read_bw=1024,
+                          ssd_write_bw=1024, host_bw=16_384,
+                          hp_utilization_threshold=threshold)
 
 
 def _cand(benefit, cost, start=0, tid=0):

@@ -96,3 +96,45 @@ def test_slots_are_valid_and_extremal(bookings, duration, point):
         assert _no_overlap(lane, t, t + duration)
         if t + duration < hi:  # maximality
             assert not _no_overlap(lane, t + 1, t + 1 + duration)
+
+
+def _linear_latest(ivals, duration, hi, lo):
+    end = hi
+    for s, e, _ in reversed(ivals):
+        if s >= end:
+            continue
+        if end - max(e, lo) >= duration:
+            return end - duration
+        end = s
+        if end - lo < duration:
+            return None
+    return end - duration if end - lo >= duration else None
+
+
+def _linear_busy(ivals, lo, hi):
+    return sum(min(e, hi) - max(s, lo) for s, e, _ in ivals
+               if e > lo and s < hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 200), max_size=24, unique=True),
+       st.lists(st.booleans(), min_size=24, max_size=24),
+       st.integers(-10, 210), st.integers(0, 60), st.integers(1, 30),
+       st.integers(-10, 120))
+def test_bisected_scans_match_linear_reference(points, keep, lo, width,
+                                               duration, slot_lo):
+    """busy_within and latest_slot bisect to the window; a linear scan over
+    every interval gives the same answers."""
+    points.sort()
+    lane = LaneReservations()
+    # a subset of the gaps between consecutive points: disjoint intervals,
+    # neighbours touch when both gaps are kept
+    for k in range(len(points) - 1):
+        if keep[k]:
+            lane.reserve(points[k], points[k + 1], k)
+    ivals = lane.intervals()
+    hi = lo + width
+    assert lane.busy_within(lo, hi) == _linear_busy(ivals, lo, hi)
+    for end in (hi, lo + duration, 210):
+        assert (lane.latest_slot(duration, end, slot_lo)
+                == _linear_latest(ivals, duration, end, slot_lo))
