@@ -12,6 +12,24 @@ fixed handling overhead per chunk, queued at the head of the inbound lane.
 GPU bytes are charged when an inbound transfer starts and released when an
 outbound transfer finishes, mirroring the planner's accounting. All engine
 arithmetic uses page-padded sizes.
+
+Work per event is kept to what changed, under two rules that leave every
+event log and figure as a full re-evaluation would:
+
+- Chunk train. When a fault chunk lands with bytes still to move, the same
+  transfer is cut to the next chunk and restarted on its lane at once. The
+  lane stays busy, its queue and the GPU bytes (charged at the first chunk)
+  stay as they were, so nothing the compute stream reads has changed.
+- Stream re-evaluation. Every other transfer completion, every enqueued
+  fault, prefetch or eviction and every unpark goes through `_kick`, which
+  bumps a state epoch; those are all the changes to what a blocked stream
+  step reads (free bytes, the parked list, tensor locations and pending
+  flags, host and SSD use, lane heads). Each completion still arms a stream
+  advance. The advance runs the blocked step again only if the epoch moved
+  since the step last ran or that run moved it itself (a fault, an LRU
+  eviction, an unpark that parks again). Otherwise running it would do
+  nothing but restate the block's cause, and the skipped advance restates
+  it the same way.
 """
 
 from __future__ import annotations
@@ -20,13 +38,12 @@ import hashlib
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from tensortier.config import Channel, DeviceConfig, Direction
 from tensortier.eviction import Destination
 from tensortier.instrument import Op, Program
 from tensortier.trace import WorkloadTrace
-from tensortier.vitality import transfer_time
 
 
 class SimulationError(RuntimeError):
@@ -41,7 +58,12 @@ GPU = "gpu"
 HOST = "host"
 SSD = "ssd"
 
-_LOC_CHANNEL = {HOST: Channel.HOST, SSD: Channel.SSD}
+# bound once: each attribute lookup on an Enum class goes through a
+# descriptor (lanes and transfers carry no enum members for the same reason)
+_PRE_EVICT = Op.PRE_EVICT
+
+# compute stream steps besides "kernel"
+_STEP_OF = {Op.ALLOC: "alloc", Op.FREE: "free"}
 
 # heap ranks: transfer completions resolve first, then armed directives,
 # then the compute stream
@@ -98,23 +120,16 @@ class _Tensor:
         self.last_use = -1
         self.retry_fetch = None          # directive to re-arm after evict lands
 
-    @property
-    def resident(self) -> bool:
-        return self.loc == GPU and not self.pending_out
-
 
 class _Xfer:
-    __slots__ = ("tensor", "channel", "direction", "nbytes", "kind",
-                 "extra_us", "tail_bytes", "need", "evict_for_space",
-                 "dest_loc")
+    __slots__ = ("tensor", "lane", "nbytes", "kind", "extra_us",
+                 "tail_bytes", "need", "evict_for_space", "dest_loc")
 
-    def __init__(self, tensor: _Tensor, channel: Channel, direction: Direction,
-                 nbytes: int, kind: str, *, extra_us: int = 0,
-                 tail_bytes: int = 0, need: int = 0,
+    def __init__(self, tensor: _Tensor, lane: _Lane, nbytes: int, kind: str, *,
+                 extra_us: int = 0, tail_bytes: int = 0, need: int = 0,
                  evict_for_space: bool = False, dest_loc: str | None = None):
         self.tensor = tensor
-        self.channel = channel
-        self.direction = direction
+        self.lane = lane
         self.nbytes = nbytes
         self.kind = kind                 # prefetch | evict | fault
         self.extra_us = extra_us
@@ -125,20 +140,37 @@ class _Xfer:
 
 
 class _Lane:
-    __slots__ = ("channel", "direction", "spec", "queue", "current", "ends_at",
-                 "started_at")
+    __slots__ = ("label", "to_device", "bw", "latency", "queue", "current",
+                 "started_at", "moved")
 
-    def __init__(self, channel: Channel, direction: Direction, spec):
-        self.channel = channel
-        self.direction = direction
-        self.spec = spec
+    def __init__(self, channel: Channel, direction: Direction,
+                 config: DeviceConfig):
+        spec = config.channel(channel)
+        self.label = f"{channel.value}/{direction.value}"
+        self.to_device = direction is Direction.TO_DEVICE
+        self.bw = spec.bw(direction)
+        self.latency = spec.latency(direction)
         self.queue: deque[_Xfer] = deque()
         self.current: _Xfer | None = None
-        self.ends_at = 0
         self.started_at = 0
+        self.moved = 0                   # bytes delivered
 
     def duration(self, xfer: _Xfer) -> int:
-        return transfer_time(xfer.nbytes, self.spec, self.direction) + xfer.extra_us
+        # vitality.transfer_time, with the lane's spec read once
+        return self.latency + -(-xfer.nbytes // self.bw) + xfer.extra_us
+
+
+class _Running:
+    """The kernel on the compute stream and the pre-evictions it defers."""
+
+    __slots__ = ("kernel", "start", "end", "tensors", "defers")
+
+    def __init__(self, kernel: int, start: int, end: int, tensors: frozenset):
+        self.kernel = kernel
+        self.start = start
+        self.end = end
+        self.tensors = tensors
+        self.defers: list = []
 
 
 class _Engine:
@@ -168,12 +200,19 @@ class _Engine:
 
         self.tensors = {tid: _Tensor(tid, config.padded(t.size_bytes))
                         for tid, t in trace.tensors.items()}
+        # per kernel, built once: its tensors in id order, and their ids
+        self._needed: list[tuple[_Tensor, ...]] = []
+        self._touched: list[frozenset[int]] = []
         for kernel in trace.kernels:
-            need = sum(self.tensors[tid].size for tid in kernel.tensors())
+            ids = kernel.tensors()
+            needed = tuple(self.tensors[tid] for tid in sorted(ids))
+            need = sum(t.size for t in needed)
             if need > config.gpu_mem_bytes:
                 raise SimulationError(
                     f"kernel {kernel.index} working set ({need} bytes) "
                     f"cannot fit in GPU memory")
+            self._needed.append(needed)
+            self._touched.append(ids)
         self.free = config.gpu_mem_bytes
         self.host_used = 0
         self.ssd_used = 0
@@ -191,30 +230,37 @@ class _Engine:
             else:
                 raise ValueError(f"bad initial location {loc!r}")
 
-        self.lanes = [
-            _Lane(ch, d, config.channel(ch))
-            for ch in (Channel.HOST, Channel.SSD) for d in Direction
-        ]
-        self._lane_map = {(l.channel, l.direction): l for l in self.lanes}
+        self.lanes = [_Lane(ch, d, config)
+                      for ch in (Channel.HOST, Channel.SSD) for d in Direction]
+        host_in, host_out, ssd_in, ssd_out = self.lanes
+        self._fetch_lane = {HOST: host_in, SSD: ssd_in}    # by source tier
+        self._evict_lane = {HOST: host_out, SSD: ssd_out}  # by destination
         self.parked: list[_Xfer] = []
+        self._parked_ids: set[int] = set()
+        self._outgoing = 0               # bytes of evictions queued or moving
+        self._chunk = config.fault_chunk_bytes
 
         self.now = 0
         self.events: list = []
         self._seq = 0
         self._advance_armed = False
+        self._epoch = 0                  # bumped by every _kick
+        self._idle_epoch: int | None = None  # epoch a no-op blocked step saw
+        self._idle_kernel = False        # ... and whether it was a kernel
 
         # stream cursor: per-iteration flat list of alloc/free/kernel steps
         self.stream = _flatten(program)
+        self._directives = [ins for ins in program.instructions()
+                            if ins.op in (Op.PRE_EVICT, Op.PREFETCH)]
         self.iter_index = 0
         self.pos = 0
         self.iter_started = False
-        self.running = None              # (kernel_index, end_us, active set, defers)
+        self.running: _Running | None = None
         self.block_started: int | None = None
         self.block_cause = "none"
         self.finished = False
-        self.last_kernel_end = 0
+        self.prev_end = 0                # end of previous kernel instance
 
-        self.traffic = Traffic()
         self.kernel_stats: list[KernelStat] = []
         self.kernel_spans: list[tuple[int, int]] = []
         self.fault_log: list[tuple[int, int, int]] = []
@@ -223,7 +269,6 @@ class _Engine:
         self.stall_breakdown: dict[str, int] = {}
         self._hash = hashlib.sha256()
         self._event_lines: list[str] | None = [] if keep_events else None
-        self.prev_end = 0                # end of previous kernel instance
 
     # -- event plumbing -----------------------------------------------------
 
@@ -232,11 +277,10 @@ class _Engine:
         heapq.heappush(self.events, (t, rank, self._seq, fn, args))
 
     def _log(self, text: str) -> None:
-        line = f"{self.now} {text}"
+        line = f"{self.now} {text}\n"
         self._hash.update(line.encode())
-        self._hash.update(b"\n")
         if self._event_lines is not None:
-            self._event_lines.append(line)
+            self._event_lines.append(line[:-1])
 
     def _arm_advance(self, cause: str) -> None:
         if not self._advance_armed and not self.finished:
@@ -245,99 +289,93 @@ class _Engine:
 
     def _advance_event(self, cause: str) -> None:
         self._advance_armed = False
+        if self._idle_epoch == self._epoch:
+            # see the module docstring: the blocked step would only note
+            # the block again
+            if self._idle_kernel:
+                self.block_cause = cause if cause != "none" else "wait"
+            return
         self._advance(cause)
 
     # -- lanes --------------------------------------------------------------
 
-    def lane(self, channel: Channel, direction: Direction) -> _Lane:
-        return self._lane_map[(channel, direction)]
-
     def _kick(self, lane: _Lane) -> None:
-        while lane.current is None and lane.queue:
-            head = lane.queue[0]
+        self._epoch += 1
+        queue = lane.queue
+        while lane.current is None and queue:
+            head = queue.popleft()
             if head.need:
                 if head.need > self.free:
                     if head.evict_for_space:
                         self._lru_evict(head.need - self.free, cause="prefetch")
-                    lane.queue.popleft()
                     self.parked.append(head)
+                    self._parked_ids.add(head.tensor.id)
                     self._log(f"park {head.kind} t{head.tensor.id}")
                     continue
                 self.free -= head.need
                 head.need = 0
-            lane.queue.popleft()
-            lane.current = head
-            lane.started_at = self.now
-            lane.ends_at = self.now + lane.duration(head)
-            self._log(f"xfer_start {head.kind} t{head.tensor.id} "
-                      f"{head.channel.value}/{head.direction.value} {head.nbytes}")
-            self._push(lane.ends_at, _R_COMPLETE, self._complete, lane)
-            return
+            self._start(lane, head)
+
+    def _start(self, lane: _Lane, xfer: _Xfer) -> None:
+        lane.current = xfer
+        lane.started_at = self.now
+        self._log(f"xfer_start {xfer.kind} t{xfer.tensor.id} "
+                  f"{lane.label} {xfer.nbytes}")
+        self._push(self.now + lane.duration(xfer), _R_COMPLETE,
+                   self._complete, lane)
 
     def _complete(self, lane: _Lane) -> None:
         xfer = lane.current
-        lane.current = None
         tensor = xfer.tensor
-        self._count_traffic(xfer)
+        lane.moved += xfer.nbytes
         self._add_overlap(lane.started_at, self.now)
         self._log(f"xfer_done {xfer.kind} t{tensor.id}")
 
-        freed = False
-        if xfer.direction is Direction.FROM_DEVICE:
-            self.free += tensor.size
-            tensor.loc = xfer.dest_loc
-            tensor.pending_out = False
-            if xfer.dest_loc == HOST:
-                self.host_used += tensor.size
-            else:
-                self.ssd_used += tensor.size
-            freed = True
-            if tensor.retry_fetch is not None:
-                directive, iteration = tensor.retry_fetch
-                tensor.retry_fetch = None
-                self._trigger(directive, iteration)
-        elif xfer.tail_bytes:
-            # next fault chunk keeps the lane head
-            nb = min(self.config.fault_chunk_bytes, xfer.tail_bytes)
-            lane.queue.appendleft(_Xfer(
-                tensor, xfer.channel, xfer.direction, nb, xfer.kind,
-                extra_us=xfer.extra_us, tail_bytes=xfer.tail_bytes - nb))
-        else:
+        if xfer.tail_bytes:
+            # chunk train: the next fault chunk keeps the lane head
+            nb = min(self._chunk, xfer.tail_bytes)
+            xfer.nbytes = nb
+            xfer.tail_bytes -= nb
+            self._start(lane, xfer)
+        elif lane.to_device:
+            lane.current = None
             if tensor.loc == HOST:
                 self.host_used -= tensor.size
             elif tensor.loc == SSD:
                 self.ssd_used -= tensor.size
             tensor.loc = GPU
             tensor.pending_in = False
-
-        if freed:
+            self._kick(lane)
+        else:
+            lane.current = None
+            self.free += tensor.size
+            self._outgoing -= tensor.size
+            tensor.loc = xfer.dest_loc
+            tensor.pending_out = False
+            if xfer.dest_loc == HOST:
+                self.host_used += tensor.size
+            else:
+                self.ssd_used += tensor.size
+            if tensor.retry_fetch is not None:
+                directive, iteration = tensor.retry_fetch
+                tensor.retry_fetch = None
+                self._trigger(directive, iteration)
             self._unpark()
-        self._kick(lane)
+            self._kick(lane)
         self._arm_advance(xfer.kind)
 
     def _unpark(self) -> None:
         if not self.parked:
             return
         waiting, self.parked = self.parked, []
-        by_lane: dict[tuple, list[_Xfer]] = {}
+        self._parked_ids.clear()
+        by_lane: dict[_Lane, list[_Xfer]] = {}
         for xfer in waiting:
-            by_lane.setdefault((xfer.channel, xfer.direction), []).append(xfer)
-        for key, items in by_lane.items():
-            self._lane_map[key].queue.extendleft(reversed(items))
+            by_lane.setdefault(xfer.lane, []).append(xfer)
+        for lane, items in by_lane.items():
+            lane.queue.extendleft(reversed(items))
         for lane in self.lanes:
             self._kick(lane)
-
-    def _count_traffic(self, xfer: _Xfer) -> None:
-        if xfer.channel is Channel.SSD:
-            if xfer.direction is Direction.TO_DEVICE:
-                self.traffic.ssd_read += xfer.nbytes
-            else:
-                self.traffic.ssd_write += xfer.nbytes
-        else:
-            if xfer.direction is Direction.TO_DEVICE:
-                self.traffic.host_in += xfer.nbytes
-            else:
-                self.traffic.host_out += xfer.nbytes
 
     def _add_overlap(self, start: int, end: int) -> None:
         for k_start, k_end in reversed(self.kernel_spans):
@@ -348,39 +386,34 @@ class _Engine:
             if lo < hi:
                 self.overlap_us += hi - lo
         if self.running is not None:
-            lo = max(start, self.running["start"])
+            lo = max(start, self.running.start)
             if lo < end:
                 self.overlap_us += end - lo
 
     # -- migrations ----------------------------------------------------------
 
     def _enqueue_fetch(self, tensor: _Tensor, kind: str, *,
-                       front: bool = False, evict_for_space: bool = False) -> None:
-        channel = _LOC_CHANNEL[tensor.loc]
-        lane = self.lane(channel, Direction.TO_DEVICE)
+                       evict_for_space: bool = False) -> None:
+        lane = self._fetch_lane[tensor.loc]
         tensor.pending_in = True
         if kind == "fault":
-            nb = min(self.config.fault_chunk_bytes, tensor.size)
+            nb = min(self._chunk, tensor.size)
             lane.queue.appendleft(_Xfer(
-                tensor, channel, Direction.TO_DEVICE, nb, "fault",
+                tensor, lane, nb, "fault",
                 extra_us=self.config.fault_handling_us,
                 tail_bytes=tensor.size - nb, need=tensor.size))
         else:
-            xfer = _Xfer(tensor, channel, Direction.TO_DEVICE, tensor.size,
-                         kind, need=tensor.size, evict_for_space=evict_for_space)
-            if front:
-                lane.queue.appendleft(xfer)
-            else:
-                lane.queue.append(xfer)
+            lane.queue.append(_Xfer(tensor, lane, tensor.size, kind,
+                                    need=tensor.size,
+                                    evict_for_space=evict_for_space))
         self._kick(lane)
 
-    def _enqueue_evict(self, tensor: _Tensor, dest_loc: str, kind: str, *,
+    def _enqueue_evict(self, tensor: _Tensor, dest_loc: str, *,
                        front: bool = False) -> None:
-        channel = _LOC_CHANNEL[dest_loc]
-        lane = self.lane(channel, Direction.FROM_DEVICE)
+        lane = self._evict_lane[dest_loc]
         tensor.pending_out = True
-        xfer = _Xfer(tensor, channel, Direction.FROM_DEVICE, tensor.size,
-                     kind, dest_loc=dest_loc)
+        self._outgoing += tensor.size
+        xfer = _Xfer(tensor, lane, tensor.size, "evict", dest_loc=dest_loc)
         if front:
             lane.queue.appendleft(xfer)
         else:
@@ -395,53 +428,46 @@ class _Engine:
             raise SimulationError("no tier can hold the evicted tensor")
         return SSD
 
-    def _lru_evict(self, deficit: int, cause: str) -> bool:
-        """Queue least-recently-used victims worth at least deficit bytes.
-
-        Returns True if enough bytes are already on their way out (counting
-        transfers queued before this call)."""
-        pinned = set()
-        if self.running is not None:
-            pinned |= self.running["tensors"]
-        item = self.stream[self.pos] if self.pos < len(self.stream) else None
-        if item is not None and item[0] == "kernel":
-            pinned |= self.trace.kernels[item[1]].tensors()
-
-        outgoing = sum(t.size for t in self.tensors.values() if t.pending_out)
+    def _lru_evict(self, deficit: int, cause: str) -> None:
+        """Queue least-recently-used victims worth at least deficit bytes."""
+        outgoing = self._outgoing
         if outgoing >= deficit:
-            return True
+            return
+        pinned = self.running.tensors if self.running is not None else frozenset()
+        if self.pos < len(self.stream):
+            kind, k = self.stream[self.pos]
+            if kind == "kernel":
+                pinned = pinned | self._touched[k]
         victims = sorted(
             (t for t in self.tensors.values()
-             if t.resident and not t.pending_in and t.id not in pinned),
+             if t.loc == GPU and not t.pending_out and not t.pending_in
+             and t.id not in pinned),
             key=lambda t: (t.last_use, t.id))
         for victim in victims:
             if outgoing >= deficit:
                 break
             self._log(f"lru_evict t{victim.id} cause {cause}")
-            self._enqueue_evict(victim, self._fallback_dest(victim),
-                                "evict", front=True)
+            self._enqueue_evict(victim, self._fallback_dest(victim), front=True)
             outgoing += victim.size
-        return outgoing >= deficit
 
     # -- armed directives ----------------------------------------------------
 
     def _arm_iteration(self, iteration: int) -> None:
         # issue times are offsets into the iteration; anchoring them to the
         # actual start keeps the planned stagger even when replay slips
-        for ins in self.program.instructions():
-            if ins.op in (Op.PRE_EVICT, Op.PREFETCH):
-                when = self.now + ins.issue_us
-                self._push(when, _R_TRIGGER, self._trigger, ins, iteration)
+        for ins in self._directives:
+            self._push(self.now + ins.issue_us, _R_TRIGGER, self._trigger,
+                       ins, iteration)
 
     def _trigger(self, ins, iteration: int) -> None:
         tensor = self.tensors[ins.tensor_id]
-        if ins.op is Op.PRE_EVICT:
+        running = self.running
+        if ins.op is _PRE_EVICT:
             if tensor.loc != GPU or tensor.pending_in or tensor.pending_out:
                 self._log(f"skip pre_evict t{tensor.id}")
                 return
-            if (self.running is not None
-                    and tensor.id in self.running["tensors"]):
-                self.running["defers"].append((ins, iteration))
+            if running is not None and tensor.id in running.tensors:
+                running.defers.append((ins, iteration))
                 self._log(f"defer pre_evict t{tensor.id}")
                 return
             dest = HOST if ins.dest is Destination.HOST else SSD
@@ -451,14 +477,14 @@ class _Engine:
             if (dest == SSD and self.ssd_used + tensor.size
                     > self.config.ssd_capacity_bytes):
                 raise SimulationError("planned eviction has no room")
-            self._enqueue_evict(tensor, dest, "evict")
+            self._enqueue_evict(tensor, dest)
         else:
             # an eviction still in flight (or parked behind the running
             # kernel) is this prefetch's partner: hold and re-fire once it
             # completes rather than dropping the reload
-            deferred_evict = (self.running is not None and any(
-                d.op is Op.PRE_EVICT and d.tensor_id == tensor.id
-                for d, _ in self.running["defers"]))
+            deferred_evict = running is not None and any(
+                d.op is _PRE_EVICT and d.tensor_id == tensor.id
+                for d, _ in running.defers)
             if tensor.pending_out or deferred_evict:
                 tensor.retry_fetch = (ins, iteration)
                 self._log(f"hold prefetch t{tensor.id}")
@@ -473,6 +499,7 @@ class _Engine:
     # -- compute stream ------------------------------------------------------
 
     def _advance(self, cause: str) -> None:
+        self._idle_epoch = None
         while not self.finished:
             if self.running is not None:
                 return
@@ -490,18 +517,22 @@ class _Engine:
                 self.iter_started = False
                 continue
             kind, payload = self.stream[self.pos]
+            epoch = self._epoch
             if kind == "alloc":
-                if not self._do_alloc(payload, cause):
-                    return
-                self.pos += 1
+                done = self._do_alloc(self.tensors[payload], cause)
             elif kind == "free":
-                if not self._do_free(payload):
-                    return
-                self.pos += 1
+                done = self._do_free(self.tensors[payload])
             else:
-                # _start_kernel advances the cursor itself once it launches
-                if not self._start_kernel(payload, cause):
-                    return
+                # _start_kernel moves the cursor itself once it launches,
+                # after on_kernel_start has seen it on the kernel
+                done = self._start_kernel(payload, cause)
+            if not done:
+                if self._epoch == epoch:
+                    self._idle_epoch = epoch
+                    self._idle_kernel = kind == "kernel"
+                return
+            if kind != "kernel":
+                self.pos += 1
 
     def _note_block(self, cause: str) -> None:
         if self.block_started is None:
@@ -516,8 +547,7 @@ class _Engine:
                     self.stall_breakdown.get(cause, 0) + waited)
             self.block_started = None
 
-    def _do_alloc(self, ins, cause: str) -> bool:
-        tensor = self.tensors[ins.tensor_id]
+    def _do_alloc(self, tensor: _Tensor, cause: str) -> bool:
         if tensor.loc is not None or tensor.pending_in or tensor.pending_out:
             return True
         if tensor.size > self.free:
@@ -532,8 +562,7 @@ class _Engine:
         self._log(f"alloc t{tensor.id}")
         return True
 
-    def _do_free(self, ins) -> bool:
-        tensor = self.tensors[ins.tensor_id]
+    def _do_free(self, tensor: _Tensor) -> bool:
         if tensor.pending_in or tensor.pending_out:
             self._note_block("free")
             return False
@@ -554,13 +583,9 @@ class _Engine:
         return True
 
     def _start_kernel(self, k: int, cause: str) -> bool:
-        needed = sorted(self.trace.kernels[k].tensors())
-        missing = []
-        for tid in needed:
-            tensor = self.tensors[tid]
-            if tensor.loc == GPU and not tensor.pending_out:
-                continue
-            missing.append(tensor)
+        """Launch kernel k, or note the block and fetch what it lacks."""
+        needed = self._needed[k]
+        missing = [t for t in needed if t.loc != GPU or t.pending_out]
         if missing:
             self._note_block(cause if cause != "none" else "wait")
             for tensor in missing:
@@ -575,7 +600,7 @@ class _Engine:
                 self._enqueue_fetch(tensor, "fault")
             # transfers stuck waiting for space block this kernel: make room
             deficit = sum(t.size for t in missing
-                          if t.pending_in and self._is_parked(t))
+                          if t.pending_in and t.id in self._parked_ids)
             if deficit:
                 over = deficit - self.free
                 if over <= 0:
@@ -588,36 +613,29 @@ class _Engine:
         stall = start - self.prev_end
         if self.block_started is not None:
             self._resolve_block(self.block_cause if cause == "none" else cause)
-        instance = self.iter_index * len(self.program.kernels) + k
-        dur = self.durations[self.iter_index][k]
-        end = start + dur
-        step = instance
-        active = frozenset(needed)
-        for tid in needed:
-            self.tensors[tid].last_use = step
-        self.running = {"kernel": k, "start": start, "end": end,
-                        "tensors": active, "defers": []}
+        iteration = self.iter_index
+        instance = iteration * len(self._needed) + k
+        end = start + self.durations[iteration][k]
+        for tensor in needed:
+            tensor.last_use = instance
+        self.running = _Running(k, start, end, self._touched[k])
         self.kernel_stats.append(KernelStat(
-            instance, self.iter_index, k, self.program.kernels[k].name,
+            instance, iteration, k, self.program.kernels[k].name,
             start, end, stall))
-        self._log(f"kernel_start {k} iter {self.iter_index}")
+        self._log(f"kernel_start {k} iter {iteration}")
         if self.on_kernel_start is not None:
-            self.on_kernel_start(self, self.iter_index, k)
+            self.on_kernel_start(self, iteration, k)
         self.pos += 1
         self._push(end, _R_STREAM, self._end_kernel)
-        return False
-
-    def _is_parked(self, tensor: _Tensor) -> bool:
-        return any(x.tensor is tensor for x in self.parked)
+        return True
 
     def _end_kernel(self) -> None:
         info = self.running
         self.running = None
         self.prev_end = self.now
-        self.last_kernel_end = self.now
-        self.kernel_spans.append((info["start"], info["end"]))
-        self._log(f"kernel_end {info['kernel']}")
-        for ins, iteration in info["defers"]:
+        self.kernel_spans.append((info.start, info.end))
+        self._log(f"kernel_end {info.kernel}")
+        for ins, iteration in info.defers:
             self._trigger(ins, iteration)
         self._advance("none")
 
@@ -635,25 +653,26 @@ class _Engine:
 
     def run(self) -> SimResult:
         self._arm_advance("none")
-        while self.events:
-            t, _rank, _seq, fn, args = heapq.heappop(self.events)
+        events = self.events
+        pop = heapq.heappop
+        while events:
+            t, _rank, _seq, fn, args = pop(events)
             if t < self.now:
                 raise SimulationError("event time went backwards")
             self.now = t
             fn(*args)
         if not self.finished:
             raise SimulationError("deadlock: event queue drained mid-program")
-        compute = sum(sum(row) for row in self.durations)
-        total = self.last_kernel_end
-        stall = sum(ks.stall_us for ks in self.kernel_stats)
+        host_in, host_out, ssd_in, ssd_out = self.lanes
         return SimResult(
             policy=self.policy,
-            total_us=total,
-            compute_us=compute,
-            stall_us=stall,
+            total_us=self.prev_end,
+            compute_us=sum(sum(row) for row in self.durations),
+            stall_us=sum(ks.stall_us for ks in self.kernel_stats),
             overlap_us=self.overlap_us,
             faults=self.faults,
-            traffic=self.traffic,
+            traffic=Traffic(ssd_read=ssd_in.moved, ssd_write=ssd_out.moved,
+                            host_in=host_in.moved, host_out=host_out.moved),
             kernels=self.kernel_stats,
             stall_breakdown=dict(sorted(self.stall_breakdown.items())),
             fault_log=self.fault_log,
@@ -662,20 +681,15 @@ class _Engine:
         )
 
 
-def _flatten(program: Program):
+def _flatten(program: Program) -> list[tuple[str, int]]:
+    """One iteration's stream: each gap's allocations and frees (by tensor
+    id), then the kernel the gap precedes; the last gap precedes none."""
     stream = []
-    for k in range(len(program.kernels)):
-        for ins in program.gaps[k]:
-            if ins.op is Op.ALLOC:
-                stream.append(("alloc", ins))
-            elif ins.op is Op.FREE:
-                stream.append(("free", ins))
-        stream.append(("kernel", k))
-    for ins in program.gaps[-1]:
-        if ins.op is Op.ALLOC:
-            stream.append(("alloc", ins))
-        elif ins.op is Op.FREE:
-            stream.append(("free", ins))
+    for k, gap in enumerate(program.gaps):
+        stream.extend((_STEP_OF[ins.op], ins.tensor_id)
+                      for ins in gap if ins.op in _STEP_OF)
+        if k < len(program.kernels):
+            stream.append(("kernel", k))
     return stream
 
 

@@ -107,8 +107,11 @@ def classify_tensors(trace: WorkloadTrace) -> dict[int, bool]:
 
 
 def compute_lifetimes(trace: WorkloadTrace) -> dict[int, TensorLifetime]:
-    kinds = classify_tensors(trace)
-    uses = _uses(trace)
+    return _lifetimes(classify_tensors(trace), _uses(trace))
+
+
+def _lifetimes(kinds: dict[int, bool],
+               uses: dict[int, list[int]]) -> dict[int, TensorLifetime]:
     out = {}
     for tid, refs in uses.items():
         if refs:
@@ -119,8 +122,11 @@ def compute_lifetimes(trace: WorkloadTrace) -> dict[int, TensorLifetime]:
 def compute_inactive_periods(trace: WorkloadTrace,
                              timeline: Timeline) -> tuple[InactivePeriod, ...]:
     """All non-empty inactive periods, ordered by (tensor id, start)."""
-    kinds = classify_tensors(trace)
-    uses = _uses(trace)
+    return _inactive_periods(classify_tensors(trace), _uses(trace), timeline)
+
+
+def _inactive_periods(kinds: dict[int, bool], uses: dict[int, list[int]],
+                      timeline: Timeline) -> tuple[InactivePeriod, ...]:
     periods = []
     for tid in sorted(uses):
         refs = uses[tid]
@@ -142,11 +148,13 @@ def compute_inactive_periods(trace: WorkloadTrace,
 
 def analyze(trace: WorkloadTrace) -> VitalityAnalysis:
     timeline = Timeline.from_trace(trace)
+    kinds = classify_tensors(trace)
+    uses = _uses(trace)
     return VitalityAnalysis(
         trace=trace,
         timeline=timeline,
-        lifetimes=compute_lifetimes(trace),
-        periods=compute_inactive_periods(trace, timeline),
+        lifetimes=_lifetimes(kinds, uses),
+        periods=_inactive_periods(kinds, uses, timeline),
     )
 
 

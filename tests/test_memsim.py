@@ -1,7 +1,10 @@
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_device
 from tensortier.config import DeviceConfig
 from tensortier.instrument import emit_program, parse_program
 from tensortier.policies import run_policy
@@ -9,7 +12,7 @@ from tensortier.prefetch import plan_migrations
 from tensortier.simulate import (ideal_run, perturb_durations, simulate,
                                  ssd_lifetime_years)
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
-                              WorkloadTrace)
+                              WorkloadTrace, synthesize_trace)
 from tensortier.vitality import analyze
 
 
@@ -167,3 +170,25 @@ def test_event_log_hash_covers_order(s1r_trace, device):
     b = run_policy("g10", s1r_trace, device)
     assert b.events is None
     assert a.event_log_sha256 == b.event_log_sha256
+
+
+def test_fault_train_with_reparked_fetch_keeps_event_log():
+    # kernel 5 needs w0 (host, faulted in 4 KiB chunks) and a3 (on SSD, its
+    # fault parked for room). While w0's chunks run, the LRU evictions land
+    # one by one: the first unparks a3's fault, which parks again; the
+    # second funds it. The lines were recorded before chunk trains and the
+    # stream's re-evaluation rule went in.
+    trace = synthesize_trace(3, (8_000, 30_000), (4_000, 12_000), (20, 80),
+                             950777)
+    dev = make_device(gpu_mem_bytes=49_152, host_mem_bytes=25_600,
+                      fault_chunk_bytes=4_096, fault_handling_us=0)
+    result = run_policy("base-uvm", trace, dev, keep_events=True)
+    golden = pathlib.Path(__file__).parent / "golden"
+    assert result.events == (
+        golden / "fault_train_repark_events.txt").read_text().splitlines()
+    window = result.events[result.events.index("308 fault t3 kernel 5"):
+                           result.events.index("322 xfer_start fault t3 "
+                                               "ssd/to_device 4096")]
+    assert window.count("308 park fault t3") == 1
+    assert "315 park fault t3" in window
+    assert "314 xfer_start fault t0 host/to_device 4096" in window
