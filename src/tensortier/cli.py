@@ -116,14 +116,13 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_plan(args) -> int:
     cfg, base = _load(args)
-    trace = _load_trace(cfg, base)
-    result = plan_migrations(analyze(trace), cfg.device,
-                             allow_host=cfg.policy != "g10-ssd-only",
-                             eager=cfg.eager)
-    program = emit_program(trace, result.plan)
+    analysis = analyze(_load_trace(cfg, base))
+    plan = plan_migrations(analysis, cfg.device,
+                           allow_host=cfg.policy != "g10-ssd-only",
+                           eager=cfg.eager).plan
     write_tables({
-        "plan.json": plan_to_json(result.plan),
-        "program.txt": serialize_program(program),
+        "plan.json": plan_to_json(plan),
+        "program.txt": serialize_program(emit_program(analysis, plan)),
     }, args.out)
     return 0
 

@@ -115,10 +115,25 @@ class SchedulerState:
     """Planner bookkeeping shared by the eviction and prefetch stages."""
 
     total_us: int
+    sizes: dict[int, int]          # tensor id -> page-padded size
     pressure: StepCurve
     reservations: ChannelReservations
     host_occupancy: StepCurve
     ssd_occupancy: int = 0
+
+    @classmethod
+    def initial(cls, analysis: VitalityAnalysis,
+                config: DeviceConfig) -> SchedulerState:
+        """Nothing booked yet: the pressure of the unplanned trace."""
+        total = analysis.timeline.total_us
+        return cls(
+            total_us=total,
+            sizes={tid: config.padded(t.size_bytes)
+                   for tid, t in analysis.trace.tensors.items()},
+            pressure=initial_pressure_curve(analysis, config),
+            reservations=ChannelReservations(),
+            host_occupancy=StepCurve(total),
+        )
 
 
 @dataclass
@@ -166,9 +181,10 @@ class _Route:
                  "total", "e0", "p0", "win", "span", "host_ok", "benefit",
                  "cand")
 
-    def __init__(self, period: InactivePeriod, dest: Destination, size: int,
+    def __init__(self, period: InactivePeriod, dest: Destination,
                  state: SchedulerState, config: DeviceConfig):
         spec = config.channel(dest.channel)
+        size = state.sizes[period.tensor_id]
         self.period = period
         self.dest = dest
         self.size = size
@@ -283,14 +299,14 @@ class _Route:
         return False
 
 
-def score_candidate(period: InactivePeriod, size: int, dest: Destination,
+def score_candidate(period: InactivePeriod, dest: Destination,
                     state: SchedulerState, config: DeviceConfig):
     """Windows, benefit, and cost for evicting this period to dest.
 
     Returns None when no feasible eviction/prefetch window pair exists (or a
     capacity bound already rules the destination out).
     """
-    return _Route(period, dest, size, state, config).candidate(state, config)
+    return _Route(period, dest, state, config).candidate(state, config)
 
 
 def _ssd_utilization_high(period: InactivePeriod, state: SchedulerState,
@@ -308,9 +324,8 @@ def _ssd_utilization_high(period: InactivePeriod, state: SchedulerState,
     return False
 
 
-def choose_destination(period: InactivePeriod, size: int,
-                       state: SchedulerState, config: DeviceConfig,
-                       allow_host: bool = True):
+def choose_destination(period: InactivePeriod, state: SchedulerState,
+                       config: DeviceConfig, allow_host: bool = True):
     """SSD first; fall back to host when the SSD route is under pressure.
 
     High pressure means: no feasible SSD windows, a freed interval that no
@@ -318,12 +333,12 @@ def choose_destination(period: InactivePeriod, size: int,
     the period beyond the threshold. Returns None when the period cannot be
     scheduled anywhere (drop).
     """
-    ssd = score_candidate(period, size, Destination.SSD, state, config)
+    ssd = score_candidate(period, Destination.SSD, state, config)
     high_pressure = (ssd is None or ssd.benefit == 0
                      or _ssd_utilization_high(period, state, config))
     if not high_pressure or not allow_host:
         return ssd
-    host = score_candidate(period, size, Destination.HOST, state, config)
+    host = score_candidate(period, Destination.HOST, state, config)
     return host if host is not None else ssd
 
 
@@ -404,12 +419,12 @@ class _Entry:
     __slots__ = ("period", "pieces", "ssd", "host", "busy_out", "busy_in",
                  "busy_limit", "choice")
 
-    def __init__(self, period, size, state, config):
+    def __init__(self, period, state, config):
         self.period = period
         self.pieces = wrap_pieces(period.start_us, period.end_us,
                                   state.total_us)
-        self.ssd = _Route(period, Destination.SSD, size, state, config)
-        self.host = _Route(period, Destination.HOST, size, state, config)
+        self.ssd = _Route(period, Destination.SSD, state, config)
+        self.host = _Route(period, Destination.HOST, state, config)
         self.busy_out = sum(self.ssd.from_lane.busy_within(a, b)
                             for a, b in self.pieces)
         self.busy_in = sum(self.ssd.to_lane.busy_within(a, b)
@@ -438,13 +453,13 @@ class _RouteCache:
     from routes kept between rounds (invalidation rules: module docstring).
     """
 
-    def __init__(self, periods, sizes, state: SchedulerState,
-                 config: DeviceConfig, allow_host: bool):
+    def __init__(self, periods, state: SchedulerState, config: DeviceConfig,
+                 allow_host: bool):
         self._state = state
         self._config = config
         self._allow_host = allow_host
         self._entries = {(p.tensor_id, p.start_us):
-                         _Entry(p, sizes[p.tensor_id], state, config)
+                         _Entry(p, state, config)
                          for p in periods}
         # the largest clamp of any benefit query
         self._max_size = max((e.ssd.size for e in self._entries.values()),
@@ -524,29 +539,20 @@ def schedule_evictions(analysis: VitalityAnalysis, config: DeviceConfig, *,
     use_cache=False calls choose_destination afresh for every period in
     every round; it is the reference the cached path must reproduce.
     """
-    total = analysis.timeline.total_us
-    state = SchedulerState(
-        total_us=total,
-        pressure=initial_pressure_curve(analysis, config),
-        reservations=ChannelReservations(),
-        host_occupancy=StepCurve(total),
-    )
-    plan = MigrationPlan(total_us=total)
+    state = SchedulerState.initial(analysis, config)
+    plan = MigrationPlan(total_us=state.total_us)
 
     remaining = {
         (p.tensor_id, p.start_us): p
         for p in sorted(analysis.periods,
                         key=lambda p: (p.start_us, p.tensor_id, p.end_us))
     }
-    sizes = {tid: config.padded(t.size_bytes)
-             for tid, t in analysis.trace.tensors.items()}
-    routes = (_RouteCache(remaining.values(), sizes, state, config,
-                          allow_host) if use_cache else None)
+    routes = (_RouteCache(remaining.values(), state, config, allow_host)
+              if use_cache else None)
 
     while remaining and state.pressure.max_value() > config.gpu_mem_bytes:
         if routes is None:
-            scored = [choose_destination(period, sizes[period.tensor_id],
-                                         state, config, allow_host)
+            scored = [choose_destination(period, state, config, allow_host)
                       for period in remaining.values()]
         else:
             scored = routes.score(remaining)

@@ -19,8 +19,7 @@ import enum
 from dataclasses import dataclass
 
 from tensortier.eviction import Destination, MigrationPlan
-from tensortier.trace import WorkloadTrace
-from tensortier.vitality import Timeline, compute_lifetimes
+from tensortier.vitality import VitalityAnalysis
 
 
 class InconsistentPlanError(ValueError):
@@ -114,8 +113,9 @@ def _sorted_gap(instructions) -> tuple[MigrationInstruction, ...]:
                                        i.tensor_id)))
 
 
-def emit_program(trace: WorkloadTrace, plan: MigrationPlan) -> Program:
-    timeline = Timeline.from_trace(trace)
+def emit_program(analysis: VitalityAnalysis, plan: MigrationPlan) -> Program:
+    trace = analysis.trace
+    timeline = analysis.timeline
     total = timeline.total_us
     if plan.total_us != total:
         raise InconsistentPlanError("plan and trace disagree on iteration length")
@@ -123,7 +123,7 @@ def emit_program(trace: WorkloadTrace, plan: MigrationPlan) -> Program:
     gaps: list[list[MigrationInstruction]] = [[] for _ in range(n + 1)]
     start_index = {timeline.starts[k]: k for k in range(n)}
 
-    for life in compute_lifetimes(trace).values():
+    for life in analysis.lifetimes.values():
         tensor = trace.tensors[life.tensor_id]
         if life.is_global:
             gaps[0].append(MigrationInstruction(

@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 
 from tensortier.config import DeviceConfig
-from tensortier.curve import StepCurve
 from tensortier.eviction import (CapacityViolationError, Destination,
                                  MigrationPlan, SchedulerState,
                                  SchedulingResult, apply_candidate,
@@ -25,9 +24,8 @@ from tensortier.instrument import emit_program
 from tensortier.policies import planned_placement
 from tensortier.prefetch import (assign_latest_safe, eager_reschedule,
                                  plan_migrations)
-from tensortier.reservations import ChannelReservations
 from tensortier.simulate import SimulationError, simulate
-from tensortier.vitality import VitalityAnalysis, initial_pressure_curve
+from tensortier.vitality import VitalityAnalysis
 
 MAX_PERIODS = 8
 
@@ -47,25 +45,14 @@ def _canonical_periods(analysis: VitalityAnalysis):
     return sorted(analysis.periods, key=lambda p: (p.start_us, p.tensor_id))
 
 
-def _fresh_state(analysis: VitalityAnalysis, config: DeviceConfig):
-    total = analysis.timeline.total_us
-    return SchedulerState(
-        total_us=total,
-        pressure=initial_pressure_curve(analysis, config),
-        reservations=ChannelReservations(),
-        host_occupancy=StepCurve(total),
-    )
-
-
 def _book(analysis, config, periods, dests):
     """Booked plan for one assignment, or None when it cannot be booked."""
-    state = _fresh_state(analysis, config)
+    state = SchedulerState.initial(analysis, config)
     plan = MigrationPlan(total_us=state.total_us)
     for period, dest in zip(periods, dests):
         if dest is None:
             continue
-        size = config.padded(analysis.trace.tensors[period.tensor_id].size_bytes)
-        cand = score_candidate(period, size, dest, state, config)
+        cand = score_candidate(period, dest, state, config)
         if cand is None:
             return None
         try:
@@ -75,7 +62,7 @@ def _book(analysis, config, periods, dests):
         plan.items.append(item_from_candidate(cand))
     result = SchedulingResult(plan=plan, state=state)
     assign_latest_safe(result)
-    eager_reschedule(result, analysis, config)
+    eager_reschedule(result, config)
     return result
 
 
@@ -95,11 +82,10 @@ def best_assignment(analysis: VitalityAnalysis, config: DeviceConfig, *,
             f"{len(periods)} periods is past the exhaustive search limit")
     options = ((None, Destination.SSD, Destination.HOST) if allow_host
                else (None, Destination.SSD))
-    trace = analysis.trace
     locations = planned_placement(analysis, config, allow_host)
 
     def run(plan: MigrationPlan) -> int:
-        sim = simulate(trace, emit_program(trace, plan), config,
+        sim = simulate(analysis.trace, emit_program(analysis, plan), config,
                        policy="oracle", initial_locations=locations,
                        allow_host_fallback=allow_host)
         return sim.total_us

@@ -25,12 +25,10 @@ from tensortier.eviction import (Destination, MigrationPlan, SchedulerState,
                                  item_from_candidate, score_candidate)
 from tensortier.instrument import emit_program
 from tensortier.prefetch import assign_latest_safe, plan_migrations
-from tensortier.reservations import ChannelReservations
-from tensortier.curve import StepCurve
 from tensortier.simulate import (GPU, HOST, SSD, SimResult, ideal_run,
                                  perturb_durations, simulate)
 from tensortier.trace import WorkloadTrace
-from tensortier.vitality import analyze, initial_pressure_curve
+from tensortier.vitality import analyze
 
 DEFAULT_LOOKAHEAD = 1
 
@@ -88,21 +86,12 @@ def flashneuron_plan(analysis, config: DeviceConfig) -> SchedulingResult:
     Marks the plan infeasible when no schedule can work (a single kernel's
     working set exceeds device memory) or when every candidate is exhausted
     with pressure still above capacity."""
-    total = analysis.timeline.total_us
-    state = SchedulerState(
-        total_us=total,
-        pressure=initial_pressure_curve(analysis, config),
-        reservations=ChannelReservations(),
-        host_occupancy=StepCurve(total),
-    )
-    plan = MigrationPlan(total_us=total)
+    state = SchedulerState.initial(analysis, config)
+    plan = MigrationPlan(total_us=state.total_us)
     for kernel in analysis.trace.kernels:
-        active = sum(config.padded(analysis.trace.tensors[t].size_bytes)
-                     for t in kernel.tensors())
+        active = sum(state.sizes[t] for t in kernel.tensors())
         if active > config.gpu_mem_bytes:
             plan.infeasible = True
-    sizes = {tid: config.padded(t.size_bytes)
-             for tid, t in analysis.trace.tensors.items()}
     periods = sorted(
         (p for p in analysis.periods
          if not analysis.lifetimes[p.tensor_id].is_global),
@@ -110,8 +99,7 @@ def flashneuron_plan(analysis, config: DeviceConfig) -> SchedulingResult:
     for period in periods:
         if state.pressure.max_value() <= config.gpu_mem_bytes:
             break
-        cand = score_candidate(period, sizes[period.tensor_id],
-                               Destination.SSD, state, config)
+        cand = score_candidate(period, Destination.SSD, state, config)
         if cand is None:
             continue
         apply_candidate(cand, state, config)
@@ -154,38 +142,21 @@ def run_policy(name: str, trace: WorkloadTrace, config: DeviceConfig, *,
         return ideal_run(trace, config, durations)
 
     analysis = analyze(trace)
-    empty = MigrationPlan(total_us=analysis.timeline.total_us)
-
-    if name == "base-uvm":
-        program = emit_program(trace, empty)
-        return simulate(trace, program, config, policy=name,
-                        durations=durations,
-                        initial_locations=faulting_placement(analysis, config),
-                        keep_events=keep_events)
-    if name == "deepum-like":
-        program = emit_program(trace, empty)
-        return simulate(trace, program, config, policy=name,
-                        durations=durations,
-                        initial_locations=faulting_placement(analysis, config),
-                        on_kernel_start=_correlation_hook(lookahead),
-                        keep_events=keep_events)
-    if name == "flashneuron-like":
-        result = flashneuron_plan(analysis, config)
-        program = emit_program(trace, result.plan)
-        return simulate(trace, program, config, policy=name,
-                        durations=durations,
-                        initial_locations=planned_placement(
-                            analysis, config, allow_host=False),
-                        allow_host_fallback=False,
-                        keep_events=keep_events)
-
-    allow_host = name == "g10"
-    result = plan_migrations(analysis, config, allow_host=allow_host,
-                             eager=eager)
-    program = emit_program(trace, result.plan)
-    return simulate(trace, program, config, policy=name,
-                    durations=durations,
-                    initial_locations=planned_placement(
-                        analysis, config, allow_host=allow_host),
-                    allow_host_fallback=allow_host,
+    allow_host = name not in ("flashneuron-like", "g10-ssd-only")
+    hook = None
+    if name in ("base-uvm", "deepum-like"):
+        plan = MigrationPlan(total_us=analysis.timeline.total_us)
+        locations = faulting_placement(analysis, config)
+        if name == "deepum-like":
+            hook = _correlation_hook(lookahead)
+    else:
+        if name == "flashneuron-like":
+            plan = flashneuron_plan(analysis, config).plan
+        else:
+            plan = plan_migrations(analysis, config, allow_host=allow_host,
+                                   eager=eager).plan
+        locations = planned_placement(analysis, config, allow_host)
+    return simulate(trace, emit_program(analysis, plan), config, policy=name,
+                    durations=durations, initial_locations=locations,
+                    allow_host_fallback=allow_host, on_kernel_start=hook,
                     keep_events=keep_events)

@@ -46,9 +46,7 @@ def assign_latest_safe(result: SchedulingResult) -> None:
         item.scheduled_us = item.prefetch_start
 
 
-def eager_reschedule(result: SchedulingResult,
-                     analysis: VitalityAnalysis,
-                     config: DeviceConfig) -> None:
+def eager_reschedule(result: SchedulingResult, config: DeviceConfig) -> None:
     """Pull prefetches earlier where capacity allows.
 
     For each item (ascending start, then tensor id) the earliest viable
@@ -59,12 +57,10 @@ def eager_reschedule(result: SchedulingResult,
     """
     state = result.state
     total = state.total_us
-    sizes = {tid: config.padded(t.size_bytes)
-             for tid, t in analysis.trace.tensors.items()}
     order = sorted(result.plan.items,
                    key=lambda it: (it.scheduled_us, it.tensor_id))
     for item in order:
-        size = sizes[item.tensor_id]
+        size = state.sizes[item.tensor_id]
         cap = config.gpu_mem_bytes - size
         t_i = item.scheduled_us
         if item.wraps:
@@ -101,5 +97,5 @@ def plan_migrations(analysis: VitalityAnalysis, config: DeviceConfig, *,
                                 use_cache=use_cache)
     assign_latest_safe(result)
     if eager:
-        eager_reschedule(result, analysis, config)
+        eager_reschedule(result, config)
     return result

@@ -27,9 +27,9 @@ event log and figure as a full re-evaluation would:
   flags, host and SSD use, lane heads). Each completion still arms a stream
   advance. The advance runs the blocked step again only if the epoch moved
   since the step last ran or that run moved it itself (a fault, an LRU
-  eviction, an unpark that parks again). Otherwise running it would do
-  nothing but restate the block's cause, and the skipped advance restates
-  it the same way.
+  eviction, an unpark that parks again). Otherwise running it would change
+  nothing: the block's start is already noted, and its stall is charged to
+  the cause of the advance that finally resolves it.
 """
 
 from __future__ import annotations
@@ -246,7 +246,6 @@ class _Engine:
         self._advance_armed = False
         self._epoch = 0                  # bumped by every _kick
         self._idle_epoch: int | None = None  # epoch a no-op blocked step saw
-        self._idle_kernel = False        # ... and whether it was a kernel
 
         # stream cursor: per-iteration flat list of alloc/free/kernel steps
         self.stream = _flatten(program)
@@ -257,7 +256,6 @@ class _Engine:
         self.iter_started = False
         self.running: _Running | None = None
         self.block_started: int | None = None
-        self.block_cause = "none"
         self.finished = False
         self.prev_end = 0                # end of previous kernel instance
 
@@ -289,13 +287,10 @@ class _Engine:
 
     def _advance_event(self, cause: str) -> None:
         self._advance_armed = False
-        if self._idle_epoch == self._epoch:
-            # see the module docstring: the blocked step would only note
-            # the block again
-            if self._idle_kernel:
-                self.block_cause = cause if cause != "none" else "wait"
-            return
-        self._advance(cause)
+        if self._idle_epoch != self._epoch:
+            # otherwise the blocked step would change nothing (module
+            # docstring)
+            self._advance(cause)
 
     # -- lanes --------------------------------------------------------------
 
@@ -529,15 +524,13 @@ class _Engine:
             if not done:
                 if self._epoch == epoch:
                     self._idle_epoch = epoch
-                    self._idle_kernel = kind == "kernel"
                 return
             if kind != "kernel":
                 self.pos += 1
 
-    def _note_block(self, cause: str) -> None:
+    def _note_block(self) -> None:
         if self.block_started is None:
             self.block_started = self.now
-        self.block_cause = cause
 
     def _resolve_block(self, cause: str) -> None:
         if self.block_started is not None:
@@ -553,7 +546,7 @@ class _Engine:
         if tensor.size > self.free:
             # evict what can go now; a short result is not fatal, the next
             # transfer completion retries and true wedges hit the drain check
-            self._note_block("alloc")
+            self._note_block()
             self._lru_evict(tensor.size - self.free, cause="alloc")
             return False
         self._resolve_block(cause if cause != "none" else "alloc")
@@ -564,7 +557,7 @@ class _Engine:
 
     def _do_free(self, tensor: _Tensor) -> bool:
         if tensor.pending_in or tensor.pending_out:
-            self._note_block("free")
+            self._note_block()
             return False
         self._resolve_block("free")
         loc = tensor.loc
@@ -587,7 +580,7 @@ class _Engine:
         needed = self._needed[k]
         missing = [t for t in needed if t.loc != GPU or t.pending_out]
         if missing:
-            self._note_block(cause if cause != "none" else "wait")
+            self._note_block()
             for tensor in missing:
                 if tensor.pending_in or tensor.pending_out:
                     continue
@@ -598,21 +591,18 @@ class _Engine:
                 self.fault_log.append((self.iter_index, k, tensor.id))
                 self._log(f"fault t{tensor.id} kernel {k}")
                 self._enqueue_fetch(tensor, "fault")
-            # transfers stuck waiting for space block this kernel: make room
+            # transfers stuck waiting for space block this kernel: make
+            # room. Their bytes exceed free, since a transfer parks only
+            # when it needs more and every rise of free unparks at once.
             deficit = sum(t.size for t in missing
                           if t.pending_in and t.id in self._parked_ids)
             if deficit:
-                over = deficit - self.free
-                if over <= 0:
-                    self._unpark()
-                else:
-                    self._lru_evict(over, cause="wait")
+                self._lru_evict(deficit - self.free, cause="wait")
             return False
 
         start = self.now
         stall = start - self.prev_end
-        if self.block_started is not None:
-            self._resolve_block(self.block_cause if cause == "none" else cause)
+        self._resolve_block(cause)
         iteration = self.iter_index
         instance = iteration * len(self._needed) + k
         end = start + self.durations[iteration][k]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tensortier.config import Channel, ChannelSpec, DeviceConfig, Direction
+from tensortier.config import ChannelSpec, DeviceConfig, Direction
 from tensortier.curve import StepCurve
 from tensortier.trace import TensorKind, WorkloadTrace
 
@@ -106,10 +106,6 @@ def classify_tensors(trace: WorkloadTrace) -> dict[int, bool]:
     return out
 
 
-def compute_lifetimes(trace: WorkloadTrace) -> dict[int, TensorLifetime]:
-    return _lifetimes(classify_tensors(trace), _uses(trace))
-
-
 def _lifetimes(kinds: dict[int, bool],
                uses: dict[int, list[int]]) -> dict[int, TensorLifetime]:
     out = {}
@@ -119,14 +115,9 @@ def _lifetimes(kinds: dict[int, bool],
     return out
 
 
-def compute_inactive_periods(trace: WorkloadTrace,
-                             timeline: Timeline) -> tuple[InactivePeriod, ...]:
-    """All non-empty inactive periods, ordered by (tensor id, start)."""
-    return _inactive_periods(classify_tensors(trace), _uses(trace), timeline)
-
-
 def _inactive_periods(kinds: dict[int, bool], uses: dict[int, list[int]],
                       timeline: Timeline) -> tuple[InactivePeriod, ...]:
+    """All non-empty inactive periods, ordered by (tensor id, start)."""
     periods = []
     for tid in sorted(uses):
         refs = uses[tid]

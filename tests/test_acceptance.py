@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_device, make_s1
 from tensortier.cli import main
 from tensortier.config import Channel, Direction, gbps_to_bytes_per_us
-from tensortier.curve import StepCurve
 from tensortier.eviction import (CapacityViolationError, SchedulerState,
                                  apply_candidate, choose_destination,
                                  plan_to_json)
@@ -26,21 +25,10 @@ from tensortier.instrument import Op, emit_program, serialize_program
 from tensortier.oracle import best_assignment
 from tensortier.policies import run_policy
 from tensortier.prefetch import plan_migrations
-from tensortier.reservations import ChannelReservations
 from tensortier.trace import parse_trace, synthesize_trace
-from tensortier.vitality import analyze, initial_pressure_curve
+from tensortier.vitality import analyze
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-
-def _fresh(analysis, config) -> SchedulerState:
-    total = analysis.timeline.total_us
-    return SchedulerState(
-        total_us=total,
-        pressure=initial_pressure_curve(analysis, config),
-        reservations=ChannelReservations(),
-        host_occupancy=StepCurve(total),
-    )
 
 
 def _padded_sizes(trace, dev):
@@ -124,11 +112,9 @@ def test_c04_greedy_tracks_exhaustive_optimum():
             continue
         nonempty += 1
         first = plan.items[0]
-        state = _fresh(analysis, dev)
-        sizes = _padded_sizes(trace, dev)
+        state = SchedulerState.initial(analysis, dev)
         for period in analysis.periods:
-            cand = choose_destination(period, sizes[period.tensor_id],
-                                      state, dev)
+            cand = choose_destination(period, state, dev)
             if cand is not None:
                 assert (first.benefit * cand.cost_us
                         >= cand.benefit * first.cost_us), seed
@@ -247,14 +233,13 @@ def _replay(events, sizes):
 def _prop_pressure_monotone_under_apply(case):
     trace, dev = case
     analysis = analyze(trace)
-    state = _fresh(analysis, dev)
-    sizes = _padded_sizes(trace, dev)
+    state = SchedulerState.initial(analysis, dev)
     applied = 0
     for period in sorted(analysis.periods,
                          key=lambda p: (p.start_us, p.tensor_id)):
         if applied >= 4:
             break
-        cand = choose_destination(period, sizes[period.tensor_id], state, dev)
+        cand = choose_destination(period, state, dev)
         if cand is None:
             continue
         before = state.pressure.copy()
@@ -308,19 +293,21 @@ def _prop_traffic_conserved(case, policy):
 @given(_cases())
 def _prop_plan_byte_identical(case):
     trace, dev = case
-    a = plan_migrations(analyze(trace), dev)
-    b = plan_migrations(analyze(trace), dev)
+    first, second = analyze(trace), analyze(trace)
+    a = plan_migrations(first, dev)
+    b = plan_migrations(second, dev)
     assert plan_to_json(a.plan) == plan_to_json(b.plan)
-    assert (serialize_program(emit_program(trace, a.plan))
-            == serialize_program(emit_program(trace, b.plan)))
+    assert (serialize_program(emit_program(first, a.plan))
+            == serialize_program(emit_program(second, b.plan)))
 
 
 @_PROP
 @given(_cases())
 def _prop_directives_alternate(case):
     trace, dev = case
-    result = plan_migrations(analyze(trace), dev)
-    program = emit_program(trace, result.plan)
+    analysis = analyze(trace)
+    result = plan_migrations(analysis, dev)
+    program = emit_program(analysis, result.plan)
     seq = {}
     for ins in program.instructions():
         if ins.op in (Op.PRE_EVICT, Op.PREFETCH):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensortier import curve as curve_mod
-from tensortier._curve_py import StepCurve
+from tensortier.curve import StepCurve
 
 
 class DenseCurve:

@@ -1,6 +1,5 @@
 import json
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 

@@ -27,8 +27,9 @@ G10 free 2 30720 @100
 
 
 def _emit(trace, device, **kwargs):
-    result = plan_migrations(analyze(trace), device, **kwargs)
-    return emit_program(trace, result.plan)
+    analysis = analyze(trace)
+    result = plan_migrations(analysis, device, **kwargs)
+    return emit_program(analysis, result.plan)
 
 
 def test_s1r_program_text(s1r_trace, device):
@@ -82,10 +83,11 @@ def test_wrap_plan_emits_folded_prefetch():
         ssd_read_bw=4096, ssd_write_bw=4096, host_bw=4096,
         ssd_read_latency_us=5, ssd_write_latency_us=5, host_latency_us=5,
         page_size_bytes=1024)
-    result = plan_migrations(analyze(trace), device)
+    analysis = analyze(trace)
+    result = plan_migrations(analysis, device)
     items = result.plan.items
     assert len(items) == 1 and items[0].wraps
-    program = emit_program(trace, result.plan)
+    program = emit_program(analysis, result.plan)
     program.validate_alternation()
     text = serialize_program(program)
     lines = text.splitlines()
@@ -98,7 +100,7 @@ def test_wrap_plan_emits_folded_prefetch():
 def test_emit_rejects_foreign_plan(s1_trace, s1r_trace, device):
     result = plan_migrations(analyze(s1r_trace), device)
     with pytest.raises(InconsistentPlanError):
-        emit_program(s1_trace, result.plan)
+        emit_program(analyze(s1_trace), result.plan)
 
 
 @pytest.mark.parametrize("text", [

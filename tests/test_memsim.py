@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import make_device
 from tensortier.config import DeviceConfig
-from tensortier.instrument import emit_program, parse_program
+from tensortier.instrument import emit_program
 from tensortier.policies import run_policy
 from tensortier.prefetch import plan_migrations
 from tensortier.simulate import (ideal_run, perturb_durations, simulate,
@@ -17,8 +17,9 @@ from tensortier.vitality import analyze
 
 
 def _planned(trace, device, **kwargs):
-    result = plan_migrations(analyze(trace), device, **kwargs)
-    return emit_program(trace, result.plan)
+    analysis = analyze(trace)
+    result = plan_migrations(analysis, device, **kwargs)
+    return emit_program(analysis, result.plan)
 
 
 def test_s1_end_to_end(s1_trace, device):

@@ -1,9 +1,39 @@
+"""Exhaustive oracle: hand-checked cases, guards, and pinned outcomes.
+
+`golden/oracle_outcomes.json` holds the `OracleOutcome` of every c04 seed
+where the search beats the greedy plan, so the booking of enumerated
+assignments decides the answer. Record it with
+`PYTHONPATH=src python tests/test_oracle.py`, which prints it as JSON.
+"""
+
+import json
+import pathlib
+import sys
+
 import pytest
 
-from conftest import make_device, make_s1
+from conftest import make_device
 from tensortier.oracle import MAX_PERIODS, best_assignment
 from tensortier.trace import synthesize_trace
 from tensortier.vitality import analyze
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "oracle_outcomes.json"
+
+# c04 seeds (out of 100) whose optimum is below the greedy total
+SEARCH_WINS = (11, 26, 29, 38, 41, 50, 54, 63, 65, 70, 75, 76, 83, 90)
+
+
+def _c04_outcome(seed):
+    trace = synthesize_trace(3, (20_480, 28_672), (20_480, 28_672),
+                             (100, 200), seed)
+    out = best_assignment(analyze(trace), make_device(gpu_mem_bytes=131_072))
+    return {"best_total_us": out.best_total_us,
+            "greedy_total_us": out.greedy_total_us,
+            "assignment": list(out.assignment)}
+
+
+def outcomes():
+    return {str(seed): _c04_outcome(seed) for seed in SEARCH_WINS}
 
 
 def test_s1_greedy_is_optimal(s1_trace, device):
@@ -66,3 +96,16 @@ def test_period_limit_guard(device):
     small = analyze(synthesize_trace(2, 4096, 4096, 25, seed=0))
     with pytest.raises(ValueError, match="exhaustive search limit"):
         best_assignment(small, device, max_periods=2)
+
+
+def test_search_wins_match_golden():
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden, key=int) == [str(s) for s in SEARCH_WINS]
+    for seed, outcome in outcomes().items():
+        assert outcome["best_total_us"] < outcome["greedy_total_us"], seed
+        assert outcome == golden[seed], seed
+
+
+if __name__ == "__main__":
+    json.dump(outcomes(), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

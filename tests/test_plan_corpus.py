@@ -38,7 +38,7 @@ def _digests(trace, dev):
         plan = plan_migrations(analysis, dev, allow_host=allow_host).plan
         out[route] = {
             "plan": _sha(plan_to_json(plan)),
-            "program": _sha(serialize_program(emit_program(trace, plan))),
+            "program": _sha(serialize_program(emit_program(analysis, plan))),
         }
     return out
 

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from tensortier.policies import run_policy
 from tensortier.reporting import (characterization_tables, render_csv,
                                   result_json, simulation_tables,

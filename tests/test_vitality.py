@@ -1,11 +1,9 @@
-import pytest
-
 from tensortier.config import Channel, DeviceConfig, Direction
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace)
 from tensortier.vitality import (Timeline, analyze, characterize,
-                                 classify_tensors, compute_inactive_periods,
-                                 initial_pressure_curve, transfer_time)
+                                 classify_tensors, initial_pressure_curve,
+                                 transfer_time)
 
 
 def test_timeline(s1_trace):
@@ -61,9 +59,7 @@ def test_wrap_period_spans_iteration_boundary():
         KernelRecord(2, "c", 25, frozenset({1}), frozenset()),
         KernelRecord(3, "d", 25, frozenset({0}), frozenset()),
     )
-    trace = WorkloadTrace(tensors, kernels)
-    tl = Timeline.from_trace(trace)
-    periods = compute_inactive_periods(trace, tl)
+    periods = analyze(WorkloadTrace(tensors, kernels)).periods
     mine = [(p.start_us, p.end_us, p.wraps_iteration)
             for p in periods if p.tensor_id == 0]
     assert mine == [(50, 75, False), (100, 125, True)]
