@@ -34,6 +34,12 @@ def gbps_to_bytes_per_us(gbps) -> int:
     return int(value * 1000)
 
 
+def transfer_us(nbytes: int, bw: int, latency_us: int) -> int:
+    """Latency plus ceil(nbytes / bw), in whole microseconds: the one
+    transfer-time rule the planner and the replay share."""
+    return latency_us + -(-nbytes // bw)
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """One full-duplex link: independent lanes toward and away from the GPU."""

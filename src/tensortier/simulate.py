@@ -13,7 +13,7 @@ GPU bytes are charged when an inbound transfer starts and released when an
 outbound transfer finishes, mirroring the planner's accounting. All engine
 arithmetic uses page-padded sizes.
 
-Work per event is kept to what changed, under two rules that leave every
+Work per event is kept to what changed, under three rules that leave every
 event log and figure as a full re-evaluation would:
 
 - Chunk train. When a fault chunk lands with bytes still to move, the same
@@ -30,6 +30,24 @@ event log and figure as a full re-evaluation would:
   eviction, an unpark that parks again). Otherwise running it would change
   nothing: the block's start is already noted, and its stall is charged to
   the cause of the advance that finally resolves it.
+- Run-ahead. Every full fault chunk takes the same time, so a landing
+  chunk also lands, in closed form, the chunks after it whose boundaries
+  fall strictly before the heap's next event, never the train's last one.
+  Two conditions make that exact. (1) The next event is later than every
+  skipped boundary, so no other event runs in between and none sees them.
+  (2) The stream advance the landing arms is a no-op, which is when the
+  stream's idle epoch is current (a train belongs to the kernel the stream
+  is blocked on, so no kernel runs meanwhile). A stale epoch means some
+  directive changed what the blocked step reads since it last ran, and the
+  step must run again at this landing. A train restart leaves the epoch
+  alone, so the condition holds at every skipped boundary, and each skipped
+  landing would only log its two lines, add its bytes and overlap, and
+  restart the train. The one completion pushed, for the chunk that ends at
+  or after the next event, gets a later sequence number than everything in
+  the heap, as the push at the previous boundary would have, so
+  equal-time events keep their order. Overlap is additive over contiguous
+  intervals while no kernel starts or ends, so one `_add_overlap` call
+  covers the merged interval.
 """
 
 from __future__ import annotations
@@ -40,7 +58,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from tensortier.config import Channel, DeviceConfig, Direction
+from tensortier.config import Channel, DeviceConfig, Direction, transfer_us
 from tensortier.eviction import Destination
 from tensortier.instrument import Op, Program
 from tensortier.trace import WorkloadTrace
@@ -70,6 +88,9 @@ _STEP_OF = {Op.ALLOC: "alloc", Op.FREE: "free"}
 _R_COMPLETE = 0
 _R_TRIGGER = 1
 _R_STREAM = 2
+
+# chunk boundaries whose log lines a run-ahead formats in one piece
+_LOG_BLOCK = 256
 
 
 @dataclass
@@ -155,9 +176,8 @@ class _Lane:
         self.started_at = 0
         self.moved = 0                   # bytes delivered
 
-    def duration(self, xfer: _Xfer) -> int:
-        # vitality.transfer_time, with the lane's spec read once
-        return self.latency + -(-xfer.nbytes // self.bw) + xfer.extra_us
+    def duration(self, nbytes: int, extra_us: int) -> int:
+        return transfer_us(nbytes, self.bw, self.latency) + extra_us
 
 
 class _Running:
@@ -216,6 +236,8 @@ class _Engine:
         self.free = config.gpu_mem_bytes
         self.host_used = 0
         self.ssd_used = 0
+        # LRU candidates: a heap of (last_use, id) entries (see _lru_evict)
+        self._lru: list[tuple[int, int]] = []
         for tid, loc in sorted((initial_locations or {}).items()):
             tensor = self.tensors[tid]
             tensor.loc = loc
@@ -223,6 +245,7 @@ class _Engine:
                 if tensor.size > self.free:
                     raise SimulationError("initial placement over GPU capacity")
                 self.free -= tensor.size
+                self._lru_add(tensor)
             elif loc == HOST:
                 self.host_used += tensor.size
             elif loc == SSD:
@@ -280,6 +303,12 @@ class _Engine:
         if self._event_lines is not None:
             self._event_lines.append(line[:-1])
 
+    def _log_block(self, text: str) -> None:
+        """Log whole lines, each already stamped with its time."""
+        self._hash.update(text.encode())
+        if self._event_lines is not None:
+            self._event_lines.extend(text.splitlines())
+
     def _arm_advance(self, cause: str) -> None:
         if not self._advance_armed and not self.finished:
             self._advance_armed = True
@@ -316,23 +345,21 @@ class _Engine:
         lane.started_at = self.now
         self._log(f"xfer_start {xfer.kind} t{xfer.tensor.id} "
                   f"{lane.label} {xfer.nbytes}")
-        self._push(self.now + lane.duration(xfer), _R_COMPLETE,
-                   self._complete, lane)
+        self._push(self.now + lane.duration(xfer.nbytes, xfer.extra_us),
+                   _R_COMPLETE, self._complete, lane)
 
     def _complete(self, lane: _Lane) -> None:
         xfer = lane.current
         tensor = xfer.tensor
+        if xfer.tail_bytes:
+            self._run_train(lane, xfer)
+            self._arm_advance(xfer.kind)
+            return
         lane.moved += xfer.nbytes
         self._add_overlap(lane.started_at, self.now)
         self._log(f"xfer_done {xfer.kind} t{tensor.id}")
 
-        if xfer.tail_bytes:
-            # chunk train: the next fault chunk keeps the lane head
-            nb = min(self._chunk, xfer.tail_bytes)
-            xfer.nbytes = nb
-            xfer.tail_bytes -= nb
-            self._start(lane, xfer)
-        elif lane.to_device:
+        if lane.to_device:
             lane.current = None
             if tensor.loc == HOST:
                 self.host_used -= tensor.size
@@ -340,6 +367,7 @@ class _Engine:
                 self.ssd_used -= tensor.size
             tensor.loc = GPU
             tensor.pending_in = False
+            self._lru_add(tensor)
             self._kick(lane)
         else:
             lane.current = None
@@ -358,6 +386,39 @@ class _Engine:
             self._unpark()
             self._kick(lane)
         self._arm_advance(xfer.kind)
+
+    def _run_train(self, lane: _Lane, xfer: _Xfer) -> None:
+        """Land a fault chunk with bytes still to move, then the chunks
+        after it up to the heap's next event (module docstring, chunk train
+        and run-ahead), and restart the train's lane head on the next one."""
+        chunk = self._chunk
+        step = lane.duration(chunk, xfer.extra_us)
+        start = self.now
+        # full chunks that land with no event of their own: every one
+        # before the last that ends before the next event
+        ahead = 0
+        if self._idle_epoch == self._epoch:
+            ahead = (xfer.tail_bytes - 1) // chunk
+            if self.events:
+                ahead = max(0, min(ahead,
+                                   (self.events[0][0] - start - 1) // step))
+        end = start + ahead * step
+        done = f" xfer_done {xfer.kind} t{xfer.tensor.id}\n"
+        restart = (f" xfer_start {xfer.kind} t{xfer.tensor.id} "
+                   f"{lane.label} {chunk}\n")
+        for lo in range(start, end, _LOG_BLOCK * step):
+            self._log_block("".join(
+                f"{t}{done}{t}{restart}"
+                for t in range(lo, min(end, lo + _LOG_BLOCK * step), step)))
+        self._log_block(f"{end}{done}")
+        lane.moved += xfer.nbytes + ahead * chunk
+        self._add_overlap(lane.started_at, end)
+        self.now = end
+        # the next chunk keeps the lane head
+        nb = min(chunk, xfer.tail_bytes - ahead * chunk)
+        xfer.nbytes = nb
+        xfer.tail_bytes -= ahead * chunk + nb
+        self._start(lane, xfer)
 
     def _unpark(self) -> None:
         if not self.parked:
@@ -423,8 +484,28 @@ class _Engine:
             raise SimulationError("no tier can hold the evicted tensor")
         return SSD
 
+    def _lru_add(self, tensor: _Tensor) -> None:
+        """Enter a tensor that has just come onto the GPU as an LRU
+        candidate."""
+        heap = self._lru
+        heapq.heappush(heap, (tensor.last_use, tensor.id))
+        if len(heap) > 2 * len(self.tensors):
+            # drop the entries of tensors that left and stale duplicates
+            heap[:] = [(t.last_use, t.id) for t in self.tensors.values()
+                       if t.loc == GPU and not t.pending_out]
+            heapq.heapify(heap)
+
     def _lru_evict(self, deficit: int, cause: str) -> None:
-        """Queue least-recently-used victims worth at least deficit bytes."""
+        """Queue least-recently-used victims worth at least deficit bytes.
+
+        Victims go in (last_use, id) order. Every tensor on the GPU with no
+        eviction queued has a heap entry keyed at or below its own key: one
+        is pushed when it comes onto the GPU, and its last_use only grows
+        there (a kernel launch sets it to the newest instance). Entries of
+        tensors that left are dropped and an entry whose key is off is
+        pushed again under the tensor's key, so the first entry to reach
+        the top with its tensor's key names the least recently used one.
+        """
         outgoing = self._outgoing
         if outgoing >= deficit:
             return
@@ -433,17 +514,26 @@ class _Engine:
             kind, k = self.stream[self.pos]
             if kind == "kernel":
                 pinned = pinned | self._touched[k]
-        victims = sorted(
-            (t for t in self.tensors.values()
-             if t.loc == GPU and not t.pending_out and not t.pending_in
-             and t.id not in pinned),
-            key=lambda t: (t.last_use, t.id))
-        for victim in victims:
-            if outgoing >= deficit:
-                break
-            self._log(f"lru_evict t{victim.id} cause {cause}")
-            self._enqueue_evict(victim, self._fallback_dest(victim), front=True)
-            outgoing += victim.size
+        heap = self._lru
+        tensors = self.tensors
+        held = []
+        while outgoing < deficit and heap:
+            entry = heapq.heappop(heap)
+            last_use, tid = entry
+            victim = tensors[tid]
+            if victim.loc != GPU or victim.pending_out:
+                continue
+            if last_use != victim.last_use:
+                heapq.heappush(heap, (victim.last_use, tid))
+            elif tid in pinned:
+                held.append(entry)
+            else:
+                self._log(f"lru_evict t{tid} cause {cause}")
+                self._enqueue_evict(victim, self._fallback_dest(victim),
+                                    front=True)
+                outgoing += victim.size
+        for entry in held:
+            heapq.heappush(heap, entry)
 
     # -- armed directives ----------------------------------------------------
 
@@ -552,6 +642,7 @@ class _Engine:
         self._resolve_block(cause if cause != "none" else "alloc")
         self.free -= tensor.size
         tensor.loc = GPU
+        self._lru_add(tensor)
         self._log(f"alloc t{tensor.id}")
         return True
 

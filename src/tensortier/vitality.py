@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tensortier.config import ChannelSpec, DeviceConfig, Direction
+from tensortier.config import (ChannelSpec, DeviceConfig, Direction,
+                               transfer_us)
 from tensortier.curve import StepCurve
 from tensortier.trace import TensorKind, WorkloadTrace
 
@@ -171,8 +172,7 @@ def initial_pressure_curve(analysis: VitalityAnalysis,
 
 def transfer_time(size_bytes: int, spec: ChannelSpec, direction: Direction) -> int:
     """Latency plus ceil(size / bandwidth), in whole microseconds."""
-    bw = spec.bw(direction)
-    return spec.latency(direction) + -(-size_bytes // bw)
+    return transfer_us(size_bytes, spec.bw(direction), spec.latency(direction))
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,6 @@ class KernelOccupancy:
     name: str
     active_bytes: int     # inputs + outputs of the kernel itself
     total_bytes: int      # everything live while it runs
-
-    def active_fraction(self) -> float:
-        return self.active_bytes / self.total_bytes if self.total_bytes else 0.0
 
 
 @dataclass(frozen=True)

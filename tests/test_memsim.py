@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import pathlib
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_device
 from tensortier.config import DeviceConfig
-from tensortier.instrument import emit_program
+from tensortier.instrument import emit_program, parse_program
 from tensortier.policies import run_policy
 from tensortier.prefetch import plan_migrations
 from tensortier.simulate import (ideal_run, perturb_durations, simulate,
@@ -193,3 +195,101 @@ def test_fault_train_with_reparked_fetch_keeps_event_log():
     assert window.count("308 park fault t3") == 1
     assert "315 park fault t3" in window
     assert "314 xfer_start fault t0 host/to_device 4096" in window
+
+
+def test_fault_train_run_ahead_keeps_event_log():
+    # g10 faults t4 (22,528 padded bytes) onto the SSD inbound lane in
+    # 3 KiB chunks, seven full and a partial one. Its first chunk lands
+    # with no stream advance since the fault, so the stream's idle epoch
+    # is stale; the SSD outbound lane's evictions land mid-train, the one
+    # at 124 on a chunk boundary, ahead of the chunk. The trains of t5 and
+    # t1 that follow run with nothing else due. The lines were recorded
+    # before fault-chunk trains ran ahead in closed form.
+    trace = synthesize_trace(4, (8_000, 60_000), (4_000, 24_000), (20, 80),
+                             744323)
+    dev = make_device(gpu_mem_bytes=84_992, host_mem_bytes=60_000,
+                      fault_chunk_bytes=3_072, fault_handling_us=0)
+    result = run_policy("g10", trace, dev, keep_events=True)
+    golden = pathlib.Path(__file__).parent / "golden"
+    assert result.events == (
+        golden / "fault_train_run_ahead_events.txt").read_text().splitlines()
+    events = result.events
+    train = events[events.index("100 fault t4 kernel 1"):
+                   events.index("148 xfer_done fault t4") + 1]
+    chunks = [line.split()[-1] for line in train
+              if " xfer_start fault t4 " in line]
+    assert chunks == ["3072"] * 7 + ["1024"]
+    landed = [line for line in train if " xfer_done " in line]
+    # no other completion, hence no stream advance, before the first chunk
+    assert landed[0] == "106 xfer_done fault t4"
+    assert "109 xfer_done evict t1" in landed
+    tie = train.index("124 xfer_done evict t5")
+    assert train[tie + 1] == "124 xfer_done fault t4"
+    assert "111 xfer_start evict t5 ssd/from_device 32768" in train
+
+
+def test_keep_events_agrees_on_fault_trains():
+    # page-sized chunks: every fault is a train of hundreds of chunks, long
+    # enough that a run-ahead formats its lines in more than one block
+    trace = synthesize_trace(3, (300_000, 600_000), (100_000, 300_000),
+                             (20, 80), 5)
+    dev = make_device(gpu_mem_bytes=1_400_000, host_mem_bytes=10_000_000,
+                      fault_chunk_bytes=1_024, fault_handling_us=1)
+    kept = run_policy("base-uvm", trace, dev, keep_events=True)
+    plain = run_policy("base-uvm", trace, dev)
+    assert kept.faults and plain.events is None
+    faulted = [line.split()[3] for line in kept.events
+               if " xfer_start fault " in line]
+    assert max(len(list(run)) for _, run in itertools.groupby(faulted)) > 512
+    assert kept.event_log_sha256 == plain.event_log_sha256
+    text = "".join(line + "\n" for line in kept.events)
+    assert hashlib.sha256(text.encode()).hexdigest() == kept.event_log_sha256
+    # recorded before fault-chunk trains ran ahead in closed form
+    assert plain.event_log_sha256 == (
+        "bbf964c2f09e4d61f5ce2a705210edb28c2c3899b091b0747075c793d2ce8ff2")
+
+
+def test_run_ahead_waits_for_a_stale_stream_step():
+    # kernel 1 faults t2 (host, ten 4 KiB chunks) and t3 (SSD), whose fault
+    # parks; the LRU eviction of t0 covers t3's deficit. At 17 a prefetch
+    # of t4 takes GPU bytes, so the step's deficit grows without a stream
+    # advance. The chunk landing at 22 must re-run the blocked step, which
+    # evicts t1 then, instead of running ahead to the next event at 29.
+    sizes = {0: 57_344, 1: 8_192, 2: 40_960, 3: 88_064, 4: 28_672}
+    tensors = {t: TensorDescriptor(t, s, TensorKind.GLOBAL)
+               for t, s in sizes.items()}
+    kernels = (KernelRecord(0, "k0", 10, frozenset({0, 1}), frozenset()),
+               KernelRecord(1, "k1", 20, frozenset({2, 3}), frozenset()),
+               KernelRecord(2, "k2", 10, frozenset({4}), frozenset()))
+    trace = WorkloadTrace(tensors=tensors, kernels=kernels)
+    program = parse_program("G10 prefetch 4 28672 @17\nKERNEL 0 k0 10\n"
+                            "KERNEL 1 k1 20\nKERNEL 2 k2 10\n")
+    dev = make_device(gpu_mem_bytes=137_216, fault_chunk_bytes=4_096,
+                      fault_handling_us=0)
+    result = simulate(trace, program, dev, policy="base-uvm",
+                      keep_events=True,
+                      initial_locations={0: "gpu", 1: "gpu", 2: "host",
+                                         3: "ssd", 4: "ssd"})
+    # recorded before fault-chunk trains ran ahead in closed form
+    assert result.events[:19] == [
+        "0 iteration 0",
+        "0 kernel_start 0 iter 0",
+        "10 kernel_end 0",
+        "10 fault t2 kernel 1",
+        "10 xfer_start fault t2 host/to_device 4096",
+        "10 fault t3 kernel 1",
+        "10 park fault t3",
+        "10 lru_evict t0 cause wait",
+        "10 xfer_start evict t0 host/from_device 57344",
+        "16 xfer_done fault t2",
+        "16 xfer_start fault t2 host/to_device 4096",
+        "17 xfer_start prefetch t4 ssd/to_device 28672",
+        "22 xfer_done fault t2",
+        "22 xfer_start fault t2 host/to_device 4096",
+        "22 lru_evict t1 cause wait",
+        "28 xfer_done fault t2",
+        "28 xfer_start fault t2 host/to_device 4096",
+        "29 xfer_done evict t0",
+        "29 xfer_start evict t1 host/from_device 8192",
+    ]
+    assert result.total_us == 267
