@@ -233,16 +233,6 @@ class StepCurve:
             return []
         return list(zip(self._times, self._vals))
 
-    def segments(self):
-        """List of (start, end, value) triples covering the domain."""
-        out = []
-        n = len(self._times)
-        for k in range(n):
-            end = self._times[k + 1] if k + 1 < n else self.horizon
-            if end > self._times[k]:
-                out.append((self._times[k], end, self._vals[k]))
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, StepCurve):
             return NotImplemented

@@ -5,18 +5,20 @@ the best benefit/cost ratio, and books its eviction and prefetch windows on
 the channel lanes. Benefit is the pressure-above-capacity area the freed
 interval removes; cost is the two transfer times. Iteration stops once the
 pressure curve fits GPU memory, no candidate helps, or periods run out.
+A planned migration is a PlanItem from scoring to the emitted program, and
+SchedulingResult.book is the one way to book one.
 
 Times on the unrolled axis: a wrapping period's prefetch lands in the next
 iteration's prefix (window values >= total_us map into [0, total) mod total).
 
 Scoring is incremental and exact: every round gives the same answers as
-calling choose_destination afresh (use_cache=False does just that), and
-redoes only what the last pick can have changed. While the planner runs,
-the pressure curve and the flash left only fall, and host occupancy and
-lane bookings only grow. Per (period, destination) route the planner keeps
-the constant parts (padded size, transfer times, lanes), the slot starts
-e0 and p0, the host-capacity verdict, the benefit and the
-EvictionCandidate made from them:
+calling choose_destination afresh for every remaining period (the reference
+loop in tests/reference_planner.py does just that), and redoes only what
+the last pick can have changed. While the planner runs, the pressure curve
+and the flash left only fall, and host occupancy and lane bookings only
+grow. Per (period, destination) route the planner keeps the constant parts
+(padded size, transfer times, lanes), the slot starts e0 and p0, the
+host-capacity verdict, the benefit and the PlanItem made from them:
 
 - a slot moves exactly when a new booking on its lane overlaps it, and is
   searched again from where it was; a search that failed keeps failing;
@@ -28,7 +30,13 @@ EvictionCandidate made from them:
   pick lowered the pressure inside the window where it was above capacity
   and is now below capacity plus the largest size. A zero benefit stays
   zero: the window only shrinks and the pressure in it only falls;
-- the candidate object is rebuilt only when a slot or the benefit changed.
+- the item is rebuilt only when a slot or the benefit changed.
+
+A kept item can be the round's winner, which goes into plan.items as is
+and is later changed by the prefetch passes. That is safe: picked drops
+the winner's entry, the only place a later round reads it from, before
+anything changes the item, and score_candidate always builds a fresh
+route, so no other caller is handed a kept item.
 
 Per period, the SSD lanes' busy time inside it is kept up to date with
 each SSD booking; it only grows, so a busy verdict stays busy. A period's
@@ -53,7 +61,7 @@ from tensortier.vitality import (InactivePeriod, VitalityAnalysis,
 
 
 class CapacityViolationError(RuntimeError):
-    """Internal guard: applying a candidate would break a state invariant."""
+    """Internal guard: booking an item would break a state invariant."""
 
 
 class Destination(enum.Enum):
@@ -65,22 +73,6 @@ class Destination(enum.Enum):
         return Channel.SSD if self is Destination.SSD else Channel.HOST
 
 
-@dataclass(frozen=True)
-class EvictionCandidate:
-    period: InactivePeriod
-    size_bytes: int          # page-padded
-    dest: Destination
-    evict_start: int
-    evict_end: int
-    prefetch_start: int      # unrolled (>= total_us when the period wraps)
-    prefetch_end: int
-    benefit: int             # byte*us of overflow removed by the freed interval
-    cost_us: int
-
-    def owner(self):
-        return (self.period.tensor_id, self.period.start_us)
-
-
 @dataclass
 class PlanItem:
     tensor_id: int
@@ -90,9 +82,9 @@ class PlanItem:
     dest: Destination
     evict_start: int
     evict_end: int
-    prefetch_start: int
+    prefetch_start: int      # unrolled (>= total_us when the period wraps)
     prefetch_end: int
-    benefit: int
+    benefit: int             # byte*us of overflow removed by the freed interval
     cost_us: int
     latest_safe_us: int | None = None
     scheduled_us: int | None = None
@@ -141,6 +133,18 @@ class SchedulingResult:
     plan: MigrationPlan
     state: SchedulerState
 
+    @classmethod
+    def initial(cls, analysis: VitalityAnalysis,
+                config: DeviceConfig) -> SchedulingResult:
+        """An empty plan over the unplanned trace's state."""
+        state = SchedulerState.initial(analysis, config)
+        return cls(plan=MigrationPlan(total_us=state.total_us), state=state)
+
+    def book(self, item: PlanItem, config: DeviceConfig) -> None:
+        """Book item's windows on the state, then add it to the plan."""
+        apply_candidate(item, self.state, config)
+        self.plan.items.append(item)
+
 
 _STALE = object()  # not computed since something it depends on changed
 
@@ -172,14 +176,14 @@ class _Route:
     [0, p_hi); a search again after a booking took the slot starts from
     it, since the times it skipped were taken before and still are.
     host_ok caches the host-capacity check, benefit the overflow the window
-    removes and cand the candidate, each for the current window (when they
+    removes and item the PlanItem, each for the current window (when they
     go stale: module docstring).
     """
 
     __slots__ = ("period", "dest", "size", "cost_us", "e_dur", "p_dur",
                  "from_lane", "to_lane", "e_lo", "e_hi", "p_hi", "shift",
                  "total", "e0", "p0", "win", "span", "host_ok", "benefit",
-                 "cand")
+                 "item")
 
     def __init__(self, period: InactivePeriod, dest: Destination,
                  state: SchedulerState, config: DeviceConfig):
@@ -209,7 +213,7 @@ class _Route:
             self.shift = 0
         self.e0 = self.p0 = self.win = _STALE
         self.span = ()
-        self.host_ok = self.benefit = self.cand = None
+        self.host_ok = self.benefit = self.item = None
 
     def window(self):
         """(e0, e1, p0) on the unrolled axis, or None if no pair fits."""
@@ -246,15 +250,17 @@ class _Route:
                 return None
         elif state.ssd_occupancy + self.size > config.ssd_capacity_bytes:
             return None
-        if self.cand is None:
+        if self.item is None:
             e0, e1, p0 = window
             if self.benefit is None:
                 self.benefit = wrap_window_overflow_area(
                     state.pressure, config.gpu_mem_bytes, self.size, e1, p0)
-            self.cand = EvictionCandidate(self.period, self.size, self.dest,
-                                          e0, e1, p0, p0 + self.p_dur,
-                                          self.benefit, self.cost_us)
-        return self.cand
+            period = self.period
+            self.item = PlanItem(period.tensor_id, period.start_us,
+                                 period.end_us, period.wraps_iteration,
+                                 self.dest, e0, e1, p0, p0 + self.p_dur,
+                                 self.benefit, self.cost_us)
+        return self.item
 
     def booked(self, evict, prefetch) -> bool:
         """Forget the slots that a pick on this route's channel took; True
@@ -274,7 +280,7 @@ class _Route:
             moved = True
         if moved:
             self.win = _STALE
-            self.host_ok = self.cand = None
+            self.host_ok = self.item = None
             if self.benefit:  # a zero benefit stays zero on a smaller window
                 self.benefit = None
         return moved
@@ -294,14 +300,15 @@ class _Route:
         """Forget the benefit if the pieces where a pick moved the clamped
         overflow overlap the window; True if it was forgotten."""
         if self.benefit and _overlaps(pieces, self.span):
-            self.benefit = self.cand = None
+            self.benefit = self.item = None
             return True
         return False
 
 
 def score_candidate(period: InactivePeriod, dest: Destination,
                     state: SchedulerState, config: DeviceConfig):
-    """Windows, benefit, and cost for evicting this period to dest.
+    """The PlanItem for evicting this period to dest: windows, benefit and
+    cost, from a fresh route.
 
     Returns None when no feasible eviction/prefetch window pair exists (or a
     capacity bound already rules the destination out).
@@ -342,7 +349,7 @@ def choose_destination(period: InactivePeriod, state: SchedulerState,
     return host if host is not None else ssd
 
 
-def _better(a: EvictionCandidate, b: EvictionCandidate) -> bool:
+def _better(a: PlanItem, b: PlanItem) -> bool:
     """Strictly better benefit/cost ratio, with deterministic tie-breaks."""
     lhs = a.benefit * b.cost_us
     rhs = b.benefit * a.cost_us
@@ -350,12 +357,12 @@ def _better(a: EvictionCandidate, b: EvictionCandidate) -> bool:
         return lhs > rhs
     if a.benefit != b.benefit:
         return a.benefit > b.benefit
-    if a.period.start_us != b.period.start_us:
-        return a.period.start_us < b.period.start_us
-    return a.period.tensor_id < b.period.tensor_id
+    if a.period_start != b.period_start:
+        return a.period_start < b.period_start
+    return a.tensor_id < b.tensor_id
 
 
-def select_best(candidates) -> EvictionCandidate:
+def select_best(candidates) -> PlanItem:
     """Argmax of benefit/cost; ties break to larger benefit, earlier period
     start, then smaller tensor id."""
     best = None
@@ -367,48 +374,33 @@ def select_best(candidates) -> EvictionCandidate:
     return best
 
 
-def apply_candidate(cand: EvictionCandidate, state: SchedulerState,
+def apply_candidate(item: PlanItem, state: SchedulerState,
                     config: DeviceConfig) -> None:
     """Book the windows and update pressure and occupancy."""
     total = state.total_us
-    owner = cand.owner()
-    chan = cand.dest.channel
+    owner = item.owner()
+    size = state.sizes[item.tensor_id]
+    chan = item.dest.channel
     state.reservations.lane(chan, Direction.FROM_DEVICE).reserve(
-        cand.evict_start, cand.evict_end, owner)
-    if cand.prefetch_start >= total:
+        item.evict_start, item.evict_end, owner)
+    if item.prefetch_start >= total:
         state.reservations.lane(chan, Direction.TO_DEVICE).reserve(
-            cand.prefetch_start - total, cand.prefetch_end - total, owner)
+            item.prefetch_start - total, item.prefetch_end - total, owner)
     else:
         state.reservations.lane(chan, Direction.TO_DEVICE).reserve(
-            cand.prefetch_start, cand.prefetch_end, owner)
-    wrap_add(state.pressure, cand.evict_end, cand.prefetch_start, -cand.size_bytes)
+            item.prefetch_start, item.prefetch_end, owner)
+    wrap_add(state.pressure, item.evict_end, item.prefetch_start, -size)
     if any(v < 0 for _, v in state.pressure.breakpoints()):
         raise CapacityViolationError("negative pressure after apply")
-    if cand.dest is Destination.HOST:
-        wrap_add(state.host_occupancy, cand.evict_end, cand.prefetch_start,
-                 cand.size_bytes)
+    if item.dest is Destination.HOST:
+        wrap_add(state.host_occupancy, item.evict_end, item.prefetch_start,
+                 size)
         if state.host_occupancy.max_value() > config.host_mem_bytes:
             raise CapacityViolationError("host occupancy above host_mem_bytes")
     else:
-        state.ssd_occupancy += cand.size_bytes
+        state.ssd_occupancy += size
         if state.ssd_occupancy > config.ssd_capacity_bytes:
             raise CapacityViolationError("ssd occupancy above capacity")
-
-
-def item_from_candidate(cand: EvictionCandidate) -> PlanItem:
-    return PlanItem(
-        tensor_id=cand.period.tensor_id,
-        period_start=cand.period.start_us,
-        period_end=cand.period.end_us,
-        wraps=cand.period.wraps_iteration,
-        dest=cand.dest,
-        evict_start=cand.evict_start,
-        evict_end=cand.evict_end,
-        prefetch_start=cand.prefetch_start,
-        prefetch_end=cand.prefetch_end,
-        benefit=cand.benefit,
-        cost_us=cand.cost_us,
-    )
 
 
 class _Entry:
@@ -466,13 +458,13 @@ class _RouteCache:
                              default=0)
 
     def _choose(self, entry: _Entry):
-        cand = entry.ssd.candidate(self._state, self._config)
-        if self._allow_host and (cand is None or cand.benefit == 0
+        item = entry.ssd.candidate(self._state, self._config)
+        if self._allow_host and (item is None or item.benefit == 0
                                  or entry.ssd_busy()):
             host = entry.host.candidate(self._state, self._config)
             if host is not None:
-                cand = host
-        return cand
+                item = host
+        return item
 
     def score(self, remaining):
         """This round's choose_destination result for each remaining key,
@@ -481,20 +473,21 @@ class _RouteCache:
         out = []
         for key in remaining:
             entry = entries[key]
-            cand = entry.choice
-            if cand is _STALE:
-                cand = entry.choice = self._choose(entry)
-                if cand is None:
+            item = entry.choice
+            if item is _STALE:
+                item = entry.choice = self._choose(entry)
+                if item is None:
                     del entries[key]
-            out.append(cand)
+            out.append(item)
         return out
 
-    def picked(self, best: EvictionCandidate) -> None:
-        """Forget what booking best can have changed (after apply_candidate
-        booked it)."""
+    def picked(self, best: PlanItem) -> None:
+        """Forget what booking best can have changed (after it was
+        booked)."""
         del self._entries[best.owner()]
         state, config = self._state, self._config
         total = state.total_us
+        size = state.sizes[best.tensor_id]
         evict = (best.evict_start, best.evict_end)
         shift = total if best.prefetch_start >= total else 0
         prefetch = (best.prefetch_start - shift, best.prefetch_end - shift)
@@ -505,7 +498,7 @@ class _RouteCache:
         cap = config.gpu_mem_bytes
         relieved = [piece for a, b in freed
                     for piece in state.pressure.pieces_between(
-                        cap - best.size_bytes, cap + self._max_size, a, b)]
+                        cap - size, cap + self._max_size, a, b)]
         to_ssd = best.dest is Destination.SSD
         if to_ssd:
             flash = config.ssd_capacity_bytes - state.ssd_occupancy
@@ -521,7 +514,7 @@ class _RouteCache:
                 if ssd.booked(evict, prefetch):
                     dirty = True
                 # sizes that fitted the flash left before this pick only
-                if flash < ssd.size <= flash + best.size_bytes:
+                if flash < ssd.size <= flash + size:
                     dirty = True
                 if entry.ssd_booked(evict, prefetch):
                     dirty = True
@@ -532,49 +525,36 @@ class _RouteCache:
 
 
 def schedule_evictions(analysis: VitalityAnalysis, config: DeviceConfig, *,
-                       allow_host: bool = True,
-                       use_cache: bool = True) -> SchedulingResult:
-    """Iterative greedy selection over all inactive periods.
-
-    use_cache=False calls choose_destination afresh for every period in
-    every round; it is the reference the cached path must reproduce.
-    """
-    state = SchedulerState.initial(analysis, config)
-    plan = MigrationPlan(total_us=state.total_us)
+                       allow_host: bool = True) -> SchedulingResult:
+    """Iterative greedy selection over all inactive periods."""
+    result = SchedulingResult.initial(analysis, config)
+    state, plan = result.state, result.plan
 
     remaining = {
         (p.tensor_id, p.start_us): p
         for p in sorted(analysis.periods,
                         key=lambda p: (p.start_us, p.tensor_id, p.end_us))
     }
-    routes = (_RouteCache(remaining.values(), state, config, allow_host)
-              if use_cache else None)
+    routes = _RouteCache(remaining.values(), state, config, allow_host)
 
     while remaining and state.pressure.max_value() > config.gpu_mem_bytes:
-        if routes is None:
-            scored = [choose_destination(period, state, config, allow_host)
-                      for period in remaining.values()]
-        else:
-            scored = routes.score(remaining)
         candidates = []
-        for key, cand in zip(list(remaining), scored):
-            if cand is None:
+        for key, item in zip(list(remaining), routes.score(remaining)):
+            if item is None:
                 period = remaining.pop(key)
                 plan.unschedulable.append((period.tensor_id, period.start_us,
                                            period.end_us))
-            elif cand.benefit > 0:
-                candidates.append(cand)
+            elif item.benefit > 0:
+                candidates.append(item)
         if not candidates:
             break
         best = select_best(candidates)
-        apply_candidate(best, state, config)
-        plan.items.append(item_from_candidate(best))
+        result.book(best, config)
         del remaining[best.owner()]
-        if routes is not None:
-            routes.picked(best)
+        routes.picked(best)
 
     plan.residual_overflow = state.pressure.overflow_area(config.gpu_mem_bytes)
-    return SchedulingResult(plan=plan, state=state)
+    return result
 
 
 def plan_to_json(plan: MigrationPlan) -> str:

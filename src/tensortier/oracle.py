@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 from tensortier.config import DeviceConfig
 from tensortier.eviction import (CapacityViolationError, Destination,
-                                 MigrationPlan, SchedulerState,
-                                 SchedulingResult, apply_candidate,
-                                 item_from_candidate, score_candidate)
+                                 MigrationPlan, SchedulingResult,
+                                 score_candidate)
 from tensortier.instrument import emit_program
 from tensortier.policies import planned_placement
 from tensortier.prefetch import (assign_latest_safe, eager_reschedule,
@@ -47,20 +46,17 @@ def _canonical_periods(analysis: VitalityAnalysis):
 
 def _book(analysis, config, periods, dests):
     """Booked plan for one assignment, or None when it cannot be booked."""
-    state = SchedulerState.initial(analysis, config)
-    plan = MigrationPlan(total_us=state.total_us)
+    result = SchedulingResult.initial(analysis, config)
     for period, dest in zip(periods, dests):
         if dest is None:
             continue
-        cand = score_candidate(period, dest, state, config)
-        if cand is None:
+        item = score_candidate(period, dest, result.state, config)
+        if item is None:
             return None
         try:
-            apply_candidate(cand, state, config)
+            result.book(item, config)
         except CapacityViolationError:
             return None
-        plan.items.append(item_from_candidate(cand))
-    result = SchedulingResult(plan=plan, state=state)
     assign_latest_safe(result)
     eager_reschedule(result, config)
     return result

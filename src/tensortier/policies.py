@@ -20,9 +20,8 @@ g10-ssd-only       the same planner forbidden from touching host memory
 from __future__ import annotations
 
 from tensortier.config import POLICY_NAMES, DeviceConfig
-from tensortier.eviction import (Destination, MigrationPlan, SchedulerState,
-                                 SchedulingResult, apply_candidate,
-                                 item_from_candidate, score_candidate)
+from tensortier.eviction import (Destination, MigrationPlan, SchedulingResult,
+                                 score_candidate)
 from tensortier.instrument import emit_program
 from tensortier.prefetch import assign_latest_safe, plan_migrations
 from tensortier.simulate import (GPU, HOST, SSD, SimResult, ideal_run,
@@ -86,8 +85,8 @@ def flashneuron_plan(analysis, config: DeviceConfig) -> SchedulingResult:
     Marks the plan infeasible when no schedule can work (a single kernel's
     working set exceeds device memory) or when every candidate is exhausted
     with pressure still above capacity."""
-    state = SchedulerState.initial(analysis, config)
-    plan = MigrationPlan(total_us=state.total_us)
+    result = SchedulingResult.initial(analysis, config)
+    state, plan = result.state, result.plan
     for kernel in analysis.trace.kernels:
         active = sum(state.sizes[t] for t in kernel.tensors())
         if active > config.gpu_mem_bytes:
@@ -99,15 +98,12 @@ def flashneuron_plan(analysis, config: DeviceConfig) -> SchedulingResult:
     for period in periods:
         if state.pressure.max_value() <= config.gpu_mem_bytes:
             break
-        cand = score_candidate(period, Destination.SSD, state, config)
-        if cand is None:
-            continue
-        apply_candidate(cand, state, config)
-        plan.items.append(item_from_candidate(cand))
+        item = score_candidate(period, Destination.SSD, state, config)
+        if item is not None:
+            result.book(item, config)
     if state.pressure.max_value() > config.gpu_mem_bytes:
         plan.infeasible = True
     plan.residual_overflow = state.pressure.overflow_area(config.gpu_mem_bytes)
-    result = SchedulingResult(plan=plan, state=state)
     assign_latest_safe(result)
     return result
 

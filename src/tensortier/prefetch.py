@@ -17,33 +17,15 @@ from tensortier.eviction import (Destination, SchedulingResult,
 from tensortier.vitality import VitalityAnalysis
 
 
-def latest_safe_prefetch_time(item, state) -> int:
-    """Latest feasible start for this item's prefetch, ignoring its own
-    booking. In-pipeline this equals the booked start: booking picked the
-    latest slot, and later bookings only remove gaps."""
-    lane = state.reservations.lane(item.dest.channel, Direction.TO_DEVICE)
-    dur = item.prefetch_end - item.prefetch_start
-    lane.release(item.owner())
-    try:
-        if item.wraps:
-            rel = lane.latest_slot(dur, item.period_end - state.total_us)
-            start = None if rel is None else rel + state.total_us
-        else:
-            start = lane.latest_slot(dur, item.period_end)
-    finally:
-        stored = item.prefetch_start
-        if item.wraps:
-            stored -= state.total_us
-        lane.reserve(stored, stored + dur, item.owner())
-    if start is None or start < item.prefetch_start:
-        raise RuntimeError("booked prefetch window is no longer feasible")
-    return start
-
-
 def assign_latest_safe(result: SchedulingResult) -> None:
+    """Record each booked prefetch start as its latest safe start.
+
+    Booking took the latest slot on the inbound lane that meets the
+    period's deadline, and later bookings only take lane time, so no later
+    start has become free since: the booked start is the latest safe one.
+    """
     for item in result.plan.items:
-        item.latest_safe_us = latest_safe_prefetch_time(item, result.state)
-        item.scheduled_us = item.prefetch_start
+        item.latest_safe_us = item.scheduled_us = item.prefetch_start
 
 
 def eager_reschedule(result: SchedulingResult, config: DeviceConfig) -> None:
@@ -89,12 +71,11 @@ def eager_reschedule(result: SchedulingResult, config: DeviceConfig) -> None:
 
 
 def plan_migrations(analysis: VitalityAnalysis, config: DeviceConfig, *,
-                    allow_host: bool = True, eager: bool = True,
-                    use_cache: bool = True) -> SchedulingResult:
+                    allow_host: bool = True,
+                    eager: bool = True) -> SchedulingResult:
     """Full planning pipeline: greedy eviction booking, slack annotation,
     then the optional eager pass."""
-    result = schedule_evictions(analysis, config, allow_host=allow_host,
-                                use_cache=use_cache)
+    result = schedule_evictions(analysis, config, allow_host=allow_host)
     assign_latest_safe(result)
     if eager:
         eager_reschedule(result, config)

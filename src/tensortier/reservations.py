@@ -102,7 +102,3 @@ class ChannelReservations:
 
     def lane(self, channel: Channel, direction: Direction) -> LaneReservations:
         return self._lanes[(channel, direction)]
-
-    def release(self, owner):
-        for lane in self._lanes.values():
-            lane.release(owner)

@@ -1,0 +1,61 @@
+"""Reference versions of planner steps that src/ does incrementally.
+
+Each recomputes from scratch what the production code keeps up to date, so
+tests can require the two to agree exactly.
+"""
+
+from tensortier.config import Direction
+from tensortier.eviction import (SchedulingResult, choose_destination,
+                                 select_best)
+
+
+def schedule_evictions_fresh(analysis, config, *, allow_host=True):
+    """schedule_evictions with no kept state: every round calls
+    choose_destination afresh for every remaining period."""
+    result = SchedulingResult.initial(analysis, config)
+    state, plan = result.state, result.plan
+    remaining = {
+        (p.tensor_id, p.start_us): p
+        for p in sorted(analysis.periods,
+                        key=lambda p: (p.start_us, p.tensor_id, p.end_us))
+    }
+    while remaining and state.pressure.max_value() > config.gpu_mem_bytes:
+        candidates = []
+        for key, period in list(remaining.items()):
+            item = choose_destination(period, state, config, allow_host)
+            if item is None:
+                del remaining[key]
+                plan.unschedulable.append((period.tensor_id, period.start_us,
+                                           period.end_us))
+            elif item.benefit > 0:
+                candidates.append(item)
+        if not candidates:
+            break
+        best = select_best(candidates)
+        result.book(best, config)
+        del remaining[best.owner()]
+    plan.residual_overflow = state.pressure.overflow_area(config.gpu_mem_bytes)
+    return result
+
+
+def latest_safe_prefetch_time(item, state) -> int:
+    """Latest feasible start for this item's prefetch, ignoring its own
+    booking: release it, search the inbound lane for the latest slot that
+    meets the period's deadline, and book it again where it was."""
+    lane = state.reservations.lane(item.dest.channel, Direction.TO_DEVICE)
+    dur = item.prefetch_end - item.prefetch_start
+    lane.release(item.owner())
+    try:
+        if item.wraps:
+            rel = lane.latest_slot(dur, item.period_end - state.total_us)
+            start = None if rel is None else rel + state.total_us
+        else:
+            start = lane.latest_slot(dur, item.period_end)
+    finally:
+        stored = item.prefetch_start
+        if item.wraps:
+            stored -= state.total_us
+        lane.reserve(stored, stored + dur, item.owner())
+    if start is None or start < item.prefetch_start:
+        raise RuntimeError("booked prefetch window is no longer feasible")
+    return start

@@ -4,13 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_device
+from reference_planner import schedule_evictions_fresh
 from tensortier.config import DeviceConfig
-from tensortier.eviction import (Destination, EvictionCandidate,
-                                 plan_from_json, plan_to_json,
-                                 schedule_evictions, select_best)
+from tensortier.eviction import (Destination, PlanItem, plan_from_json,
+                                 plan_to_json, schedule_evictions,
+                                 select_best)
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace, synthesize_trace)
-from tensortier.vitality import InactivePeriod, analyze
+from tensortier.vitality import analyze
 
 
 def _items(result):
@@ -52,8 +53,8 @@ def test_s1r_ssd_only(s1r_trace, device):
 
 
 def test_cache_and_no_cache_agree(s1r_trace, device):
-    a = schedule_evictions(analyze(s1r_trace), device, use_cache=True)
-    b = schedule_evictions(analyze(s1r_trace), device, use_cache=False)
+    a = schedule_evictions(analyze(s1r_trace), device)
+    b = schedule_evictions_fresh(analyze(s1r_trace), device)
     assert plan_to_json(a.plan) == plan_to_json(b.plan)
 
 
@@ -72,8 +73,8 @@ def _assert_cache_matches(trace, gpu_frac, host_frac, ssd_frac, **device):
     analysis = analyze(trace)
     for allow_host in (True, False):
         cached = schedule_evictions(analysis, dev, allow_host=allow_host)
-        fresh = schedule_evictions(analysis, dev, allow_host=allow_host,
-                                   use_cache=False)
+        fresh = schedule_evictions_fresh(analysis, dev,
+                                         allow_host=allow_host)
         assert plan_to_json(cached.plan) == plan_to_json(fresh.plan)
 
 
@@ -131,11 +132,10 @@ def test_cache_matches_rescoring_with_host_picks(layers, seed, gpu_frac,
 
 
 def _cand(benefit, cost, start=0, tid=0):
-    period = InactivePeriod(tid, start, start + 100)
-    return EvictionCandidate(period=period, size_bytes=1, dest=Destination.SSD,
-                             evict_start=start, evict_end=start + 1,
-                             prefetch_start=start + 50, prefetch_end=start + 51,
-                             benefit=benefit, cost_us=cost)
+    return PlanItem(tensor_id=tid, period_start=start, period_end=start + 100,
+                    wraps=False, dest=Destination.SSD, evict_start=start,
+                    evict_end=start + 1, prefetch_start=start + 50,
+                    prefetch_end=start + 51, benefit=benefit, cost_us=cost)
 
 
 def test_select_best_ratio_is_exact():

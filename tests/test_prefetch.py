@@ -1,9 +1,15 @@
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_device
+from reference_planner import latest_safe_prefetch_time
+from tensortier import oracle
 from tensortier.config import DeviceConfig
-from tensortier.eviction import plan_to_json
-from tensortier.prefetch import plan_migrations
+from tensortier.eviction import Destination, plan_to_json
+from tensortier.policies import flashneuron_plan
+from tensortier.prefetch import eager_reschedule, plan_migrations
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace, synthesize_trace)
 from tensortier.vitality import analyze
@@ -31,11 +37,85 @@ def _spike_trace():
     return WorkloadTrace(tensors, kernels)
 
 
-def test_latest_safe_matches_booked_slot(s1r_trace, device):
-    result = plan_migrations(analyze(s1r_trace), device, eager=False)
+def _assert_latest_safe(result):
+    """Each booked start is the latest safe start re-derived from the
+    lanes."""
     for item in result.plan.items:
         assert item.latest_safe_us == item.prefetch_start
         assert item.scheduled_us == item.latest_safe_us
+        assert item.latest_safe_us == latest_safe_prefetch_time(item,
+                                                                result.state)
+
+
+def _assert_eager_keeps_slack(result, config):
+    eager_reschedule(result, config)
+    for item in result.plan.items:
+        assert item.scheduled_us <= item.latest_safe_us
+
+
+def _generated_case(seed):
+    trace = synthesize_trace(2 + seed % 5, (20_480, 61_440), (8_192, 30_720),
+                             (20, 150), seed)
+    base = make_device()
+    footprint = sum(base.padded(t.size_bytes)
+                    for t in trace.tensors.values())
+    max_ws = max(sum(base.padded(trace.tensors[t].size_bytes)
+                     for t in k.tensors()) for k in trace.kernels)
+    dev = make_device(
+        gpu_mem_bytes=max(max_ws, footprint // 2 // 1024 * 1024),
+        host_mem_bytes=footprint // 4, ssd_read_bw=1024, ssd_write_bw=1024,
+        host_bw=16_384, hp_utilization_threshold=0.3)
+    return analyze(trace), dev
+
+
+def test_latest_safe_matches_booked_slot(s1r_trace, device, monkeypatch):
+    """The booked start is the latest safe one for greedy plans (s1r and
+    generated traces, host route on and off), FlashNeuron-like plans and
+    oracle bookings, and the eager pass never moves a prefetch later."""
+    result = plan_migrations(analyze(s1r_trace), device, eager=False)
+    assert result.plan.items
+    _assert_latest_safe(result)
+    _assert_eager_keeps_slack(result, device)
+
+    items = {"greedy": 0, "flashneuron": 0}
+    for seed in range(12):
+        analysis, dev = _generated_case(seed)
+        for allow_host in (True, False):
+            result = plan_migrations(analysis, dev, allow_host=allow_host,
+                                     eager=False)
+            items["greedy"] += len(result.plan.items)
+            _assert_latest_safe(result)
+            _assert_eager_keeps_slack(result, dev)
+        result = flashneuron_plan(analysis, dev)
+        items["flashneuron"] += len(result.plan.items)
+        _assert_latest_safe(result)
+        _assert_eager_keeps_slack(result, dev)
+    assert all(items.values()), items
+
+    real_eager = oracle.eager_reschedule
+
+    def checked_eager(result, config):
+        _assert_latest_safe(result)
+        real_eager(result, config)
+
+    monkeypatch.setattr(oracle, "eager_reschedule", checked_eager)
+    booked = 0
+    for seed in range(3):
+        trace = synthesize_trace(3, (20_480, 28_672), (20_480, 28_672),
+                                 (100, 200), seed)
+        analysis = analyze(trace)
+        dev = make_device(gpu_mem_bytes=131_072)
+        periods = oracle._canonical_periods(analysis)
+        options = (None, Destination.SSD, Destination.HOST)
+        combos = itertools.product(options, repeat=len(periods))
+        for dests in itertools.islice(combos, 0, None, 7):
+            result = oracle._book(analysis, dev, periods, dests)
+            if result is None:
+                continue
+            booked += bool(result.plan.items)
+            for item in result.plan.items:
+                assert item.scheduled_us <= item.latest_safe_us
+    assert booked
 
 
 def test_eager_noop_when_no_headroom(s1r_trace, device):
