@@ -17,18 +17,14 @@ from tensortier.trace import WorkloadTrace
 from tensortier.vitality import CharacterizationReport
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
 def render_csv(header: list[str], rows: list[list]) -> str:
+    """Floats are written with six decimals, every other value as the csv
+    module writes it (str(), quoted where needed)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows([f"{v:.6f}" if isinstance(v, float) else v for v in row]
+                     for row in rows)
     return buf.getvalue()
 
 

@@ -13,6 +13,12 @@ GPU bytes are charged when an inbound transfer starts and released when an
 outbound transfer finishes, mirroring the planner's accounting. All engine
 arithmetic uses page-padded sizes.
 
+Every event logs a line stamped with its time. Lines are formatted at their
+event and hashed in blocks: they collect in a pending list, which is joined
+and hashed once it holds `_HASH_BLOCK` entries, and once more when the run
+ends. The digest is the sha256 of the joined lines, whatever the block size,
+and `keep_events` gets the same lines.
+
 Work per event is kept to what changed, under three rules that leave every
 event log and figure as a full re-evaluation would:
 
@@ -57,6 +63,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from tensortier.config import Channel, DeviceConfig, Direction, transfer_us
 from tensortier.eviction import Destination
@@ -89,8 +96,8 @@ _R_COMPLETE = 0
 _R_TRIGGER = 1
 _R_STREAM = 2
 
-# chunk boundaries whose log lines a run-ahead formats in one piece
-_LOG_BLOCK = 256
+# event-log entries hashed in one update (module docstring, event log)
+_HASH_BLOCK = 1024
 
 
 @dataclass
@@ -101,8 +108,7 @@ class Traffic:
     host_out: int = 0
 
 
-@dataclass(frozen=True)
-class KernelStat:
+class KernelStat(NamedTuple):
     instance: int
     iteration: int
     kernel_index: int
@@ -289,6 +295,7 @@ class _Engine:
         self.overlap_us = 0
         self.stall_breakdown: dict[str, int] = {}
         self._hash = hashlib.sha256()
+        self._pending: list[str] = []    # log entries not yet hashed
         self._event_lines: list[str] | None = [] if keep_events else None
 
     # -- event plumbing -----------------------------------------------------
@@ -298,13 +305,21 @@ class _Engine:
         heapq.heappush(self.events, (t, rank, self._seq, fn, args))
 
     def _log(self, text: str) -> None:
-        line = f"{self.now} {text}\n"
-        self._hash.update(line.encode())
-        if self._event_lines is not None:
-            self._event_lines.append(line[:-1])
+        pending = self._pending
+        pending.append(f"{self.now} {text}\n")
+        if len(pending) >= _HASH_BLOCK:
+            self._flush()
 
-    def _log_block(self, text: str) -> None:
-        """Log whole lines, each already stamped with its time."""
+    def _log_block(self, entries) -> None:
+        """Log entries of whole lines, each already stamped with its time."""
+        pending = self._pending
+        pending.extend(entries)
+        if len(pending) >= _HASH_BLOCK:
+            self._flush()
+
+    def _flush(self) -> None:
+        text = "".join(self._pending)
+        self._pending.clear()
         self._hash.update(text.encode())
         if self._event_lines is not None:
             self._event_lines.extend(text.splitlines())
@@ -406,11 +421,13 @@ class _Engine:
         done = f" xfer_done {xfer.kind} t{xfer.tensor.id}\n"
         restart = (f" xfer_start {xfer.kind} t{xfer.tensor.id} "
                    f"{lane.label} {chunk}\n")
-        for lo in range(start, end, _LOG_BLOCK * step):
-            self._log_block("".join(
+        # one block of boundaries at a time, so the pending list stays
+        # under two blocks
+        for lo in range(start, end, _HASH_BLOCK * step):
+            self._log_block(
                 f"{t}{done}{t}{restart}"
-                for t in range(lo, min(end, lo + _LOG_BLOCK * step), step)))
-        self._log_block(f"{end}{done}")
+                for t in range(lo, min(end, lo + _HASH_BLOCK * step), step))
+        self._log_block((f"{end}{done}",))
         lane.moved += xfer.nbytes + ahead * chunk
         self._add_overlap(lane.started_at, end)
         self.now = end
@@ -744,6 +761,7 @@ class _Engine:
             fn(*args)
         if not self.finished:
             raise SimulationError("deadlock: event queue drained mid-program")
+        self._flush()
         host_in, host_out, ssd_in, ssd_out = self.lanes
         return SimResult(
             policy=self.policy,
@@ -806,16 +824,17 @@ def ideal_run(trace: WorkloadTrace, config: DeviceConfig,
         durations = [[k.duration_us for k in trace.kernels]
                      for _ in range(config.num_iterations)]
     stats = []
+    lines = []
     clock = 0
-    digest = hashlib.sha256()
     for j, row in enumerate(durations):
         for k in range(n):
             end = clock + row[k]
             stats.append(KernelStat(j * n + k, j, k, trace.kernels[k].name,
                                     clock, end, 0))
-            digest.update(f"{clock} kernel {k}\n".encode())
+            lines.append(f"{clock} kernel {k}\n")
             clock = end
     total = clock
+    digest = hashlib.sha256("".join(lines).encode())
     return SimResult(
         policy="ideal", total_us=total, compute_us=total, stall_us=0,
         overlap_us=0, faults=0, traffic=Traffic(), kernels=stats,

@@ -71,71 +71,90 @@ class WorkloadTrace:
         return sum(k.duration_us for k in self.kernels)
 
 
-def _require(cond, err, msg):
-    if not cond:
-        raise err(msg)
-
-
 def _as_int(obj, what):
     # bool is an int subclass; reject it explicitly
-    _require(isinstance(obj, int) and not isinstance(obj, bool),
-             MalformedInputError, f"{what} must be an integer, got {obj!r}")
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise MalformedInputError(f"{what} must be an integer, got {obj!r}")
     return obj
 
 
 def parse_trace(raw) -> WorkloadTrace:
-    """Parse a UTF-8 JSON byte stream (or str) into a validated trace."""
+    """Parse a UTF-8 JSON byte stream (or str) into a validated trace.
+
+    Each check formats its message only when it fails.
+    """
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
     try:
         doc = json.loads(raw)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedInputError(f"not valid JSON: {exc}") from None
-    _require(isinstance(doc, dict), MalformedInputError, "top level must be an object")
+    if not isinstance(doc, dict):
+        raise MalformedInputError("top level must be an object")
     for key in ("tensors", "kernels"):
-        _require(key in doc, MalformedInputError, f"missing field {key!r}")
-        _require(isinstance(doc[key], list), MalformedInputError, f"{key!r} must be a list")
+        if key not in doc:
+            raise MalformedInputError(f"missing field {key!r}")
+        if not isinstance(doc[key], list):
+            raise MalformedInputError(f"{key!r} must be a list")
 
     tensors: dict[int, TensorDescriptor] = {}
     for entry in doc["tensors"]:
-        _require(isinstance(entry, dict), MalformedInputError, "tensor entry must be an object")
+        if not isinstance(entry, dict):
+            raise MalformedInputError("tensor entry must be an object")
         for key in ("id", "size_bytes", "kind"):
-            _require(key in entry, MalformedInputError, f"tensor missing field {key!r}")
+            if key not in entry:
+                raise MalformedInputError(f"tensor missing field {key!r}")
         tid = _as_int(entry["id"], "tensor id")
         size = _as_int(entry["size_bytes"], "size_bytes")
-        _require(size > 0, NonPositiveValueError, f"tensor {tid}: size_bytes must be > 0")
+        if size <= 0:
+            raise NonPositiveValueError(f"tensor {tid}: size_bytes must be > 0")
         kind_raw = entry["kind"]
-        _require(kind_raw in ("global", "intermediate", None),
-                 MalformedInputError, f"tensor {tid}: bad kind {kind_raw!r}")
-        _require(tid not in tensors, DuplicateIdError, f"duplicate tensor id {tid}")
+        if kind_raw not in ("global", "intermediate", None):
+            raise MalformedInputError(f"tensor {tid}: bad kind {kind_raw!r}")
+        if tid in tensors:
+            raise DuplicateIdError(f"duplicate tensor id {tid}")
         tensors[tid] = TensorDescriptor(tid, size, TensorKind(kind_raw))
 
     kernels = []
     for pos, entry in enumerate(doc["kernels"]):
-        _require(isinstance(entry, dict), MalformedInputError, "kernel entry must be an object")
+        if not isinstance(entry, dict):
+            raise MalformedInputError("kernel entry must be an object")
         for key in ("index", "name", "duration_us", "inputs", "outputs"):
-            _require(key in entry, MalformedInputError, f"kernel missing field {key!r}")
+            if key not in entry:
+                raise MalformedInputError(f"kernel missing field {key!r}")
         idx = _as_int(entry["index"], "kernel index")
-        _require(idx == pos, MalformedInputError,
-                 f"kernel indices must be contiguous from 0 (position {pos} has index {idx})")
+        if idx != pos:
+            raise MalformedInputError(
+                f"kernel indices must be contiguous from 0 "
+                f"(position {pos} has index {idx})")
         name = entry["name"]
-        _require(isinstance(name, str), MalformedInputError, "kernel name must be a string")
+        if not isinstance(name, str):
+            raise MalformedInputError("kernel name must be a string")
         dur = _as_int(entry["duration_us"], "duration_us")
-        _require(dur > 0, NonPositiveValueError, f"kernel {idx}: duration_us must be > 0")
+        if dur <= 0:
+            raise NonPositiveValueError(f"kernel {idx}: duration_us must be > 0")
         refs = {}
         for key in ("inputs", "outputs"):
-            _require(isinstance(entry[key], list), MalformedInputError, f"{key} must be a list")
-            ids = [_as_int(t, "tensor ref") for t in entry[key]]
+            ids = entry[key]
+            if not isinstance(ids, list):
+                raise MalformedInputError(f"{key} must be a list")
+            # every ref is type-checked before any is looked up; only a
+            # non-int can fail _as_int, so plain ints skip the call
             for t in ids:
-                _require(t in tensors, DanglingTensorRefError,
-                         f"kernel {idx} references unknown tensor {t}")
+                if t.__class__ is not int:
+                    _as_int(t, "tensor ref")
+            for t in ids:
+                if t not in tensors:
+                    raise DanglingTensorRefError(
+                        f"kernel {idx} references unknown tensor {t}")
             refs[key] = frozenset(ids)
-        _require(refs["inputs"] | refs["outputs"], MalformedInputError,
-                 f"kernel {idx} touches no tensors")
+        if not (refs["inputs"] or refs["outputs"]):
+            raise MalformedInputError(f"kernel {idx} touches no tensors")
         kernels.append(KernelRecord(idx, name, dur, refs["inputs"], refs["outputs"]))
 
     metadata = doc.get("metadata", {})
-    _require(isinstance(metadata, dict), MalformedInputError, "metadata must be an object")
+    if not isinstance(metadata, dict):
+        raise MalformedInputError("metadata must be an object")
     meta = {str(k): str(v) for k, v in metadata.items()}
     return WorkloadTrace(tensors=tensors, kernels=tuple(kernels), metadata=meta)
 

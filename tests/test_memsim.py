@@ -11,7 +11,8 @@ from tensortier.config import DeviceConfig
 from tensortier.instrument import emit_program, parse_program
 from tensortier.policies import run_policy
 from tensortier.prefetch import plan_migrations
-from tensortier.simulate import (ideal_run, perturb_durations, simulate,
+from tensortier.simulate import (_HASH_BLOCK, KernelStat, _Engine,
+                                 ideal_run, perturb_durations, simulate,
                                  ssd_lifetime_years)
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace, synthesize_trace)
@@ -126,6 +127,27 @@ def test_ideal_run(s1_trace, device):
     assert result.faults == 0
     assert [(k.start_us, k.end_us) for k in result.kernels] == [
         (0, 25), (25, 50), (50, 75), (75, 100)]
+
+
+def test_ideal_run_digest_is_unchanged():
+    trace = synthesize_trace(3, (8_000, 30_000), (4_000, 12_000), (20, 80), 7)
+    result = run_policy("ideal", trace, make_device(num_iterations=3),
+                        seed=5, noise_pct=0.2)
+    assert (result.total_us, len(result.kernels)) == (846, 18)
+    text = "".join(f"{ks.start_us} kernel {ks.kernel_index}\n"
+                   for ks in result.kernels)
+    assert hashlib.sha256(text.encode()).hexdigest() == result.event_log_sha256
+    # recorded before ideal_run hashed its lines in one update
+    assert result.event_log_sha256 == (
+        "9d49584bb5688c3da29b0bceab5265997ba76fde421918308679eb49330e1326")
+
+
+def test_kernel_stats_are_immutable(s1_trace, device):
+    stat = ideal_run(s1_trace, device).kernels[1]
+    assert stat == KernelStat(1, 0, 1, "k1", 25, 50, 0)
+    with pytest.raises(AttributeError):
+        stat.stall_us = 3
+    assert stat.stall_us == 0
 
 
 def test_program_must_match_trace(s1_trace, s1r_trace, device):
@@ -293,3 +315,35 @@ def test_run_ahead_waits_for_a_stale_stream_step():
         "29 xfer_start evict t1 host/from_device 8192",
     ]
     assert result.total_us == 267
+
+
+def test_event_log_hashed_across_block_boundaries(monkeypatch):
+    # base-uvm faults every tensor in page-sized chunks for 12 iterations:
+    # 5,536 lines, several hash blocks, and one run-ahead that arrives when
+    # the pending list is one entry short of a flush
+    trace = synthesize_trace(4, (20_000, 60_000), (8_000, 24_000), (20, 80),
+                             14)
+    dev = make_device(gpu_mem_bytes=117_760, host_mem_bytes=10_000_000,
+                      fault_chunk_bytes=1_024, fault_handling_us=0,
+                      num_iterations=12)
+    arrivals = []
+    log_block = _Engine._log_block
+
+    def spy(engine, entries):
+        entries = list(entries)
+        arrivals.append((len(engine._pending), len(entries)))
+        log_block(engine, entries)
+
+    monkeypatch.setattr(_Engine, "_log_block", spy)
+    kept = run_policy("base-uvm", trace, dev, keep_events=True)
+    monkeypatch.undo()
+    plain = run_policy("base-uvm", trace, dev)
+    assert len(kept.events) == 5_536 > 4 * _HASH_BLOCK
+    assert any(pending == _HASH_BLOCK - 1 and n > 1
+               for pending, n in arrivals)
+    assert kept.event_log_sha256 == plain.event_log_sha256
+    text = "".join(line + "\n" for line in kept.events)
+    assert hashlib.sha256(text.encode()).hexdigest() == kept.event_log_sha256
+    # recorded before the event log was hashed in blocks
+    assert plain.event_log_sha256 == (
+        "da9524672709d3ec71a5402b26e76241ad233bd1c79c8745a4672192fda61e1c")

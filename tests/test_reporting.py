@@ -18,6 +18,15 @@ def test_render_csv_quotes_embedded_commas():
     assert text == 'name\n"conv, depthwise"\n'
 
 
+def test_render_csv_mixed_rows_are_byte_stable():
+    # recorded before rows were formatted in one pass
+    text = render_csv(["n", "ratio", "name"],
+                      [[1, 1 / 3, "conv, depthwise"], [-7, 2.0, "fc"],
+                       [10**12, 1e-7, 'a "b"']])
+    assert text == ('n,ratio,name\n1,0.333333,"conv, depthwise"\n'
+                    '-7,2.000000,fc\n1000000000000,0.000000,"a ""b"""\n')
+
+
 def test_characterization_tables(s1r_trace, device):
     report = characterize(analyze(s1r_trace), device)
     tables = characterization_tables(report, s1r_trace)

@@ -43,23 +43,49 @@ def test_round_trip_is_stable(s1r_trace):
     assert serialize_trace(again) == text
 
 
-@pytest.mark.parametrize("mutate,err", [
-    (lambda d: d["tensors"][0].pop("kind"), MalformedInputError),
-    (lambda d: d["tensors"][0].update(kind="weight"), MalformedInputError),
-    (lambda d: d["tensors"][0].update(size_bytes=0), NonPositiveValueError),
-    (lambda d: d["tensors"][0].update(size_bytes=True), MalformedInputError),
-    (lambda d: d["tensors"].append(dict(d["tensors"][0])), DuplicateIdError),
-    (lambda d: d["kernels"][0].update(inputs=[7]), DanglingTensorRefError),
-    (lambda d: d["kernels"][0].update(duration_us=-1), NonPositiveValueError),
-    (lambda d: d["kernels"][0].update(index=3), MalformedInputError),
-    (lambda d: d["kernels"][0].update(inputs=[], outputs=[]), MalformedInputError),
-    (lambda d: d.pop("kernels"), MalformedInputError),
+@pytest.mark.parametrize("mutate,err,message", [
+    (lambda d: d["tensors"][0].pop("kind"), MalformedInputError,
+     "tensor missing field 'kind'"),
+    (lambda d: d["tensors"][0].update(kind="weight"), MalformedInputError,
+     "tensor 0: bad kind 'weight'"),
+    (lambda d: d["tensors"][0].update(size_bytes=0), NonPositiveValueError,
+     "tensor 0: size_bytes must be > 0"),
+    (lambda d: d["tensors"][0].update(size_bytes=True), MalformedInputError,
+     "size_bytes must be an integer, got True"),
+    (lambda d: d["tensors"].append(dict(d["tensors"][0])), DuplicateIdError,
+     "duplicate tensor id 0"),
+    (lambda d: d["kernels"][0].update(inputs=[7]), DanglingTensorRefError,
+     "kernel 0 references unknown tensor 7"),
+    (lambda d: d["kernels"][0].update(duration_us=-1), NonPositiveValueError,
+     "kernel 0: duration_us must be > 0"),
+    (lambda d: d["kernels"][0].update(index=3), MalformedInputError,
+     "kernel indices must be contiguous from 0 (position 0 has index 3)"),
+    (lambda d: d["kernels"][0].update(inputs=[], outputs=[]),
+     MalformedInputError, "kernel 0 touches no tensors"),
+    (lambda d: d.pop("kernels"), MalformedInputError,
+     "missing field 'kernels'"),
+    (lambda d: d["kernels"][0].update(inputs=["3"]), MalformedInputError,
+     "tensor ref must be an integer, got '3'"),
+    # every ref is type-checked before any is looked up
+    (lambda d: d["kernels"][0].update(inputs=[7, "3"]), MalformedInputError,
+     "tensor ref must be an integer, got '3'"),
+    (lambda d: d["tensors"][0].update(id=True), MalformedInputError,
+     "tensor id must be an integer, got True"),
+    (lambda d: d["kernels"][0].update(inputs=0), MalformedInputError,
+     "inputs must be a list"),
+    (lambda d: d["tensors"].__setitem__(0, [0, 1024]), MalformedInputError,
+     "tensor entry must be an object"),
+    (lambda d: d["kernels"][0].pop("duration_us"), MalformedInputError,
+     "kernel missing field 'duration_us'"),
 ])
-def test_parse_rejects(mutate, err):
+def test_parse_rejects(mutate, err, message):
+    # messages recorded before the checks stopped formatting them up front
     doc = _doc()
     mutate(doc)
-    with pytest.raises(err):
+    with pytest.raises(err) as info:
         parse_trace(json.dumps(doc))
+    assert type(info.value) is err
+    assert str(info.value) == message
 
 
 def test_parse_rejects_garbage():
