@@ -18,7 +18,7 @@ the last pick can have changed. While the planner runs, the pressure curve
 and the flash left only fall, and host occupancy and lane bookings only
 grow. Per (period, destination) route the planner keeps the constant parts
 (padded size, transfer times, lanes), the slot starts e0 and p0, the
-host-capacity verdict, the benefit and the PlanItem made from them:
+host-capacity verdict and the benefit:
 
 - a slot moves exactly when a new booking on its lane overlaps it, and is
   searched again from where it was; a search that failed keeps failing;
@@ -29,21 +29,19 @@ host-capacity verdict, the benefit and the PlanItem made from them:
   clamped to the route's size) is recomputed when a slot moved, or when a
   pick lowered the pressure inside the window where it was above capacity
   and is now below capacity plus the largest size. A zero benefit stays
-  zero: the window only shrinks and the pressure in it only falls;
-- the item is rebuilt only when a slot or the benefit changed.
-
-A kept item can be the round's winner, which goes into plan.items as is
-and is later changed by the prefetch passes. That is safe: picked drops
-the winner's entry, the only place a later round reads it from, before
-anything changes the item, and score_candidate always builds a fresh
-route, so no other caller is handed a kept item.
+  zero: the window only shrinks and the pressure in it only falls.
 
 Per period, the SSD lanes' busy time inside it is kept up to date with
 each SSD booking; it only grows, so a busy verdict stays busy. A period's
 choice is made again only when one of these changed for it, or an SSD pick
 left too little flash for its size. Every other period keeps its choice
-from the last round; the periods that fit nowhere any more are dropped in
-the order a full rescoring drops them.
+from the last round.
+
+A round walks the remaining periods once, by period start and tensor id:
+it chooses again where a choice is stale, drops the periods that fit
+nowhere (after the walk, in the order a full rescoring drops them) and
+keeps the best route with a positive benefit, the only one made a PlanItem.
+Once that is booked, picked marks stale what the booking can have changed.
 """
 
 from __future__ import annotations
@@ -175,21 +173,22 @@ class _Route:
     its pieces in the iteration. A slot is searched within [e_lo, e_hi) or
     [0, p_hi); a search again after a booking took the slot starts from
     it, since the times it skipped were taken before and still are.
-    host_ok caches the host-capacity check, benefit the overflow the window
-    removes and item the PlanItem, each for the current window (when they
-    go stale: module docstring).
+    host_ok caches the host-capacity check and benefit the overflow the
+    window removes, each for the current window (when they go stale: module
+    docstring).
     """
 
-    __slots__ = ("period", "dest", "size", "cost_us", "e_dur", "p_dur",
-                 "from_lane", "to_lane", "e_lo", "e_hi", "p_hi", "shift",
-                 "total", "e0", "p0", "win", "span", "host_ok", "benefit",
-                 "item")
+    __slots__ = ("period", "tensor_id", "period_start", "dest", "size",
+                 "cost_us", "e_dur", "p_dur", "from_lane", "to_lane", "e_lo",
+                 "e_hi", "p_hi", "shift", "total", "e0", "p0", "win", "span",
+                 "host_ok", "benefit")
 
     def __init__(self, period: InactivePeriod, dest: Destination,
                  state: SchedulerState, config: DeviceConfig):
         spec = config.channel(dest.channel)
         size = state.sizes[period.tensor_id]
         self.period = period
+        self.tensor_id, self.period_start = period.tensor_id, period.start_us
         self.dest = dest
         self.size = size
         self.e_dur = transfer_time(size, spec, Direction.FROM_DEVICE)
@@ -213,7 +212,7 @@ class _Route:
             self.shift = 0
         self.e0 = self.p0 = self.win = _STALE
         self.span = ()
-        self.host_ok = self.benefit = self.item = None
+        self.host_ok = self.benefit = None
 
     def window(self):
         """(e0, e1, p0) on the unrolled axis, or None if no pair fits."""
@@ -237,30 +236,34 @@ class _Route:
         self.span = wrap_pieces(e1, p0, self.total)
         return self.win
 
-    def candidate(self, state: SchedulerState, config: DeviceConfig):
+    def candidate(self, state: SchedulerState, config: DeviceConfig) -> bool:
+        """Can the period be evicted this way now? If so, benefit holds the
+        overflow the window removes."""
         window = self.window()
         if window is None:
-            return None
+            return False
         if self.dest is Destination.HOST:
             if self.host_ok is None:
                 self.host_ok = (wrap_max(state.host_occupancy, window[1],
                                          window[2])
                                 + self.size <= config.host_mem_bytes)
             if not self.host_ok:
-                return None
+                return False
         elif state.ssd_occupancy + self.size > config.ssd_capacity_bytes:
-            return None
-        if self.item is None:
-            e0, e1, p0 = window
-            if self.benefit is None:
-                self.benefit = wrap_window_overflow_area(
-                    state.pressure, config.gpu_mem_bytes, self.size, e1, p0)
-            period = self.period
-            self.item = PlanItem(period.tensor_id, period.start_us,
-                                 period.end_us, period.wraps_iteration,
-                                 self.dest, e0, e1, p0, p0 + self.p_dur,
-                                 self.benefit, self.cost_us)
-        return self.item
+            return False
+        if self.benefit is None:
+            self.benefit = wrap_window_overflow_area(
+                state.pressure, config.gpu_mem_bytes, self.size, window[1],
+                window[2])
+        return True
+
+    def item(self) -> PlanItem:
+        """The PlanItem for this route's window (after candidate said yes)."""
+        e0, e1, p0 = self.win
+        period = self.period
+        return PlanItem(period.tensor_id, period.start_us, period.end_us,
+                        period.wraps_iteration, self.dest, e0, e1, p0,
+                        p0 + self.p_dur, self.benefit, self.cost_us)
 
     def booked(self, evict, prefetch) -> bool:
         """Forget the slots that a pick on this route's channel took; True
@@ -280,7 +283,7 @@ class _Route:
             moved = True
         if moved:
             self.win = _STALE
-            self.host_ok = self.item = None
+            self.host_ok = None
             if self.benefit:  # a zero benefit stays zero on a smaller window
                 self.benefit = None
         return moved
@@ -300,7 +303,7 @@ class _Route:
         """Forget the benefit if the pieces where a pick moved the clamped
         overflow overlap the window; True if it was forgotten."""
         if self.benefit and _overlaps(pieces, self.span):
-            self.benefit = self.item = None
+            self.benefit = None
             return True
         return False
 
@@ -313,7 +316,8 @@ def score_candidate(period: InactivePeriod, dest: Destination,
     Returns None when no feasible eviction/prefetch window pair exists (or a
     capacity bound already rules the destination out).
     """
-    return _Route(period, dest, state, config).candidate(state, config)
+    route = _Route(period, dest, state, config)
+    return route.item() if route.candidate(state, config) else None
 
 
 def _ssd_utilization_high(period: InactivePeriod, state: SchedulerState,
@@ -349,8 +353,9 @@ def choose_destination(period: InactivePeriod, state: SchedulerState,
     return host if host is not None else ssd
 
 
-def _better(a: PlanItem, b: PlanItem) -> bool:
-    """Strictly better benefit/cost ratio, with deterministic tie-breaks."""
+def _better(a, b) -> bool:
+    """Strictly better benefit/cost ratio, then larger benefit, earlier
+    period start, smaller tensor id; for routes and PlanItems alike."""
     lhs = a.benefit * b.cost_us
     rhs = b.benefit * a.cost_us
     if lhs != rhs:
@@ -360,18 +365,6 @@ def _better(a: PlanItem, b: PlanItem) -> bool:
     if a.period_start != b.period_start:
         return a.period_start < b.period_start
     return a.tensor_id < b.tensor_id
-
-
-def select_best(candidates) -> PlanItem:
-    """Argmax of benefit/cost; ties break to larger benefit, earlier period
-    start, then smaller tensor id."""
-    best = None
-    for cand in candidates:
-        if best is None or _better(cand, best):
-            best = cand
-    if best is None:
-        raise ValueError("select_best on empty candidate list")
-    return best
 
 
 def apply_candidate(item: PlanItem, state: SchedulerState,
@@ -405,8 +398,8 @@ def apply_candidate(item: PlanItem, state: SchedulerState,
 
 class _Entry:
     """A remaining period, its two routes, the SSD lanes' busy time inside
-    the period (outbound, inbound) and its choice in the last round
-    (_STALE once an input of it changed)."""
+    the period (outbound, inbound) and the route it chose in the last round
+    (None if neither fits, _STALE once an input of it changed)."""
 
     __slots__ = ("period", "pieces", "ssd", "host", "busy_out", "busy_in",
                  "busy_limit", "choice")
@@ -441,45 +434,46 @@ class _Entry:
 
 
 class _RouteCache:
-    """choose_destination for every remaining period, round after round,
-    from routes kept between rounds (invalidation rules: module docstring).
-    """
+    """The remaining periods, by period start and tensor id, each with its
+    choose_destination answer kept between rounds (round and invalidation
+    rules: module docstring)."""
 
     def __init__(self, periods, state: SchedulerState, config: DeviceConfig,
                  allow_host: bool):
         self._state = state
         self._config = config
         self._allow_host = allow_host
-        self._entries = {(p.tensor_id, p.start_us):
-                         _Entry(p, state, config)
-                         for p in periods}
+        self._entries = {(p.tensor_id, p.start_us): _Entry(p, state, config)
+                         for p in sorted(periods, key=lambda p: (
+                             p.start_us, p.tensor_id, p.end_us))}
         # the largest clamp of any benefit query
         self._max_size = max((e.ssd.size for e in self._entries.values()),
                              default=0)
 
     def _choose(self, entry: _Entry):
-        item = entry.ssd.candidate(self._state, self._config)
-        if self._allow_host and (item is None or item.benefit == 0
+        state, config = self._state, self._config
+        route = entry.ssd if entry.ssd.candidate(state, config) else None
+        if self._allow_host and (route is None or route.benefit == 0
                                  or entry.ssd_busy()):
-            host = entry.host.candidate(self._state, self._config)
-            if host is not None:
-                item = host
-        return item
+            if entry.host.candidate(state, config):
+                route = entry.host
+        return route
 
-    def score(self, remaining):
-        """This round's choose_destination result for each remaining key,
-        in order; None means the period cannot be scheduled."""
-        entries = self._entries
-        out = []
-        for key in remaining:
-            entry = entries[key]
-            item = entry.choice
-            if item is _STALE:
-                item = entry.choice = self._choose(entry)
-                if item is None:
-                    del entries[key]
-            out.append(item)
-        return out
+    def round(self):
+        """Choose again where stale, drop the periods that fit nowhere and
+        select: (the best route with a positive benefit or None, the
+        dropped periods in key order)."""
+        best = None
+        dropped = []
+        for key, entry in self._entries.items():
+            route = entry.choice
+            if route is _STALE:
+                route = entry.choice = self._choose(entry)
+            if route is None:
+                dropped.append(key)
+            elif route.benefit > 0 and (best is None or _better(route, best)):
+                best = route
+        return best, [self._entries.pop(key).period for key in dropped]
 
     def picked(self, best: PlanItem) -> None:
         """Forget what booking best can have changed (after it was
@@ -530,28 +524,18 @@ def schedule_evictions(analysis: VitalityAnalysis, config: DeviceConfig, *,
     result = SchedulingResult.initial(analysis, config)
     state, plan = result.state, result.plan
 
-    remaining = {
-        (p.tensor_id, p.start_us): p
-        for p in sorted(analysis.periods,
-                        key=lambda p: (p.start_us, p.tensor_id, p.end_us))
-    }
-    routes = _RouteCache(remaining.values(), state, config, allow_host)
+    routes = _RouteCache(analysis.periods, state, config, allow_host)
 
-    while remaining and state.pressure.max_value() > config.gpu_mem_bytes:
-        candidates = []
-        for key, item in zip(list(remaining), routes.score(remaining)):
-            if item is None:
-                period = remaining.pop(key)
-                plan.unschedulable.append((period.tensor_id, period.start_us,
-                                           period.end_us))
-            elif item.benefit > 0:
-                candidates.append(item)
-        if not candidates:
+    # a round over no periods selects nothing, which ends the loop
+    while state.pressure.max_value() > config.gpu_mem_bytes:
+        best, dropped = routes.round()
+        plan.unschedulable.extend((p.tensor_id, p.start_us, p.end_us)
+                                  for p in dropped)
+        if best is None:
             break
-        best = select_best(candidates)
-        result.book(best, config)
-        del remaining[best.owner()]
-        routes.picked(best)
+        item = best.item()
+        result.book(item, config)
+        routes.picked(item)
 
     plan.residual_overflow = state.pressure.overflow_area(config.gpu_mem_bytes)
     return result

@@ -185,7 +185,10 @@ def _parse_int(token: str, what: str) -> int:
 
 def parse_program(raw: str | bytes) -> Program:
     if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProgramParseError(f"not valid UTF-8: {exc}") from None
     kernels: list[ProgramKernel] = []
     gaps: list[list[MigrationInstruction]] = [[]]
     for lineno, line in enumerate(raw.splitlines(), start=1):

@@ -83,9 +83,9 @@ def parse_trace(raw) -> WorkloadTrace:
 
     Each check formats its message only when it fails.
     """
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
     try:
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
         doc = json.loads(raw)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedInputError(f"not valid JSON: {exc}") from None

@@ -5,8 +5,19 @@ tests can require the two to agree exactly.
 """
 
 from tensortier.config import Direction
-from tensortier.eviction import (SchedulingResult, choose_destination,
-                                 select_best)
+from tensortier.eviction import SchedulingResult, _better, choose_destination
+
+
+def select_best(candidates):
+    """Argmax of benefit/cost; ties break to larger benefit, earlier period
+    start, then smaller tensor id."""
+    best = None
+    for cand in candidates:
+        if best is None or _better(cand, best):
+            best = cand
+    if best is None:
+        raise ValueError("select_best on empty candidate list")
+    return best
 
 
 def schedule_evictions_fresh(analysis, config, *, allow_host=True):

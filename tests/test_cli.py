@@ -12,6 +12,8 @@ import pytest
 
 from conftest import make_s1
 from tensortier.cli import main
+from tensortier.config import parse_config
+from tensortier.simulate import ideal_run, perturb_durations
 from tensortier.trace import parse_trace, serialize_trace
 from test_instrument import S1R_PROGRAM
 
@@ -251,3 +253,30 @@ def test_noise_runs_reproduce_per_seed(tmp_path):
     docs = [json.loads((out / "result.json").read_text()) for out in outs]
     assert docs[0] == docs[1]
     assert docs[0]["event_log_sha256"] != docs[2]["event_log_sha256"]
+
+
+def test_ideal_column_is_the_perturbed_ideal_run(tmp_path):
+    extra = ("num_iterations = 3\nnoise_pct = 0.2\n"
+             "sweep.policy = base-uvm, g10\n")
+    cfg = write_setup(tmp_path, extra=extra)
+    device = parse_config((tmp_path / "exp.cfg").read_text()).device
+    trace = make_s1(with_r=True)
+    ideal_us = ideal_run(trace, device,
+                         perturb_durations(trace, 0.2, 7, 3)).total_us
+    assert ideal_us != 300  # the noise moved it off the unperturbed sum
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--seed", "7"]) == 0
+    doc = json.loads((out / "result.json").read_text())
+    assert doc["ideal_us"] == ideal_us
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--seed", "7"]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == [str(ideal_us)] * 2
+
+
+def test_non_utf8_trace_is_an_input_error(tmp_path, capsys):
+    cfg = write_setup(tmp_path)
+    (tmp_path / "s1r.json").write_bytes(b"\xff")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "error: not valid JSON: " in capsys.readouterr().err

@@ -4,11 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_device
-from reference_planner import schedule_evictions_fresh
+from reference_planner import schedule_evictions_fresh, select_best
 from tensortier.config import DeviceConfig
 from tensortier.eviction import (Destination, PlanItem, plan_from_json,
-                                 plan_to_json, schedule_evictions,
-                                 select_best)
+                                 plan_to_json, schedule_evictions)
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace, synthesize_trace)
 from tensortier.vitality import analyze
@@ -129,6 +128,32 @@ def test_cache_matches_rescoring_with_host_picks(layers, seed, gpu_frac,
     _assert_cache_matches(trace, gpu_frac, host_frac, 1.0, ssd_read_bw=1024,
                           ssd_write_bw=1024, host_bw=16_384,
                           hp_utilization_threshold=threshold)
+
+
+def test_plan_items_are_built_only_for_bookings(monkeypatch):
+    trace = synthesize_trace(6, (20_480, 61_440), (8_192, 30_720),
+                             (20, 150), 6)
+    base = make_device()
+    footprint = sum(base.padded(t.size_bytes)
+                    for t in trace.tensors.values())
+    dev = make_device(gpu_mem_bytes=footprint * 4 // 10 // 1024 * 1024,
+                      host_mem_bytes=footprint // 10,
+                      ssd_capacity_bytes=footprint // 8, ssd_read_bw=1024,
+                      ssd_write_bw=1024)
+    analysis = analyze(trace)
+    built = []
+    init = PlanItem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlanItem, "__init__", counting_init)
+    plan = schedule_evictions(analysis, dev).plan
+    # picks to both tiers and drops, so every round path ran
+    assert {item.dest for item in plan.items} == set(Destination)
+    assert plan.unschedulable
+    assert len(built) == len(plan.items)
 
 
 def _cand(benefit, cost, start=0, tid=0):

@@ -112,6 +112,7 @@ def test_emit_rejects_foreign_plan(s1_trace, s1r_trace, device):
     "G10 warp 0 4096 @0\nKERNEL 0 k0 25\n",  # unknown op
     "KERNEL 0 k0 twenty\n",
     "HELLO\n",
+    b"KERNEL 0 k0 25\n\xff\n",           # not UTF-8
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ProgramParseError):

@@ -98,6 +98,8 @@ def test_parse_rejects_garbage():
         parse_trace(b"not json")
     with pytest.raises(MalformedInputError):
         parse_trace(b"[1, 2]")
+    with pytest.raises(MalformedInputError, match="^not valid JSON: "):
+        parse_trace(b"\xff")
 
 
 def test_synthesize_shape():
