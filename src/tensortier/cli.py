@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -43,7 +44,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process; parse_args keeps no state between
+    calls, so every main call can reuse it."""
     parser = _Parser(prog="tensortier")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,8 +11,23 @@ from then on it answers from a prefix sum of the clamped overflow, built for
 that key, by two bisects. That is ski rental: the work is at most twice the
 cheaper of walking every query and building up front. Short windows over a
 curve with many distinct clamps keep walking; many queries with one clamp
-go to the prefix. `add` drops every prefix and count, since any change can
-move every later prefix entry.
+go to the prefix.
+
+A prefix lives on across `add` only while it is used:
+
+- kept: between adds, a prefix is exact, since nothing it sums changed.
+- patched: `add` brings each prefix queried since the previous add to the
+  new curve. It mirrors the two splits (a new entry is the entry before it
+  plus the old overflow of the segment before it), adds to each entry in
+  (t0, t1] the change in area up to it and to every entry after t1 the
+  whole change, and deletes the entries of merged breakpoints. An entry is
+  an integral from 0, so the entries up to t0 do not move, the ones after
+  t1 all move by the same amount, and a merged breakpoint's entry is only a
+  midpoint of the sums either side of it. The result equals a rebuild.
+- dropped: a prefix not queried since the previous add goes, and so does
+  every walk count. A patch costs a pass over the prefix from t0 on, so a
+  key that went quiet goes back to walking and to the ski-rental rule;
+  `copy` starts with no index at all.
 """
 
 from bisect import bisect_right
@@ -31,7 +46,8 @@ class StepCurve:
     is canonical and equality is structural.
     """
 
-    __slots__ = ("horizon", "_times", "_vals", "_overflow_index")
+    __slots__ = ("horizon", "_times", "_vals", "_walked", "_prefixes",
+                 "_kept")
 
     def __init__(self, horizon=0):
         if horizon < 0:
@@ -39,16 +55,22 @@ class StepCurve:
         self.horizon = horizon
         self._times = [0]
         self._vals = [0]
-        # (cap, clamp) -> segments walked since the last change (int), or
-        # the prefix sums of the clamped overflow once built (list)
-        self._overflow_index = {}
+        # per (cap, clamp) queried since the last add: the segments walked
+        # since then, or the prefix sums of the clamped overflow
+        self._walked = {}
+        self._prefixes = {}
+        # per (cap, clamp): a prefix patched by the last add, not queried
+        # since
+        self._kept = {}
 
     def copy(self):
         c = StepCurve.__new__(StepCurve)
         c.horizon = self.horizon
         c._times = self._times[:]
         c._vals = self._vals[:]
-        c._overflow_index = {}
+        c._walked = {}
+        c._prefixes = {}
+        c._kept = {}
         return c
 
     def _seg(self, t):
@@ -66,9 +88,13 @@ class StepCurve:
         return i + 1
 
     def _merge_at(self, k):
+        """Drop the breakpoint at k if it no longer changes the value;
+        True if it was dropped."""
         if 0 < k < len(self._times) and self._vals[k] == self._vals[k - 1]:
             del self._times[k]
             del self._vals[k]
+            return True
+        return False
 
     def add(self, t0, t1, delta):
         """Add delta on [t0, t1), clipped to the domain."""
@@ -76,7 +102,11 @@ class StepCurve:
         t1 = min(t1, self.horizon)
         if t0 >= t1 or delta == 0:
             return
-        self._overflow_index.clear()
+        self._walked.clear()
+        if self._prefixes:
+            self._add_patched(t0, t1, delta)
+            return
+        self._kept.clear()
         i = self._split(t0)
         j = self._split(t1)
         for k in range(i, j):
@@ -85,6 +115,62 @@ class StepCurve:
         # window edges can need re-merging
         self._merge_at(j)
         self._merge_at(i)
+
+    def _add_patched(self, t0, t1, delta):
+        """add, bringing each prefix queried since the previous add to the
+        new curve and dropping the rest (module docstring)."""
+        times = self._times
+        n = len(times)
+        i = self._split(t0)
+        split_i = len(times) > n
+        j = self._split(t1)
+        split_j = len(times) > n + split_i
+        for k in range(i, j):
+            self._vals[k] += delta
+        prefixes = self._prefixes
+        for (cap, clamp), prefix in prefixes.items():
+            self._patch(prefix, cap, clamp, i, j, split_i, split_j, delta)
+        merged_j = self._merge_at(j)
+        merged_i = self._merge_at(i)
+        if merged_j or merged_i:
+            for prefix in prefixes.values():
+                if merged_j:
+                    del prefix[j]
+                if merged_i:
+                    del prefix[i]
+        self._kept = prefixes
+        self._prefixes = {}
+
+    def _patch(self, prefix, cap, clamp, i, j, split_i, split_j, delta):
+        """Bring a prefix of the curve before add(delta) on segments [i, j)
+        to the curve after it, before the edges are merged (module
+        docstring)."""
+        times = self._times
+        vals = self._vals
+        n = len(times)
+        if split_i:
+            over = vals[i - 1] - cap
+            prefix.insert(i, prefix[i - 1] + (
+                (over if over < clamp else clamp) * (times[i] - times[i - 1])
+                if over > 0 else 0))
+        if split_j:
+            over = vals[j - 1] - delta - cap
+            prefix.insert(j, prefix[j - 1] + (
+                (over if over < clamp else clamp) * (times[j] - times[j - 1])
+                if over > 0 else 0))
+        moved = 0
+        for k in range(i, j):
+            new = vals[k] - cap
+            old = new - delta
+            new = (new if new < clamp else clamp) if new > 0 else 0
+            old = (old if old < clamp else clamp) if old > 0 else 0
+            if new != old:
+                end = times[k + 1] if k + 1 < n else self.horizon
+                moved += (new - old) * (end - times[k])
+            if moved and k + 1 < n:
+                prefix[k + 1] += moved
+        if moved and j + 1 < n:
+            prefix[j + 1:] = [p + moved for p in prefix[j + 1:]]
 
     def value_at(self, t):
         if not 0 <= t < self.horizon:
@@ -142,9 +228,14 @@ class StepCurve:
         times = self._times
         vals = self._vals
         key = (cap, clamp)
-        walked = self._overflow_index.get(key, 0)
-        if type(walked) is list:
-            prefix = walked
+        prefix = self._prefixes.get(key)
+        if prefix is None and self._kept:
+            # first query since the last add: a prefix that add patched
+            # comes back into use
+            prefix = self._kept.pop(key, None)
+            if prefix is not None:
+                self._prefixes[key] = prefix
+        if prefix is not None:
             i = bisect_right(times, t0) - 1
             j = bisect_right(times, t1, i) - 1
             total = prefix[j] - prefix[i]
@@ -166,11 +257,11 @@ class StepCurve:
                 end = times[k + 1] if k + 1 < n else self.horizon
                 total += over * (min(end, t1) - max(times[k], t0))
             k += 1
-        walked += k - start
+        walked = self._walked.get(key, 0) + k - start
         if walked > n:
-            self._overflow_index[key] = self._overflow_prefix(cap, clamp)
+            self._prefixes[key] = self._overflow_prefix(cap, clamp)
         else:
-            self._overflow_index[key] = walked
+            self._walked[key] = walked
         return total
 
     def _overflow_prefix(self, cap, clamp):

@@ -42,12 +42,37 @@ it chooses again where a choice is stale, drops the periods that fit
 nowhere (after the walk, in the order a full rescoring drops them) and
 keeps the best route with a positive benefit, the only one made a PlanItem.
 Once that is booked, picked marks stale what the booking can have changed.
+
+picked does not walk the remaining periods. It checks only the periods
+that meet the pick's two bookings or the pieces of its freed interval that
+matter, found by an index of the periods by time (_Periods), and marks
+stale the periods whose SSD size is in the flash band, found by bisecting
+the sorted sizes. That misses nothing:
+
+- A window lies inside its period and only shrinks, so every benefit the
+  pick can move sits in a period that meets the relieved pieces, and every
+  host check a host pick can fail (only after one that leaves less host
+  memory than the largest size somewhere) in one that meets the freed
+  pieces.
+- A period's SSD busy time grows only if the period meets an SSD pick's
+  bookings.
+- A slot a booking can move lies inside its period, or its route can
+  never fit again: an outbound slot that ends after the period, or an
+  inbound one that starts before it, leaves no room for the other slot
+  inside the period, and later searches only move the outbound slot later
+  and the inbound one earlier. Such a route's stale slot is harmless.
+- An SSD pick flips the SSD-capacity verdict only for sizes in
+  (flash left, flash left + the pick's size].
+
+A period found for one reason gets every check, and many are found with
+nothing to redo.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from tensortier.config import Channel, DeviceConfig, Direction
@@ -382,9 +407,14 @@ def apply_candidate(item: PlanItem, state: SchedulerState,
     else:
         state.reservations.lane(chan, Direction.TO_DEVICE).reserve(
             item.prefetch_start, item.prefetch_end, owner)
-    wrap_add(state.pressure, item.evict_end, item.prefetch_start, -size)
-    if any(v < 0 for _, v in state.pressure.breakpoints()):
-        raise CapacityViolationError("negative pressure after apply")
+    freed = wrap_pieces(item.evict_end, item.prefetch_start, total)
+    for a, b in freed:
+        state.pressure.add(a, b, -size)
+    # only the freed pieces fell, and every earlier booking left the rest
+    # of the curve non-negative
+    for a, b in freed:
+        if state.pressure.pieces_between(float("-inf"), 0, a, b):
+            raise CapacityViolationError("negative pressure after apply")
     if item.dest is Destination.HOST:
         wrap_add(state.host_occupancy, item.evict_end, item.prefetch_start,
                  size)
@@ -399,10 +429,11 @@ def apply_candidate(item: PlanItem, state: SchedulerState,
 class _Entry:
     """A remaining period, its two routes, the SSD lanes' busy time inside
     the period (outbound, inbound) and the route it chose in the last round
-    (None if neither fits, _STALE once an input of it changed)."""
+    (None if neither fits, _STALE once an input of it changed). live turns
+    False when the period leaves the cache."""
 
     __slots__ = ("period", "pieces", "ssd", "host", "busy_out", "busy_in",
-                 "busy_limit", "choice")
+                 "busy_limit", "choice", "live")
 
     def __init__(self, period, state, config):
         self.period = period
@@ -417,6 +448,7 @@ class _Entry:
         self.busy_limit = (config.hp_utilization_threshold
                            * (period.end_us - period.start_us))
         self.choice = _STALE
+        self.live = True
 
     def ssd_busy(self) -> bool:
         """_ssd_utilization_high, from the kept busy times."""
@@ -433,10 +465,55 @@ class _Entry:
         return idle and self.ssd_busy()
 
 
+class _Periods:
+    """The periods of the cache by the time their pieces cover, fixed when
+    the cache is built; a period that left the cache is skipped, not
+    removed.
+
+    meeting(lo, hi) finds the periods with a piece that meets [lo, hi) at
+    the cost of about its answer, by two slices: the pieces that cover the
+    last bucket point at or before lo (kept per point, sorted by end, so
+    the ones ending after lo are a suffix), and the pieces that start after
+    that point and before hi (sorted by start). The second slice can hold
+    pieces that end before lo, at most one bucket's worth.
+    """
+
+    # a piece is listed at every point it covers, so few points keep the
+    # build small; a query still reads at most one bucket too many
+    _BUCKETS = 16
+
+    def __init__(self, entries, total):
+        pieces = [(a, b, entry) for entry in entries for a, b in entry.pieces]
+        pieces.sort(key=lambda p: p[0])
+        self._starts = [a for a, _, _ in pieces]
+        self._by_start = [entry for _, _, entry in pieces]
+        self._width = width = max(1, -(-total // self._BUCKETS))
+        points = -(-total // width) or 1
+        self._ends = [[] for _ in range(points)]
+        self._covering = [[] for _ in range(points)]
+        pieces.sort(key=lambda p: p[1])  # so each point's list is by end
+        for a, b, entry in pieces:
+            # the bucket points k * width inside [a, b)
+            for k in range(-(-a // width), -(-b // width)):
+                self._ends[k].append(b)
+                self._covering[k].append(entry)
+
+    def meeting(self, lo, hi) -> list:
+        """Live and dead periods with a piece that meets [lo, hi) (and a
+        few that end before lo)."""
+        k = lo // self._width
+        found = self._covering[k][bisect_right(self._ends[k], lo):]
+        starts = self._starts
+        found += self._by_start[bisect_right(starts, k * self._width):
+                                bisect_left(starts, hi)]
+        return found
+
+
 class _RouteCache:
     """The remaining periods, by period start and tensor id, each with its
-    choose_destination answer kept between rounds (round and invalidation
-    rules: module docstring)."""
+    choose_destination answer kept between rounds, and the indexes that
+    find the periods a pick can reach (round, invalidation and index rules:
+    module docstring)."""
 
     def __init__(self, periods, state: SchedulerState, config: DeviceConfig,
                  allow_host: bool):
@@ -446,9 +523,13 @@ class _RouteCache:
         self._entries = {(p.tensor_id, p.start_us): _Entry(p, state, config)
                          for p in sorted(periods, key=lambda p: (
                              p.start_us, p.tensor_id, p.end_us))}
+        entries = self._entries.values()
+        self._periods = _Periods(entries, state.total_us)
+        by_size = sorted(entries, key=lambda e: e.ssd.size)
+        self._sizes = [entry.ssd.size for entry in by_size]
+        self._by_size = by_size
         # the largest clamp of any benefit query
-        self._max_size = max((e.ssd.size for e in self._entries.values()),
-                             default=0)
+        self._max_size = self._sizes[-1] if by_size else 0
 
     def _choose(self, entry: _Entry):
         state, config = self._state, self._config
@@ -458,6 +539,11 @@ class _RouteCache:
             if entry.host.candidate(state, config):
                 route = entry.host
         return route
+
+    def _remove(self, key) -> _Entry:
+        entry = self._entries.pop(key)
+        entry.live = False
+        return entry
 
     def round(self):
         """Choose again where stale, drop the periods that fit nowhere and
@@ -473,12 +559,12 @@ class _RouteCache:
                 dropped.append(key)
             elif route.benefit > 0 and (best is None or _better(route, best)):
                 best = route
-        return best, [self._entries.pop(key).period for key in dropped]
+        return best, [self._remove(key).period for key in dropped]
 
     def picked(self, best: PlanItem) -> None:
         """Forget what booking best can have changed (after it was
         booked)."""
-        del self._entries[best.owner()]
+        self._remove(best.owner())
         state, config = self._state, self._config
         total = state.total_us
         size = state.sizes[best.tensor_id]
@@ -493,22 +579,33 @@ class _RouteCache:
         relieved = [piece for a, b in freed
                     for piece in state.pressure.pieces_between(
                         cap - size, cap + self._max_size, a, b)]
+        # the periods the pick can reach (module docstring)
+        reach = [evict, prefetch, *relieved]
         to_ssd = best.dest is Destination.SSD
         if to_ssd:
             flash = config.ssd_capacity_bytes - state.ssd_occupancy
+            # sizes that fitted the flash left before this pick only
+            for entry in self._by_size[bisect_right(self._sizes, flash):
+                                       bisect_right(self._sizes,
+                                                    flash + size)]:
+                entry.choice = _STALE
         else:
             room = config.host_mem_bytes - wrap_max(
                 state.host_occupancy, best.evict_end, best.prefetch_start)
-        for entry in self._entries.values():
+            if self._max_size > room:
+                reach += freed
+        found = set()
+        for lo, hi in reach:
+            found.update(self._periods.meeting(lo, hi))
+        for entry in found:
+            if not entry.live:
+                continue
             ssd, host = entry.ssd, entry.host
             dirty = ssd.relieved(relieved)
             if host.relieved(relieved):
                 dirty = True
             if to_ssd:
                 if ssd.booked(evict, prefetch):
-                    dirty = True
-                # sizes that fitted the flash left before this pick only
-                if flash < ssd.size <= flash + size:
                     dirty = True
                 if entry.ssd_booked(evict, prefetch):
                     dirty = True

@@ -11,6 +11,7 @@ import os
 import pytest
 
 from conftest import make_s1
+from tensortier import cli
 from tensortier.cli import main
 from tensortier.config import parse_config
 from tensortier.simulate import ideal_run, perturb_durations
@@ -200,6 +201,38 @@ def test_usage_errors_return_one(capsys):
     assert main([]) == 1                     # missing subcommand
     assert main(["frobnicate"]) == 1         # unknown subcommand
     capsys.readouterr()
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "tensortier":  # not a subcommand's parser
+            built.append(self)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    cfg = write_setup(tmp_path, extra="num_iterations = 3\nnoise_pct = 0.2\n")
+    trace = make_s1(with_r=True)
+    device = parse_config((tmp_path / "exp.cfg").read_text()).device
+    runs = []
+    for policy, seed in (("g10", "7"), ("ideal", "8")):
+        out = tmp_path / policy
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--policy", policy, "--seed", seed]) == 0
+        runs.append(json.loads((out / "result.json").read_text()))
+    assert len(built) == 1
+    # the second call parsed its own overrides, not the first call's
+    assert [doc["policy"] for doc in runs] == ["g10", "ideal"]
+    for doc, seed in zip(runs, (7, 8)):
+        assert doc["ideal_us"] == ideal_run(
+            trace, device, perturb_durations(trace, 0.2, seed, 3)).total_us
+    assert runs[0]["ideal_us"] != runs[1]["ideal_us"]
+    assert main(["simulate", "--config", cfg, "--policy", "bogus"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert len(built) == 1
 
 
 def test_bad_policy_choice_is_a_usage_error(tmp_path, capsys):

@@ -159,7 +159,8 @@ windows = st.lists(st.tuples(st.integers(0, 70), st.integers(0, 70)),
        copy_at=st.integers(0, 4))
 def test_window_overflow_area_across_adds(steps, cap, clamps, copy_at):
     """Repeated queries per (cap, clamp) walk, then use the prefix index;
-    every add and every copy must start the index over."""
+    an add must bring a prefix queried since the previous add to the new
+    curve and drop the rest, and a copy must start the index over."""
     horizon = 64
     dense = DenseCurve(horizon)
     c = StepCurve(horizon)
@@ -175,6 +176,60 @@ def test_window_overflow_area_across_adds(steps, cap, clamps, copy_at):
             for clamp in clamps:
                 assert (c.window_overflow_area(cap, clamp, lo, hi)
                         == dense.window_overflow_area(cap, clamp, lo, hi))
+
+
+edges = st.sampled_from([0, 1, 7, 8, 20, 32, 40, 63, 64])
+
+
+@settings(max_examples=200, deadline=None)
+@given(adds=st.lists(st.tuples(edges, edges, st.integers(-30, 30),
+                               st.integers(1, 3), st.booleans()),
+                     min_size=1, max_size=20),
+       cap=st.integers(-10, 30), clamps=st.lists(st.integers(1, 40),
+                                                 min_size=1, max_size=3),
+       copy_at=st.integers(0, 20))
+def test_patched_prefix_answers_between_single_adds(adds, cap, clamps,
+                                                    copy_at):
+    """Full-domain queries build each clamp's prefix at once; every later
+    add patches it and the queries after it read the patched prefix. The
+    edges repeat, so adds split and merge at both ends and touch 0 and the
+    horizon; an add that is undone right away merges at both ends."""
+    horizon = 64
+    dense = DenseCurve(horizon)
+    c = StepCurve(horizon)
+    for step, (a, b, delta, repeats, undo) in enumerate(adds):
+        if step == copy_at:
+            c = c.copy()
+        lo, hi = min(a, b), max(a, b)
+        for change in (delta, -delta) if undo else (delta,):
+            dense.add(lo, hi, change)
+            c.add(lo, hi, change)
+            for _ in range(repeats):
+                for clamp in clamps:
+                    for t0, t1 in ((0, horizon), (lo, hi), (hi, horizon),
+                                   (lo // 2, hi + 3)):
+                        assert (c.window_overflow_area(cap, clamp, t0, t1)
+                                == dense.window_overflow_area(cap, clamp,
+                                                              t0, t1))
+
+
+def test_queried_prefix_is_built_once_across_adds(monkeypatch):
+    built = []
+    build = StepCurve._overflow_prefix
+
+    def counting_build(self, cap, clamp):
+        built.append((cap, clamp))
+        return build(self, cap, clamp)
+
+    monkeypatch.setattr(StepCurve, "_overflow_prefix", counting_build)
+    c = StepCurve(100)
+    for step in range(20):
+        c.add(step * 5, step * 5 + 30, 3 if step % 3 else -2)
+        # two full-domain walks pass the segment count, which builds it
+        for _ in range(2):
+            assert (c.window_overflow_area(4, 5, 0, 100)
+                    == c.copy().window_overflow_area(4, 5, 0, 100))
+    assert built == [(4, 5)]
 
 
 def test_copy_keeps_its_own_overflow_index():

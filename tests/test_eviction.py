@@ -1,13 +1,19 @@
+import dataclasses
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_device
 from reference_planner import schedule_evictions_fresh, select_best
+from tensortier import eviction
 from tensortier.config import DeviceConfig
-from tensortier.eviction import (Destination, PlanItem, plan_from_json,
-                                 plan_to_json, schedule_evictions)
+from tensortier.curve import wrap_pieces
+from tensortier.eviction import (CapacityViolationError, Destination,
+                                 PlanItem, SchedulingResult, plan_from_json,
+                                 plan_to_json, schedule_evictions,
+                                 score_candidate)
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace, synthesize_trace)
 from tensortier.vitality import analyze
@@ -156,6 +162,70 @@ def test_plan_items_are_built_only_for_bookings(monkeypatch):
     assert len(built) == len(plan.items)
 
 
+def test_picks_check_only_the_routes_they_can_reach(monkeypatch):
+    trace = synthesize_trace(6, (20_480, 61_440), (8_192, 30_720),
+                             (20, 150), 6)
+    base = make_device()
+    footprint = sum(base.padded(t.size_bytes)
+                    for t in trace.tensors.values())
+    dev = make_device(gpu_mem_bytes=footprint * 4 // 10 // 1024 * 1024,
+                      host_mem_bytes=footprint // 10,
+                      ssd_capacity_bytes=footprint // 8, ssd_read_bw=1024,
+                      ssd_write_bw=1024)
+    analysis = analyze(trace)
+    checked = []
+    remaining = []
+    relieved = eviction._Route.relieved
+    picked = eviction._RouteCache.picked
+
+    def counting_relieved(self, pieces):
+        if self.dest is Destination.SSD:  # one check per period visited
+            checked.append(1)
+        return relieved(self, pieces)
+
+    def counting_picked(self, best):
+        remaining.append(len(self._entries) - 1)  # all but best itself
+        picked(self, best)
+
+    monkeypatch.setattr(eviction._Route, "relieved", counting_relieved)
+    monkeypatch.setattr(eviction._RouteCache, "picked", counting_picked)
+    plan = schedule_evictions(analysis, dev).plan
+    assert {item.dest for item in plan.items} == set(Destination)
+    # a full walk checks every remaining period after every pick
+    assert 0 < len(checked) < sum(remaining)
+    assert plan_to_json(plan) == plan_to_json(
+        schedule_evictions_fresh(analysis, dev).plan)
+
+
+class _PeriodStub:
+    def __init__(self, pieces):
+        self.pieces = pieces
+
+
+@settings(max_examples=200, deadline=None)
+@given(total=st.integers(1, 80),
+       spans=st.lists(st.tuples(st.integers(0, 79), st.integers(1, 80)),
+                      max_size=20),
+       queries=st.lists(st.tuples(st.integers(0, 79), st.integers(1, 80)),
+                        min_size=1, max_size=10))
+def test_period_index_finds_every_period_that_meets(total, spans, queries):
+    """_Periods.meeting against a scan: it finds every period with a piece
+    that meets the query, and only ones with a piece starting before its
+    end."""
+    entries = [_PeriodStub(wrap_pieces(a % total, a % total + min(n, total),
+                                  total))
+               for a, n in spans]
+    index = eviction._Periods(entries, total)
+    for a, n in queries:
+        lo = a % total
+        hi = min(lo + n, total)
+        found = index.meeting(lo, hi)
+        meets = [e for e in entries
+                 if any(s < hi and lo < t for s, t in e.pieces)]
+        assert {id(e) for e in meets} <= {id(e) for e in found}
+        assert all(any(s < hi for s, _ in e.pieces) for e in found)
+
+
 def _cand(benefit, cost, start=0, tid=0):
     return PlanItem(tensor_id=tid, period_start=start, period_end=start + 100,
                     wraps=False, dest=Destination.SSD, evict_start=start,
@@ -200,6 +270,26 @@ def test_zero_benefit_candidates_are_not_applied(device):
                                 device)
     assert result.plan.items == []
     assert result.plan.residual_overflow > 0
+
+
+def test_booking_a_period_twice_is_a_capacity_violation(device):
+    # one weight idle between its two uses is all the memory there is, so
+    # freeing it twice (the second time over the host lanes, which are
+    # still free) drives the pressure below zero
+    tensors = {0: TensorDescriptor(0, 40_960, TensorKind.GLOBAL)}
+    kernels = (
+        KernelRecord(0, "a", 10, frozenset({0}), frozenset()),
+        KernelRecord(1, "b", 100, frozenset(), frozenset()),
+        KernelRecord(2, "c", 10, frozenset({0}), frozenset()),
+    )
+    analysis = analyze(WorkloadTrace(tensors, kernels))
+    result = SchedulingResult.initial(analysis, device)
+    period = next(p for p in analysis.periods if not p.wraps_iteration)
+    item = score_candidate(period, Destination.SSD, result.state, device)
+    result.book(item, device)
+    with pytest.raises(CapacityViolationError,
+                       match="^negative pressure after apply$"):
+        result.book(dataclasses.replace(item, dest=Destination.HOST), device)
 
 
 def test_plan_json_round_trip(s1r_trace, device):

@@ -2,13 +2,15 @@
 
 `golden/plan_corpus.json` holds sha256 digests of `plan_to_json` and
 `serialize_program` for the c10 trace planned through the CLI, the 30
-`_suite_case` seeds and the 100 c04 seeds (the last two with the host route
-on and off). A speed change to scoring must leave every digest as it is.
+`_suite_case` seeds, the 100 c04 seeds and the L = 400 ladder trace (the last
+three with the host route on and off). A speed change to scoring must leave
+every digest as it is.
 
 Record it with `PYTHONPATH=src python tests/test_plan_corpus.py`, which
 prints the corpus as JSON.
 """
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -18,6 +20,7 @@ import tempfile
 from conftest import make_device
 from test_acceptance import _suite_case
 from tensortier.cli import main
+from tensortier.config import DeviceConfig
 from tensortier.eviction import plan_to_json
 from tensortier.instrument import emit_program, serialize_program
 from tensortier.prefetch import plan_migrations
@@ -70,8 +73,19 @@ def _c04():
     }
 
 
+def _ladder():
+    """The L = 400 rung of the plan-time ladder: 1,197 periods, GPU memory
+    at 0.625 of the padded footprint of the default device."""
+    trace = synthesize_trace(400, 64_000_000, 16_000_000, (300, 900), 11)
+    dev = DeviceConfig()
+    footprint = sum(dev.padded(t.size_bytes) for t in trace.tensors.values())
+    dev = dataclasses.replace(dev, gpu_mem_bytes=footprint * 5 // 8)
+    return {"400": _digests(trace, dev)}
+
+
 def corpus(workdir):
-    return {"c10": _c10(workdir), "suite": _suite(), "c04": _c04()}
+    return {"c10": _c10(workdir), "suite": _suite(), "c04": _c04(),
+            "ladder": _ladder()}
 
 
 def _golden():
@@ -92,6 +106,10 @@ def test_c04_plans_match_corpus():
     golden = _golden()["c04"]
     for seed, digests in _c04().items():
         assert digests == golden[seed], seed
+
+
+def test_ladder_plans_match_corpus():
+    assert _ladder() == _golden()["ladder"]
 
 
 if __name__ == "__main__":
