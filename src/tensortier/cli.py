@@ -22,8 +22,7 @@ from tensortier.eviction import plan_to_json
 from tensortier.instrument import (InconsistentPlanError, ProgramParseError,
                                    emit_program, serialize_program)
 from tensortier.oracle import best_assignment
-from tensortier.policies import run_policy
-from tensortier.prefetch import plan_migrations
+from tensortier.policies import policy_plan, run_policy
 from tensortier.reporting import (characterization_tables, render_csv,
                                   result_json, simulation_tables, write_tables)
 from tensortier.simulate import ProgramInconsistentError, SimulationError
@@ -121,9 +120,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_plan(args) -> int:
     cfg, base = _load(args)
     analysis = analyze(_load_trace(cfg, base))
-    plan = plan_migrations(analysis, cfg.device,
-                           allow_host=cfg.policy != "g10-ssd-only",
-                           eager=cfg.eager).plan
+    plan = policy_plan(cfg.policy, analysis, cfg.device, eager=cfg.eager)
     write_tables({
         "plan.json": plan_to_json(plan),
         "program.txt": serialize_program(emit_program(analysis, plan)),

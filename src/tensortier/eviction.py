@@ -1,12 +1,13 @@
 """Greedy eviction scheduling.
 
-Repeatedly scores every remaining inactive period, picks the candidate with
-the best benefit/cost ratio, and books its eviction and prefetch windows on
-the channel lanes. Benefit is the pressure-above-capacity area the freed
-interval removes; cost is the two transfer times. Iteration stops once the
-pressure curve fits GPU memory, no candidate helps, or periods run out.
-A planned migration is a PlanItem from scoring to the emitted program, and
-SchedulingResult.book is the one way to book one.
+Each round weighs the remaining inactive periods, picks the route (period
+and destination) with the best benefit/cost ratio, and books its eviction
+and prefetch windows on the channel lanes. Benefit is the
+pressure-above-capacity area the freed interval removes; cost is the two
+transfer times. Iteration stops once the pressure curve fits GPU memory,
+no candidate helps, or periods run out. A planned migration is a PlanItem
+from scoring to the emitted program, and SchedulingResult.book is the one
+way to book one.
 
 Times on the unrolled axis: a wrapping period's prefetch lands in the next
 iteration's prefix (window values >= total_us map into [0, total) mod total).
@@ -17,7 +18,8 @@ loop in tests/reference_planner.py does just that), and redoes only what
 the last pick can have changed. While the planner runs, the pressure curve
 and the flash left only fall, and host occupancy and lane bookings only
 grow. Per (period, destination) route the planner keeps the constant parts
-(padded size, transfer times, lanes), the slot starts e0 and p0, the
+(padded size, and the transfer times and lanes, worked out once per
+destination and padded size), the slot starts e0 and p0, the
 host-capacity verdict and the benefit:
 
 - a slot moves exactly when a new booking on its lane overlaps it, and is
@@ -43,29 +45,41 @@ nowhere (after the walk, in the order a full rescoring drops them) and
 keeps the best route with a positive benefit, the only one made a PlanItem.
 Once that is booked, picked marks stale what the booking can have changed.
 
-picked does not walk the remaining periods. It checks only the periods
-that meet the pick's two bookings or the pieces of its freed interval that
-matter, found by an index of the periods by time (_Periods), and marks
-stale the periods whose SSD size is in the flash band, found by bisecting
-the sorted sizes. That misses nothing:
+Within a round the routes ask the same questions many times over: routes
+of one padded size on a congested lane collapse onto the same slots, and so
+onto the same windows. The round's memo (_Memo) answers each distinct slot
+search (lane, duration, bounds), host-occupancy maximum (e1, p0) and
+benefit (padded size, e1, p0) once; a miss asks the lane or curve as a
+fresh route does. That is exact: a round only reads the planner state, and
+every write to it is SchedulingResult.book between round and picked, which
+clears the memo first. score_candidate asks afresh, so its callers (the
+oracle, FlashNeuron and the reference planner) share no answers.
 
-- A window lies inside its period and only shrinks, so every benefit the
-  pick can move sits in a period that meets the relieved pieces, and every
-  host check a host pick can fail (only after one that leaves less host
-  memory than the largest size somewhere) in one that meets the freed
-  pieces.
-- A period's SSD busy time grows only if the period meets an SSD pick's
-  bookings.
-- A slot a booking can move lies inside its period, or its route can
-  never fit again: an outbound slot that ends after the period, or an
-  inbound one that starts before it, leaves no room for the other slot
-  inside the period, and later searches only move the outbound slot later
-  and the inbound one earlier. Such a route's stale slot is harmless.
+picked does not walk the remaining periods. It gives each check only the
+periods that can trigger it, found by an index of the periods by time
+(_Periods), and marks stale the periods whose SSD size is in the flash
+band, found by bisecting the sorted sizes:
+
+- relieved (a benefit moved): the periods that meet the relieved pieces. A
+  window lies inside its period and only shrinks, so every benefit the pick
+  can move sits in such a period.
+- booked and, after an SSD pick, ssd_booked (a slot moved; the SSD busy
+  time grew): the periods that meet the pick's two bookings. A period's SSD
+  busy time grows only if it meets an SSD pick's bookings. A slot a booking
+  can move lies inside its period, or its route can never fit again: an
+  outbound slot that ends after the period, or an inbound one that starts
+  before it, leaves no room for the other slot inside the period, and later
+  searches only move the outbound slot later and the inbound one earlier.
+  Such a route's stale slot is harmless.
+- crowded (a passed host check can fail): after a host pick that leaves
+  less host memory than the largest size somewhere, the periods that meet
+  the freed pieces, since a host check reads the occupancy inside its
+  window only.
 - An SSD pick flips the SSD-capacity verdict only for sizes in
   (flash left, flash left + the pick's size].
 
-A period found for one reason gets every check, and many are found with
-nothing to redo.
+Each check only forgets what it is about, so the order they run in does not
+matter.
 """
 
 from __future__ import annotations
@@ -189,10 +203,96 @@ def _overlap_us(pieces, interval) -> int:
     return total
 
 
+def _route_spec(dest: Destination, size: int, state: SchedulerState,
+                config: DeviceConfig):
+    """The constants of a route of this padded size to dest: (outbound and
+    inbound transfer times, outbound and inbound lanes)."""
+    spec = config.channel(dest.channel)
+    lanes = state.reservations
+    return (transfer_time(size, spec, Direction.FROM_DEVICE),
+            transfer_time(size, spec, Direction.TO_DEVICE),
+            lanes.lane(dest.channel, Direction.FROM_DEVICE),
+            lanes.lane(dest.channel, Direction.TO_DEVICE))
+
+
+class _Queries:
+    """The state queries a route asks, each asked afresh: slot searches on
+    its lanes, the host occupancy's maximum over its window and the benefit
+    of its window."""
+
+    __slots__ = ("pressure", "host", "cap")
+
+    def __init__(self, state: SchedulerState, config: DeviceConfig):
+        self.pressure = state.pressure
+        self.host = state.host_occupancy
+        self.cap = config.gpu_mem_bytes
+
+    def earliest_slot(self, lane, dur, lo, hi):
+        return lane.earliest_slot(dur, lo, hi)
+
+    def latest_slot(self, lane, dur, hi):
+        return lane.latest_slot(dur, hi)
+
+    def host_max(self, t0, t1):
+        return wrap_max(self.host, t0, t1)
+
+    def benefit(self, size, t0, t1):
+        return wrap_window_overflow_area(self.pressure, self.cap, size, t0,
+                                         t1)
+
+
+class _Memo(_Queries):
+    """The same queries, each distinct one asked once until clear (when
+    that is exact: module docstring). A miss asks as _Queries does."""
+
+    __slots__ = ("_slots", "_host_max", "_benefits")
+
+    def __init__(self, state: SchedulerState, config: DeviceConfig):
+        super().__init__(state, config)
+        self._slots = {}       # (lane, duration, bounds) -> slot start
+        self._host_max = {}    # (e1, p0) -> host occupancy maximum
+        self._benefits = {}    # (padded size, e1, p0) -> benefit
+
+    def clear(self) -> None:
+        self._slots.clear()
+        self._host_max.clear()
+        self._benefits.clear()
+
+    def earliest_slot(self, lane, dur, lo, hi):
+        key = (lane, dur, lo, hi)
+        found = self._slots.get(key, _STALE)
+        if found is _STALE:
+            found = self._slots[key] = lane.earliest_slot(dur, lo, hi)
+        return found
+
+    def latest_slot(self, lane, dur, hi):
+        key = (lane, dur, hi)
+        found = self._slots.get(key, _STALE)
+        if found is _STALE:
+            found = self._slots[key] = lane.latest_slot(dur, hi)
+        return found
+
+    def host_max(self, t0, t1):
+        key = (t0, t1)
+        found = self._host_max.get(key)
+        if found is None:
+            found = self._host_max[key] = wrap_max(self.host, t0, t1)
+        return found
+
+    def benefit(self, size, t0, t1):
+        key = (size, t0, t1)
+        found = self._benefits.get(key)
+        if found is None:
+            found = self._benefits[key] = wrap_window_overflow_area(
+                self.pressure, self.cap, size, t0, t1)
+        return found
+
+
 class _Route:
     """Scoring inputs for evicting one period to one destination.
 
-    Size, transfer times and lanes never change. The slot starts are kept
+    Size, transfer times and lanes never change; spec holds the last two
+    (_route_spec), shared by the routes of one size. The slot starts are kept
     between rounds: e0 on the outbound lane and p0 on the inbound lane (in
     lane time, before the wrap shift); win is the window they make and span
     its pieces in the iteration. A slot is searched within [e_lo, e_hi) or
@@ -209,20 +309,13 @@ class _Route:
                  "host_ok", "benefit")
 
     def __init__(self, period: InactivePeriod, dest: Destination,
-                 state: SchedulerState, config: DeviceConfig):
-        spec = config.channel(dest.channel)
-        size = state.sizes[period.tensor_id]
+                 state: SchedulerState, spec):
         self.period = period
         self.tensor_id, self.period_start = period.tensor_id, period.start_us
         self.dest = dest
-        self.size = size
-        self.e_dur = transfer_time(size, spec, Direction.FROM_DEVICE)
-        self.p_dur = transfer_time(size, spec, Direction.TO_DEVICE)
+        self.size = state.sizes[period.tensor_id]
+        self.e_dur, self.p_dur, self.from_lane, self.to_lane = spec
         self.cost_us = self.e_dur + self.p_dur
-        self.from_lane = state.reservations.lane(dest.channel,
-                                                 Direction.FROM_DEVICE)
-        self.to_lane = state.reservations.lane(dest.channel,
-                                               Direction.TO_DEVICE)
         self.total = state.total_us
         self.e_lo = period.start_us
         if period.wraps_iteration:
@@ -239,18 +332,18 @@ class _Route:
         self.span = ()
         self.host_ok = self.benefit = None
 
-    def window(self):
+    def window(self, ask: _Queries):
         """(e0, e1, p0) on the unrolled axis, or None if no pair fits."""
         if self.win is not _STALE:
             return self.win
         self.win = None
         if self.e0 is _STALE:
-            self.e0 = self.from_lane.earliest_slot(self.e_dur, self.e_lo,
-                                                   self.e_hi)
+            self.e0 = ask.earliest_slot(self.from_lane, self.e_dur, self.e_lo,
+                                        self.e_hi)
         if self.e0 is None:
             return None
         if self.p0 is _STALE:
-            self.p0 = self.to_lane.latest_slot(self.p_dur, self.p_hi)
+            self.p0 = ask.latest_slot(self.to_lane, self.p_dur, self.p_hi)
         if self.p0 is None:
             return None
         e1 = self.e0 + self.e_dur
@@ -261,25 +354,23 @@ class _Route:
         self.span = wrap_pieces(e1, p0, self.total)
         return self.win
 
-    def candidate(self, state: SchedulerState, config: DeviceConfig) -> bool:
+    def candidate(self, state: SchedulerState, config: DeviceConfig,
+                  ask: _Queries) -> bool:
         """Can the period be evicted this way now? If so, benefit holds the
-        overflow the window removes."""
-        window = self.window()
+        overflow the window removes. ask answers the state queries."""
+        window = self.window(ask)
         if window is None:
             return False
         if self.dest is Destination.HOST:
             if self.host_ok is None:
-                self.host_ok = (wrap_max(state.host_occupancy, window[1],
-                                         window[2])
-                                + self.size <= config.host_mem_bytes)
+                self.host_ok = (ask.host_max(window[1], window[2]) + self.size
+                                <= config.host_mem_bytes)
             if not self.host_ok:
                 return False
         elif state.ssd_occupancy + self.size > config.ssd_capacity_bytes:
             return False
         if self.benefit is None:
-            self.benefit = wrap_window_overflow_area(
-                state.pressure, config.gpu_mem_bytes, self.size, window[1],
-                window[2])
+            self.benefit = ask.benefit(self.size, window[1], window[2])
         return True
 
     def item(self) -> PlanItem:
@@ -341,8 +432,11 @@ def score_candidate(period: InactivePeriod, dest: Destination,
     Returns None when no feasible eviction/prefetch window pair exists (or a
     capacity bound already rules the destination out).
     """
-    route = _Route(period, dest, state, config)
-    return route.item() if route.candidate(state, config) else None
+    spec = _route_spec(dest, state.sizes[period.tensor_id], state, config)
+    route = _Route(period, dest, state, spec)
+    return (route.item() if route.candidate(state, config,
+                                            _Queries(state, config))
+            else None)
 
 
 def _ssd_utilization_high(period: InactivePeriod, state: SchedulerState,
@@ -430,21 +524,23 @@ class _Entry:
     """A remaining period, its two routes, the SSD lanes' busy time inside
     the period (outbound, inbound) and the route it chose in the last round
     (None if neither fits, _STALE once an input of it changed). live turns
-    False when the period leaves the cache."""
+    False when the period leaves the cache. specs holds the route constants
+    by (destination, padded size)."""
 
     __slots__ = ("period", "pieces", "ssd", "host", "busy_out", "busy_in",
                  "busy_limit", "choice", "live")
 
-    def __init__(self, period, state, config):
+    def __init__(self, period, state, config, specs):
         self.period = period
         self.pieces = wrap_pieces(period.start_us, period.end_us,
                                   state.total_us)
-        self.ssd = _Route(period, Destination.SSD, state, config)
-        self.host = _Route(period, Destination.HOST, state, config)
-        self.busy_out = sum(self.ssd.from_lane.busy_within(a, b)
-                            for a, b in self.pieces)
-        self.busy_in = sum(self.ssd.to_lane.busy_within(a, b)
-                           for a, b in self.pieces)
+        size = state.sizes[period.tensor_id]
+        self.ssd = _Route(period, Destination.SSD, state,
+                          specs[Destination.SSD, size])
+        self.host = _Route(period, Destination.HOST, state,
+                           specs[Destination.HOST, size])
+        # the cache is built before any booking, so the SSD lanes are empty
+        self.busy_out = self.busy_in = 0
         self.busy_limit = (config.hp_utilization_threshold
                            * (period.end_us - period.start_us))
         self.choice = _STALE
@@ -511,16 +607,22 @@ class _Periods:
 
 class _RouteCache:
     """The remaining periods, by period start and tensor id, each with its
-    choose_destination answer kept between rounds, and the indexes that
-    find the periods a pick can reach (round, invalidation and index rules:
-    module docstring)."""
+    choose_destination answer kept between rounds, the indexes that find
+    the periods a pick can reach, and the answers of the current round
+    (round, invalidation, index and memo rules: module docstring)."""
 
     def __init__(self, periods, state: SchedulerState, config: DeviceConfig,
                  allow_host: bool):
         self._state = state
         self._config = config
         self._allow_host = allow_host
-        self._entries = {(p.tensor_id, p.start_us): _Entry(p, state, config)
+        self._memo = _Memo(state, config)
+        specs = {(dest, size): _route_spec(dest, size, state, config)
+                 for size in set(state.sizes.values()) for dest in Destination}
+        assert not any(state.reservations.lane(Channel.SSD, d).intervals()
+                       for d in Direction), "built after a booking"
+        self._entries = {(p.tensor_id, p.start_us): _Entry(p, state, config,
+                                                           specs)
                          for p in sorted(periods, key=lambda p: (
                              p.start_us, p.tensor_id, p.end_us))}
         entries = self._entries.values()
@@ -532,11 +634,11 @@ class _RouteCache:
         self._max_size = self._sizes[-1] if by_size else 0
 
     def _choose(self, entry: _Entry):
-        state, config = self._state, self._config
-        route = entry.ssd if entry.ssd.candidate(state, config) else None
+        state, config, memo = self._state, self._config, self._memo
+        route = entry.ssd if entry.ssd.candidate(state, config, memo) else None
         if self._allow_host and (route is None or route.benefit == 0
                                  or entry.ssd_busy()):
-            if entry.host.candidate(state, config):
+            if entry.host.candidate(state, config, memo):
                 route = entry.host
         return route
 
@@ -544,6 +646,13 @@ class _RouteCache:
         entry = self._entries.pop(key)
         entry.live = False
         return entry
+
+    def _reached(self, pieces) -> list:
+        """The live periods that meet any of pieces, each once."""
+        found = set()
+        for lo, hi in pieces:
+            found.update(self._periods.meeting(lo, hi))
+        return [entry for entry in found if entry.live]
 
     def round(self):
         """Choose again where stale, drop the periods that fit nowhere and
@@ -564,6 +673,7 @@ class _RouteCache:
     def picked(self, best: PlanItem) -> None:
         """Forget what booking best can have changed (after it was
         booked)."""
+        self._memo.clear()
         self._remove(best.owner())
         state, config = self._state, self._config
         total = state.total_us
@@ -579,40 +689,37 @@ class _RouteCache:
         relieved = [piece for a, b in freed
                     for piece in state.pressure.pieces_between(
                         cap - size, cap + self._max_size, a, b)]
-        # the periods the pick can reach (module docstring)
-        reach = [evict, prefetch, *relieved]
-        to_ssd = best.dest is Destination.SSD
-        if to_ssd:
+        # each check goes to the periods that can trigger it (module
+        # docstring)
+        for entry in self._reached(relieved):
+            dirty = entry.ssd.relieved(relieved)
+            if entry.host.relieved(relieved):
+                dirty = True
+            if dirty:
+                entry.choice = _STALE
+        if best.dest is Destination.SSD:
             flash = config.ssd_capacity_bytes - state.ssd_occupancy
             # sizes that fitted the flash left before this pick only
             for entry in self._by_size[bisect_right(self._sizes, flash):
                                        bisect_right(self._sizes,
                                                     flash + size)]:
                 entry.choice = _STALE
-        else:
-            room = config.host_mem_bytes - wrap_max(
-                state.host_occupancy, best.evict_end, best.prefetch_start)
-            if self._max_size > room:
-                reach += freed
-        found = set()
-        for lo, hi in reach:
-            found.update(self._periods.meeting(lo, hi))
-        for entry in found:
-            if not entry.live:
-                continue
-            ssd, host = entry.ssd, entry.host
-            dirty = ssd.relieved(relieved)
-            if host.relieved(relieved):
-                dirty = True
-            if to_ssd:
-                if ssd.booked(evict, prefetch):
-                    dirty = True
+            for entry in self._reached((evict, prefetch)):
+                dirty = entry.ssd.booked(evict, prefetch)
                 if entry.ssd_booked(evict, prefetch):
                     dirty = True
-            elif host.booked(evict, prefetch) or host.crowded(freed, room):
-                dirty = True
-            if dirty:
+                if dirty:
+                    entry.choice = _STALE
+            return
+        for entry in self._reached((evict, prefetch)):
+            if entry.host.booked(evict, prefetch):
                 entry.choice = _STALE
+        room = config.host_mem_bytes - wrap_max(
+            state.host_occupancy, best.evict_end, best.prefetch_start)
+        if self._max_size > room:
+            for entry in self._reached(freed):
+                if entry.host.crowded(freed, room):
+                    entry.choice = _STALE
 
 
 def schedule_evictions(analysis: VitalityAnalysis, config: DeviceConfig, *,

@@ -127,6 +127,32 @@ def _correlation_hook(lookahead: int):
     return hook
 
 
+# policy -> (the plan it replays, may it use host memory); ideal replays none
+_PLANS = {
+    "base-uvm": ("empty", True),
+    "deepum-like": ("empty", True),
+    "flashneuron-like": ("flashneuron", False),
+    "g10": ("greedy", True),
+    "g10-ssd-only": ("greedy", False),
+}
+
+
+def policy_plan(name: str, analysis, config: DeviceConfig, *,
+                eager: bool = True) -> MigrationPlan:
+    """The plan a policy replays: an empty one for the fault-driven
+    policies, the birth-order SSD plan for flashneuron-like and the greedy
+    plan for g10 (without the host route for g10-ssd-only)."""
+    if name not in _PLANS:
+        raise ValueError(f"policy {name!r} replays no plan")
+    kind, allow_host = _PLANS[name]
+    if kind == "empty":
+        return MigrationPlan(total_us=analysis.timeline.total_us)
+    if kind == "flashneuron":
+        return flashneuron_plan(analysis, config).plan
+    return plan_migrations(analysis, config, allow_host=allow_host,
+                           eager=eager).plan
+
+
 def run_policy(name: str, trace: WorkloadTrace, config: DeviceConfig, *,
                seed: int = 0, noise_pct: float = 0.0, eager: bool = True,
                lookahead: int = DEFAULT_LOOKAHEAD,
@@ -138,19 +164,14 @@ def run_policy(name: str, trace: WorkloadTrace, config: DeviceConfig, *,
         return ideal_run(trace, config, durations)
 
     analysis = analyze(trace)
-    allow_host = name not in ("flashneuron-like", "g10-ssd-only")
+    kind, allow_host = _PLANS[name]
+    plan = policy_plan(name, analysis, config, eager=eager)
     hook = None
-    if name in ("base-uvm", "deepum-like"):
-        plan = MigrationPlan(total_us=analysis.timeline.total_us)
+    if kind == "empty":
         locations = faulting_placement(analysis, config)
         if name == "deepum-like":
             hook = _correlation_hook(lookahead)
     else:
-        if name == "flashneuron-like":
-            plan = flashneuron_plan(analysis, config).plan
-        else:
-            plan = plan_migrations(analysis, config, allow_host=allow_host,
-                                   eager=eager).plan
         locations = planned_placement(analysis, config, allow_host)
     return simulate(trace, emit_program(analysis, plan), config, policy=name,
                     durations=durations, initial_locations=locations,

@@ -1,8 +1,8 @@
 """End-to-end checks of the command line front end.
 
-Each test drives main(argv) against real files in tmp_path; nothing here
-monkeypatches internals, so these double as smoke tests for the whole
-pipeline behind each subcommand.
+Each test drives main(argv) against real files in tmp_path; the few that
+wrap internals only watch them, so these double as smoke tests for the
+whole pipeline behind each subcommand.
 """
 
 import json
@@ -11,11 +11,13 @@ import os
 import pytest
 
 from conftest import make_s1
-from tensortier import cli
+from tensortier import cli, policies
 from tensortier.cli import main
 from tensortier.config import parse_config
+from tensortier.eviction import plan_to_json
+from tensortier.instrument import serialize_program
 from tensortier.simulate import ideal_run, perturb_durations
-from tensortier.trace import parse_trace, serialize_trace
+from tensortier.trace import parse_trace, serialize_trace, synthesize_trace
 from test_instrument import S1R_PROGRAM
 
 # mirrors the conftest device, spelled in config-file vocabulary
@@ -90,6 +92,61 @@ def test_plan_honors_ssd_only_policy(tmp_path):
     assert main(["plan", "--config", cfg, "--out", str(out)]) == 0
     plan = json.loads((out / "plan.json").read_text())
     assert [ev["dest"] for ev in plan["evictions"]] == ["ssd"]
+
+
+# a slow SSD lane, so g10 also books host evictions, under 2/5 of the
+# padded footprint of _policy_trace
+POLICY_DEVICE = DEVICE_LINES.replace("102400", "180224").replace(
+    "ssd_read_bw_gbps = 4.096\nssd_write_bw_gbps = 4.096",
+    "ssd_read_bw_gbps = 1.024\nssd_write_bw_gbps = 1.024")
+
+
+def _policy_setup(tmp_path):
+    trace = synthesize_trace(6, (20_480, 61_440), (8_192, 30_720), (20, 150),
+                             6)
+    (tmp_path / "t.json").write_text(serialize_trace(trace))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(POLICY_DEVICE + "trace = t.json\n")
+    return str(cfg)
+
+
+@pytest.mark.parametrize("policy, dests", [
+    ("base-uvm", set()), ("deepum-like", set()),
+    ("flashneuron-like", {"ssd"}), ("g10", {"ssd", "host"}),
+    ("g10-ssd-only", {"ssd"})])
+def test_plan_writes_what_simulate_replays(tmp_path, monkeypatch, policy,
+                                           dests):
+    cfg = _policy_setup(tmp_path)
+    replayed = []
+    emit, simulate = policies.emit_program, policies.simulate
+
+    def watching_emit(analysis, plan):
+        replayed.append(plan_to_json(plan))
+        return emit(analysis, plan)
+
+    def watching_simulate(trace, program, *args, **kwargs):
+        replayed.append(serialize_program(program))
+        return simulate(trace, program, *args, **kwargs)
+
+    monkeypatch.setattr(policies, "emit_program", watching_emit)
+    monkeypatch.setattr(policies, "simulate", watching_simulate)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", cfg, "--out", str(out),
+                 "--policy", policy]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"),
+                 "--policy", policy]) == 0
+    plan_text = (out / "plan.json").read_text()
+    assert replayed == [plan_text, (out / "program.txt").read_text()]
+    assert {ev["dest"] for ev in json.loads(plan_text)["evictions"]} == dests
+
+
+def test_plan_for_ideal_is_an_input_error(tmp_path, capsys):
+    cfg = write_setup(tmp_path)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", cfg, "--out", str(out),
+                 "--policy", "ideal"]) == 1
+    assert "error: policy 'ideal' replays no plan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_writes_characterization_tables(tmp_path):

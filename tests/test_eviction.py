@@ -9,11 +9,13 @@ from conftest import make_device
 from reference_planner import schedule_evictions_fresh, select_best
 from tensortier import eviction
 from tensortier.config import DeviceConfig
-from tensortier.curve import wrap_pieces
+from tensortier.curve import StepCurve, wrap_pieces
 from tensortier.eviction import (CapacityViolationError, Destination,
-                                 PlanItem, SchedulingResult, plan_from_json,
-                                 plan_to_json, schedule_evictions,
-                                 score_candidate)
+                                 PlanItem, SchedulerState, SchedulingResult,
+                                 plan_from_json, plan_to_json,
+                                 schedule_evictions, score_candidate)
+from tensortier.reservations import (ChannelReservations, LaneReservations,
+                                     ReservationOverlapError)
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace, synthesize_trace)
 from tensortier.vitality import analyze
@@ -134,6 +136,126 @@ def test_cache_matches_rescoring_with_host_picks(layers, seed, gpu_frac,
     _assert_cache_matches(trace, gpu_frac, host_frac, 1.0, ssd_read_bw=1024,
                           ssd_write_bw=1024, host_bw=16_384,
                           hp_utilization_threshold=threshold)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layers=st.integers(2, 10), seed=st.integers(0, 10_000),
+       size=st.sampled_from([8_192, 20_480, 40_960]),
+       gpu_frac=st.floats(0.1, 0.6), host_frac=st.floats(0.05, 0.3),
+       threshold=st.floats(0.05, 0.3))
+def test_cache_matches_rescoring_with_shared_host_checks(
+        layers, seed, size, gpu_frac, host_frac, threshold):
+    """Uniform sizes, so routes share their windows and with them their
+    host checks, under host memory tight enough for a check to fail, a
+    slow SSD lane and low busy thresholds that send periods to the host."""
+    trace = synthesize_trace(layers, size, size, (20, 150), seed)
+    _assert_cache_matches(trace, gpu_frac, host_frac, 1.0, ssd_read_bw=1024,
+                          ssd_write_bw=1024, host_bw=16_384,
+                          hp_utilization_threshold=threshold)
+
+
+def _uniform_case():
+    """Uniform sizes on slow SSD lanes under tight host memory: routes of
+    one size on a congested lane ask the same questions in a round."""
+    trace = synthesize_trace(8, 20_480, 20_480, (20, 150), 3)
+    base = make_device()
+    footprint = sum(base.padded(t.size_bytes)
+                    for t in trace.tensors.values())
+    dev = make_device(gpu_mem_bytes=footprint * 3 // 10 // 1024 * 1024,
+                      host_mem_bytes=footprint // 8, ssd_read_bw=1024,
+                      ssd_write_bw=1024, hp_utilization_threshold=0.1)
+    return analyze(trace), dev
+
+
+def _watch(monkeypatch, owner, name, record):
+    original = getattr(owner, name)
+
+    def watched(*args):
+        record(*args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, watched)
+
+
+def test_a_round_asks_each_query_once(monkeypatch):
+    analysis, dev = _uniform_case()
+    rounds = []
+    asked = []   # per round: every slot search and benefit query asked
+    _watch(monkeypatch, eviction._RouteCache, "round",
+           lambda cache: rounds.append([]))
+    _watch(monkeypatch, LaneReservations, "earliest_slot",
+           lambda lane, *args: rounds[-1].append((id(lane), "e", args)))
+    _watch(monkeypatch, LaneReservations, "latest_slot",
+           lambda lane, *args: rounds[-1].append((id(lane), "l", args)))
+    _watch(monkeypatch, eviction, "wrap_window_overflow_area",
+           lambda curve, *args: rounds[-1].append(("benefit", args)))
+    plan = schedule_evictions(analysis, dev).plan
+    for calls in rounds:
+        asked += calls
+        assert len(set(calls)) == len(calls)
+    assert {item.dest for item in plan.items} == set(Destination)
+    assert len(asked) > len(rounds)
+    assert plan_to_json(plan) == plan_to_json(
+        schedule_evictions_fresh(analysis, dev).plan)
+
+
+_EDGES = st.sampled_from([0, 7, 20, 35, 50, 64, 80])
+
+
+@settings(max_examples=100, deadline=None)
+@given(adds=st.lists(st.tuples(_EDGES, _EDGES, st.integers(-3, 30)),
+                     max_size=10),
+       bookings=st.lists(st.tuples(st.booleans(), _EDGES,
+                                   st.integers(1, 12)), max_size=8),
+       queries=st.lists(st.tuples(st.booleans(), st.sampled_from([3, 9]),
+                                  _EDGES, st.sampled_from([5, 30, 80]),
+                                  st.sampled_from([2, 10, 40])),
+                        min_size=1, max_size=20))
+def test_memo_answers_as_fresh_queries(adds, bookings, queries):
+    """Each memo key holds all its answer depends on: on two lanes, windows
+    shared by several sizes and slot searches that differ only in a bound,
+    every query (each asked twice) gets the fresh answer."""
+    total = 80
+    pressure, host = StepCurve(total), StepCurve(total)
+    for a, b, delta in adds:
+        pressure.add(a, b, delta)
+        host.add(b, a, delta)  # empty unless b < a, so the curves differ
+    lanes = (LaneReservations(), LaneReservations())
+    for second, start, length in bookings:
+        try:
+            lanes[second].reserve(start, start + length, None)
+        except ReservationOverlapError:
+            pass
+    state = SchedulerState(total, {}, pressure, ChannelReservations(), host)
+    dev = make_device(gpu_mem_bytes=10)
+    memo = eviction._Memo(state, dev)
+    fresh = eviction._Queries(state, dev)
+    for second, dur, lo, span, size in queries * 2:
+        lane = lanes[second]
+        hi = lo + span
+        for ask in ("earliest_slot", "latest_slot", "host_max", "benefit"):
+            args = {"earliest_slot": (lane, dur, lo,
+                                      hi if span < total else None),
+                    "latest_slot": (lane, dur, hi),
+                    "host_max": (lo, hi),
+                    "benefit": (size, lo, hi)}[ask]
+            assert (getattr(memo, ask)(*args)
+                    == getattr(fresh, ask)(*args)), (ask, args)
+
+
+def test_planner_calls_the_functions_perfbench_traces(monkeypatch):
+    """perfbench/tracing.py counts benefit queries and slot searches by
+    wrapping these module attributes, so the planner must call them by
+    those names."""
+    analysis, dev = _uniform_case()
+    calls = []
+    _watch(monkeypatch, eviction, "wrap_window_overflow_area",
+           lambda *args: calls.append("benefit"))
+    for name in ("earliest_slot", "latest_slot"):
+        _watch(monkeypatch, LaneReservations, name,
+               lambda *args, name=name: calls.append(name))
+    schedule_evictions(analysis, dev)
+    assert set(calls) == {"benefit", "earliest_slot", "latest_slot"}
 
 
 def test_plan_items_are_built_only_for_bookings(monkeypatch):
