@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import replace
 
 from tensortier.config import (POLICY_NAMES, ConfigError, ExperimentConfig,
                                gbps_to_bytes_per_us, parse_bytes, parse_config,
@@ -90,12 +91,12 @@ def _build_parser() -> _Parser:
 def _load(args) -> tuple[ExperimentConfig, str]:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "policy", None):
-        cfg.policy = args.policy
-    if getattr(args, "workers", None):
-        cfg.workers = args.workers
+    # replace runs the config's own checks on every override, as
+    # _apply_axis does on every sweep value
+    overrides = {name: getattr(args, name, None)
+                 for name in ("seed", "policy", "workers")}
+    cfg = replace(cfg, **{name: value for name, value in overrides.items()
+                          if value is not None})
     return cfg, os.path.dirname(os.path.abspath(args.config))
 
 
@@ -142,9 +143,7 @@ def _cmd_simulate(args) -> int:
 
 def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     if axis in ("trace", "policy", "noise_pct"):
-        cfg = with_device(cfg)  # a copy, so the sweep's base stays as is
-        setattr(cfg, axis, value)
-        return cfg
+        return replace(cfg, **{axis: value})
     if axis in ("gpu_mem_bytes", "host_mem_bytes"):
         return with_device(cfg, **{axis: value})
     if axis == "ssd_read_bw_gbps":

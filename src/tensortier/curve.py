@@ -97,47 +97,37 @@ class StepCurve:
         return False
 
     def add(self, t0, t1, delta):
-        """Add delta on [t0, t1), clipped to the domain."""
-        t0 = max(t0, 0)
-        t1 = min(t1, self.horizon)
+        """Add delta on [t0, t1), clipped to the domain, bringing each
+        prefix queried since the previous add to the new curve and dropping
+        the rest (module docstring)."""
+        if t0 < 0:
+            t0 = 0
+        if t1 > self.horizon:
+            t1 = self.horizon
         if t0 >= t1 or delta == 0:
             return
         self._walked.clear()
-        if self._prefixes:
-            self._add_patched(t0, t1, delta)
-            return
-        self._kept.clear()
-        i = self._split(t0)
-        j = self._split(t1)
-        for k in range(i, j):
-            self._vals[k] += delta
-        # interior adjacencies are unchanged by a uniform delta; only the
-        # window edges can need re-merging
-        self._merge_at(j)
-        self._merge_at(i)
-
-    def _add_patched(self, t0, t1, delta):
-        """add, bringing each prefix queried since the previous add to the
-        new curve and dropping the rest (module docstring)."""
         times = self._times
+        vals = self._vals
         n = len(times)
         i = self._split(t0)
         split_i = len(times) > n
         j = self._split(t1)
         split_j = len(times) > n + split_i
         for k in range(i, j):
-            self._vals[k] += delta
+            vals[k] += delta
         prefixes = self._prefixes
         for (cap, clamp), prefix in prefixes.items():
             self._patch(prefix, cap, clamp, i, j, split_i, split_j, delta)
+        # interior adjacencies are unchanged by a uniform delta; only the
+        # window edges can need re-merging
         merged_j = self._merge_at(j)
         merged_i = self._merge_at(i)
-        if merged_j or merged_i:
-            for prefix in prefixes.values():
-                if merged_j:
-                    del prefix[j]
-                if merged_i:
-                    del prefix[i]
+        for prefix in prefixes.values():
+            if merged_j:
+                del prefix[j]
+            if merged_i:
+                del prefix[i]
         self._kept = prefixes
         self._prefixes = {}
 

@@ -49,10 +49,10 @@ Within a round the routes ask the same questions many times over: routes
 of one padded size on a congested lane collapse onto the same slots, and so
 onto the same windows. The round's memo (_Memo) answers each distinct slot
 search (lane, duration, bounds), host-occupancy maximum (e1, p0) and
-benefit (padded size, e1, p0) once; a miss asks the lane or curve as a
-fresh route does. That is exact: a round only reads the planner state, and
-every write to it is SchedulingResult.book between round and picked, which
-clears the memo first. score_candidate asks afresh, so its callers (the
+benefit (padded size, e1, p0) once, asking the lane or curve on a miss.
+That is exact: a round only reads the planner state, and every write to it
+is SchedulingResult.book between round and picked, which clears the memo
+first. score_candidate asks through a fresh memo, so its callers (the
 oracle, FlashNeuron and the reference planner) share no answers.
 
 picked does not walk the remaining periods. It gives each check only the
@@ -92,7 +92,7 @@ from dataclasses import dataclass, field
 from tensortier.config import Channel, DeviceConfig, Direction
 from tensortier.curve import (StepCurve, wrap_add, wrap_max, wrap_pieces,
                               wrap_window_overflow_area)
-from tensortier.reservations import ChannelReservations
+from tensortier.reservations import LaneReservations
 from tensortier.vitality import (InactivePeriod, VitalityAnalysis,
                                  initial_pressure_curve, transfer_time)
 
@@ -136,7 +136,6 @@ class MigrationPlan:
     items: list[PlanItem] = field(default_factory=list)
     residual_overflow: int = 0
     unschedulable: list[tuple[int, int, int]] = field(default_factory=list)
-    infeasible: bool = False
 
 
 @dataclass
@@ -146,7 +145,7 @@ class SchedulerState:
     total_us: int
     sizes: dict[int, int]          # tensor id -> page-padded size
     pressure: StepCurve
-    reservations: ChannelReservations
+    lanes: dict[tuple[Channel, Direction], LaneReservations]  # all four
     host_occupancy: StepCurve
     ssd_occupancy: int = 0
 
@@ -160,7 +159,8 @@ class SchedulerState:
             sizes={tid: config.padded(t.size_bytes)
                    for tid, t in analysis.trace.tensors.items()},
             pressure=initial_pressure_curve(analysis, config),
-            reservations=ChannelReservations(),
+            lanes={(ch, d): LaneReservations()
+                   for ch in Channel for d in Direction},
             host_occupancy=StepCurve(total),
         )
 
@@ -208,47 +208,26 @@ def _route_spec(dest: Destination, size: int, state: SchedulerState,
     """The constants of a route of this padded size to dest: (outbound and
     inbound transfer times, outbound and inbound lanes)."""
     spec = config.channel(dest.channel)
-    lanes = state.reservations
     return (transfer_time(size, spec, Direction.FROM_DEVICE),
             transfer_time(size, spec, Direction.TO_DEVICE),
-            lanes.lane(dest.channel, Direction.FROM_DEVICE),
-            lanes.lane(dest.channel, Direction.TO_DEVICE))
+            state.lanes[dest.channel, Direction.FROM_DEVICE],
+            state.lanes[dest.channel, Direction.TO_DEVICE])
 
 
-class _Queries:
-    """The state queries a route asks, each asked afresh: slot searches on
-    its lanes, the host occupancy's maximum over its window and the benefit
-    of its window."""
+class _Memo:
+    """The state queries a route asks: slot searches on its lanes, the host
+    occupancy's maximum over its window and the benefit of its window. Each
+    distinct one is asked of the lane or curve once until clear (when that
+    is exact: module docstring); score_candidate asks through a fresh memo,
+    so its callers share no answers."""
 
-    __slots__ = ("pressure", "host", "cap")
+    __slots__ = ("pressure", "host", "cap", "_slots", "_host_max",
+                 "_benefits")
 
     def __init__(self, state: SchedulerState, config: DeviceConfig):
         self.pressure = state.pressure
         self.host = state.host_occupancy
         self.cap = config.gpu_mem_bytes
-
-    def earliest_slot(self, lane, dur, lo, hi):
-        return lane.earliest_slot(dur, lo, hi)
-
-    def latest_slot(self, lane, dur, hi):
-        return lane.latest_slot(dur, hi)
-
-    def host_max(self, t0, t1):
-        return wrap_max(self.host, t0, t1)
-
-    def benefit(self, size, t0, t1):
-        return wrap_window_overflow_area(self.pressure, self.cap, size, t0,
-                                         t1)
-
-
-class _Memo(_Queries):
-    """The same queries, each distinct one asked once until clear (when
-    that is exact: module docstring). A miss asks as _Queries does."""
-
-    __slots__ = ("_slots", "_host_max", "_benefits")
-
-    def __init__(self, state: SchedulerState, config: DeviceConfig):
-        super().__init__(state, config)
         self._slots = {}       # (lane, duration, bounds) -> slot start
         self._host_max = {}    # (e1, p0) -> host occupancy maximum
         self._benefits = {}    # (padded size, e1, p0) -> benefit
@@ -332,7 +311,7 @@ class _Route:
         self.span = ()
         self.host_ok = self.benefit = None
 
-    def window(self, ask: _Queries):
+    def window(self, ask: _Memo):
         """(e0, e1, p0) on the unrolled axis, or None if no pair fits."""
         if self.win is not _STALE:
             return self.win
@@ -355,7 +334,7 @@ class _Route:
         return self.win
 
     def candidate(self, state: SchedulerState, config: DeviceConfig,
-                  ask: _Queries) -> bool:
+                  ask: _Memo) -> bool:
         """Can the period be evicted this way now? If so, benefit holds the
         overflow the window removes. ask answers the state queries."""
         window = self.window(ask)
@@ -435,7 +414,7 @@ def score_candidate(period: InactivePeriod, dest: Destination,
     spec = _route_spec(dest, state.sizes[period.tensor_id], state, config)
     route = _Route(period, dest, state, spec)
     return (route.item() if route.candidate(state, config,
-                                            _Queries(state, config))
+                                            _Memo(state, config))
             else None)
 
 
@@ -447,7 +426,7 @@ def _ssd_utilization_high(period: InactivePeriod, state: SchedulerState,
         return False
     pieces = wrap_pieces(period.start_us, period.end_us, state.total_us)
     for direction in Direction:
-        lane = state.reservations.lane(Channel.SSD, direction)
+        lane = state.lanes[Channel.SSD, direction]
         busy = sum(lane.busy_within(a, b) for a, b in pieces)
         if busy > config.hp_utilization_threshold * window:
             return True
@@ -493,13 +472,13 @@ def apply_candidate(item: PlanItem, state: SchedulerState,
     owner = item.owner()
     size = state.sizes[item.tensor_id]
     chan = item.dest.channel
-    state.reservations.lane(chan, Direction.FROM_DEVICE).reserve(
+    state.lanes[chan, Direction.FROM_DEVICE].reserve(
         item.evict_start, item.evict_end, owner)
     if item.prefetch_start >= total:
-        state.reservations.lane(chan, Direction.TO_DEVICE).reserve(
+        state.lanes[chan, Direction.TO_DEVICE].reserve(
             item.prefetch_start - total, item.prefetch_end - total, owner)
     else:
-        state.reservations.lane(chan, Direction.TO_DEVICE).reserve(
+        state.lanes[chan, Direction.TO_DEVICE].reserve(
             item.prefetch_start, item.prefetch_end, owner)
     freed = wrap_pieces(item.evict_end, item.prefetch_start, total)
     for a, b in freed:
@@ -619,7 +598,7 @@ class _RouteCache:
         self._memo = _Memo(state, config)
         specs = {(dest, size): _route_spec(dest, size, state, config)
                  for size in set(state.sizes.values()) for dest in Destination}
-        assert not any(state.reservations.lane(Channel.SSD, d).intervals()
+        assert not any(state.lanes[Channel.SSD, d].intervals()
                        for d in Direction), "built after a booking"
         self._entries = {(p.tensor_id, p.start_us): _Entry(p, state, config,
                                                            specs)

@@ -70,10 +70,9 @@ def _fingerprint(plan: MigrationPlan):
 
 
 def best_assignment(analysis: VitalityAnalysis, config: DeviceConfig, *,
-                    allow_host: bool = True,
-                    max_periods: int = MAX_PERIODS) -> OracleOutcome:
+                    allow_host: bool = True) -> OracleOutcome:
     periods = _canonical_periods(analysis)
-    if len(periods) > max_periods:
+    if len(periods) > MAX_PERIODS:
         raise ValueError(
             f"{len(periods)} periods is past the exhaustive search limit")
     options = ((None, Destination.SSD, Destination.HOST) if allow_host

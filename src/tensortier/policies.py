@@ -29,7 +29,8 @@ from tensortier.simulate import (GPU, HOST, SSD, SimResult, ideal_run,
 from tensortier.trace import WorkloadTrace
 from tensortier.vitality import analyze
 
-DEFAULT_LOOKAHEAD = 1
+# deepum-like prefetches the tensors recorded for this many kernels ahead
+LOOKAHEAD = 1
 
 
 def _durations(trace: WorkloadTrace, config: DeviceConfig, noise_pct: float,
@@ -80,17 +81,10 @@ def faulting_placement(analysis, config: DeviceConfig) -> dict[int, str]:
 
 
 def flashneuron_plan(analysis, config: DeviceConfig) -> SchedulingResult:
-    """Offload intermediates in birth order until the curve fits.
-
-    Marks the plan infeasible when no schedule can work (a single kernel's
-    working set exceeds device memory) or when every candidate is exhausted
-    with pressure still above capacity."""
+    """Offload intermediates in birth order until the curve fits. Pressure
+    left above capacity shows as residual_overflow > 0."""
     result = SchedulingResult.initial(analysis, config)
     state, plan = result.state, result.plan
-    for kernel in analysis.trace.kernels:
-        active = sum(state.sizes[t] for t in kernel.tensors())
-        if active > config.gpu_mem_bytes:
-            plan.infeasible = True
     periods = sorted(
         (p for p in analysis.periods
          if not analysis.lifetimes[p.tensor_id].is_global),
@@ -101,14 +95,12 @@ def flashneuron_plan(analysis, config: DeviceConfig) -> SchedulingResult:
         item = score_candidate(period, Destination.SSD, state, config)
         if item is not None:
             result.book(item, config)
-    if state.pressure.max_value() > config.gpu_mem_bytes:
-        plan.infeasible = True
     plan.residual_overflow = state.pressure.overflow_area(config.gpu_mem_bytes)
     assign_latest_safe(result)
     return result
 
 
-def _correlation_hook(lookahead: int):
+def _correlation_hook():
     recorded = None
 
     def hook(engine, iteration, kernel):
@@ -120,8 +112,8 @@ def _correlation_hook(lookahead: int):
             for it, k, tid in engine.fault_log:
                 if it == 0:
                     recorded.setdefault(k, []).append(tid)
-        target = min(kernel + lookahead, len(engine.trace.kernels) - 1)
-        for tid in recorded.get(target, ()):
+        # nothing is recorded past the last kernel
+        for tid in recorded.get(kernel + LOOKAHEAD, ()):
             engine.runtime_prefetch(tid)
 
     return hook
@@ -155,7 +147,6 @@ def policy_plan(name: str, analysis, config: DeviceConfig, *,
 
 def run_policy(name: str, trace: WorkloadTrace, config: DeviceConfig, *,
                seed: int = 0, noise_pct: float = 0.0, eager: bool = True,
-               lookahead: int = DEFAULT_LOOKAHEAD,
                keep_events: bool = False) -> SimResult:
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}")
@@ -170,7 +161,7 @@ def run_policy(name: str, trace: WorkloadTrace, config: DeviceConfig, *,
     if kind == "empty":
         locations = faulting_placement(analysis, config)
         if name == "deepum-like":
-            hook = _correlation_hook(lookahead)
+            hook = _correlation_hook()
     else:
         locations = planned_placement(analysis, config, allow_host)
     return simulate(trace, emit_program(analysis, plan), config, policy=name,

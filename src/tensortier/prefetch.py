@@ -51,7 +51,7 @@ def eager_reschedule(result: SchedulingResult, config: DeviceConfig) -> None:
             m = state.pressure.earliest_below(cap, item.evict_end, t_i)
         if m >= t_i:
             continue
-        lane = state.reservations.lane(item.dest.channel, Direction.TO_DEVICE)
+        lane = state.lanes[item.dest.channel, Direction.TO_DEVICE]
         dur = item.prefetch_end - item.prefetch_start
         lane.release(item.owner())
         if item.wraps:

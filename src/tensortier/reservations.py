@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from tensortier.config import Channel, Direction
-
 
 class ReservationOverlapError(RuntimeError):
     """Internal guard: a caller tried to double-book a lane."""
@@ -92,13 +90,3 @@ class LaneReservations:
             i += 1
         return total
 
-
-class ChannelReservations:
-    """One lane per (channel, direction)."""
-
-    def __init__(self):
-        self._lanes = {(ch, d): LaneReservations()
-                       for ch in Channel for d in Direction}
-
-    def lane(self, channel: Channel, direction: Direction) -> LaneReservations:
-        return self._lanes[(channel, direction)]

@@ -53,7 +53,7 @@ def latest_safe_prefetch_time(item, state) -> int:
     """Latest feasible start for this item's prefetch, ignoring its own
     booking: release it, search the inbound lane for the latest slot that
     meets the period's deadline, and book it again where it was."""
-    lane = state.reservations.lane(item.dest.channel, Direction.TO_DEVICE)
+    lane = state.lanes[item.dest.channel, Direction.TO_DEVICE]
     dur = item.prefetch_end - item.prefetch_start
     lane.release(item.owner())
     try:

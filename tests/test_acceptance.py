@@ -259,7 +259,7 @@ def _prop_reservations_disjoint(case):
     result = plan_migrations(analyze(trace), dev)
     for ch in Channel:
         for d in Direction:
-            ivals = sorted(result.state.reservations.lane(ch, d).intervals())
+            ivals = sorted(result.state.lanes[ch, d].intervals())
             for (_, e0, _), (s1, _, _) in zip(ivals, ivals[1:]):
                 assert e0 <= s1
 

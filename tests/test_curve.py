@@ -193,10 +193,13 @@ def test_patched_prefix_answers_between_single_adds(adds, cap, clamps,
     """Full-domain queries build each clamp's prefix at once; every later
     add patches it and the queries after it read the patched prefix. The
     edges repeat, so adds split and merge at both ends and touch 0 and the
-    horizon; an add that is undone right away merges at both ends."""
+    horizon; an add that is undone right away merges at both ends. A twin
+    curve that is never queried takes the same adds and keeps the same
+    breakpoints."""
     horizon = 64
     dense = DenseCurve(horizon)
     c = StepCurve(horizon)
+    twin = StepCurve(horizon)  # never queried, so it holds no prefix
     for step, (a, b, delta, repeats, undo) in enumerate(adds):
         if step == copy_at:
             c = c.copy()
@@ -204,6 +207,8 @@ def test_patched_prefix_answers_between_single_adds(adds, cap, clamps,
         for change in (delta, -delta) if undo else (delta,):
             dense.add(lo, hi, change)
             c.add(lo, hi, change)
+            twin.add(lo, hi, change)
+            assert c.breakpoints() == twin.breakpoints()
             for _ in range(repeats):
                 for clamp in clamps:
                     for t0, t1 in ((0, horizon), (lo, hi), (hi, horizon),

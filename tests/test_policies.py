@@ -104,16 +104,6 @@ def test_correlation_prefetch_beats_demand_faulting():
     assert deep.total_us < base.total_us
 
 
-def test_lookahead_clamps_to_last_kernel():
-    trace = _weight_chain()
-    dev = make_device(num_iterations=3)
-    far = run_policy("deepum-like", trace, dev, lookahead=50)
-    # every prefetch collapses onto the final kernel's weight, which then
-    # thrashes the two-slot device: worse than lookahead 1, still no crash
-    assert far.faults == 10
-    assert far.total_us == 1920
-
-
 def test_flashneuron_offloads_intermediates_in_birth_order():
     result = flashneuron_plan(analyze(_offload_trace()), make_device())
     picked = [(i.tensor_id, i.dest, i.evict_start, i.evict_end,
@@ -124,7 +114,6 @@ def test_flashneuron_offloads_intermediates_in_birth_order():
     ]
     assert all(i.scheduled_us == i.latest_safe_us == i.prefetch_start
                for i in result.plan.items)
-    assert not result.plan.infeasible
     assert result.plan.residual_overflow == 0
 
 
@@ -133,7 +122,6 @@ def test_flashneuron_cannot_fix_global_pressure(s1r_trace, device):
     # activations has nothing to move
     result = flashneuron_plan(analyze(s1r_trace), device)
     assert result.plan.items == []
-    assert result.plan.infeasible
     assert result.plan.residual_overflow == 2_048_000
 
 
@@ -143,7 +131,7 @@ def test_flashneuron_flags_oversized_working_set(device):
     result = flashneuron_plan(analyze(WorkloadTrace(tensors=tensors,
                                                     kernels=kernels)),
                               device)
-    assert result.plan.infeasible
+    assert result.plan.residual_overflow > 0
 
 
 def test_flashneuron_run_keeps_host_clean():

@@ -1,6 +1,6 @@
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_device
@@ -154,6 +154,8 @@ def test_eager_is_idempotent_on_replan(device):
 @settings(max_examples=40, deadline=None)
 @given(layers=st.integers(2, 5), seed=st.integers(0, 999),
        eager=st.booleans())
+# a kernel's working set is larger than GPU memory
+@example(layers=2, seed=0, eager=True)
 def test_plan_invariants_on_synthetic_traces(layers, seed, eager):
     trace = synthesize_trace(layers, act_size=(4_096, 65_536),
                              weight_size=(4_096, 32_768),
@@ -165,7 +167,8 @@ def test_plan_invariants_on_synthetic_traces(layers, seed, eager):
         ssd_read_bw=4096, ssd_write_bw=4096, host_bw=8192,
         ssd_read_latency_us=5, ssd_write_latency_us=5, host_latency_us=2,
         page_size_bytes=1024)
-    result = plan_migrations(analyze(trace), device, eager=eager)
+    analysis = analyze(trace)
+    result = plan_migrations(analysis, device, eager=eager)
     plan = result.plan
     total = plan.total_us
     assert plan.residual_overflow >= 0
@@ -192,3 +195,10 @@ def test_plan_invariants_on_synthetic_traces(layers, seed, eager):
             assert item.period_end <= total
     # the planner never leaves pressure above its starting maximum
     assert result.state.pressure.max_value() >= 0
+    # a kernel's tensors have no inactive period while it runs, so neither
+    # planner can bring an oversized working set under capacity
+    if max(sum(device.padded(trace.tensors[t].size_bytes)
+               for t in k.tensors())
+           for k in trace.kernels) > device.gpu_mem_bytes:
+        assert plan.residual_overflow > 0
+        assert flashneuron_plan(analysis, device).plan.residual_overflow > 0

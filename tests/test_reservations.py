@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensortier.config import Channel, Direction
-from tensortier.reservations import (ChannelReservations, LaneReservations,
-                                     ReservationOverlapError)
+from tensortier.eviction import SchedulerState
+from tensortier.reservations import LaneReservations, ReservationOverlapError
+from tensortier.vitality import analyze
 
 
 def test_reserve_and_release():
@@ -57,11 +58,12 @@ def test_busy_within():
     assert lane.busy_within(20, 30) == 0
 
 
-def test_channel_reservations_are_independent():
-    chans = ChannelReservations()
-    chans.lane(Channel.SSD, Direction.TO_DEVICE).reserve(0, 10, "x")
-    assert chans.lane(Channel.SSD, Direction.FROM_DEVICE).earliest_slot(10, 0) == 0
-    assert chans.lane(Channel.HOST, Direction.TO_DEVICE).earliest_slot(10, 0) == 0
+def test_channel_reservations_are_independent(s1_trace, device):
+    lanes = SchedulerState.initial(analyze(s1_trace), device).lanes
+    assert set(lanes) == {(ch, d) for ch in Channel for d in Direction}
+    lanes[Channel.SSD, Direction.TO_DEVICE].reserve(0, 10, "x")
+    assert lanes[Channel.SSD, Direction.FROM_DEVICE].earliest_slot(10, 0) == 0
+    assert lanes[Channel.HOST, Direction.TO_DEVICE].earliest_slot(10, 0) == 0
 
 
 def _no_overlap(lane, start, end):
