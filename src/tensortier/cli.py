@@ -175,6 +175,10 @@ def _cmd_sweep(args) -> int:
     if not cfg.sweep:
         raise ConfigError("config defines no sweep axes")
     axes = tuple(sorted(cfg.sweep))
+    # a bad value fails the command before any cell runs
+    for axis in axes:
+        for value in cfg.sweep[axis]:
+            _apply_axis(cfg, axis, value)
     combos = list(itertools.product(*(cfg.sweep[a] for a in axes)))
     if cfg.workers > 1:
         # imported here: only a parallel sweep needs the process pool, and

@@ -16,10 +16,11 @@ arithmetic uses page-padded sizes.
 Every event logs a line stamped with its time. Lines are formatted at their
 event and hashed in blocks: they collect in a pending list, which is joined
 and hashed once it holds `_HASH_BLOCK` entries, and once more when the run
-ends. The digest is the sha256 of the joined lines, whatever the block size,
-and `keep_events` gets the same lines.
+ends; a steady-state replay (below) hashes each copied iteration at once.
+The digest is the sha256 of the joined lines, whatever the block size, and
+`keep_events` gets the same lines.
 
-Work per event is kept to what changed, under three rules that leave every
+Work per event is kept to what changed, under four rules that leave every
 event log and figure as a full re-evaluation would:
 
 - Chunk train. When a fault chunk lands with bytes still to move, the same
@@ -54,6 +55,30 @@ event log and figure as a full re-evaluation would:
   equal-time events keep their order. Overlap is additive over contiguous
   intervals while no kernel starts or ends, so one `_add_overlap` call
   covers the merged interval.
+- Steady state. At the start of iteration j >= 2 the run ends with copies of
+  iteration j-1 in place of iterations j to N-1 when (1) the start is
+  quiescent: no event is due, every lane is idle with an empty queue,
+  nothing is parked, no tensor is pending in or out or holds a retry, and no
+  block is open; (2) its state key equals the one kept at the start of j-1:
+  each tensor's location and last_use (relative to the iteration's first
+  kernel instance), and the time since the last kernel ended; and (3)
+  duration rows j-1 to N-1 are equal (noise 0). The GPU, host and SSD byte
+  counts are left out of the key: with nothing in flight they are sums over
+  the locations. Iteration j then starts from iteration j-1's state shifted
+  by its length, runs the same durations and directives, and reads nothing
+  outside the key: every event it sees is one it pushes (the heap is empty),
+  its transfers overlap only kernels that run after the start, and the LRU
+  victims depend only on the tensors' state, not on stale heap entries
+  (`_lru_evict`). So it repeats iteration j-1 shifted, and by induction so
+  does every later one. Each copy logs the template's lines with times and
+  iteration numbers moved and adds its kernel stats, fault-log entries and
+  counter deltas; `done` follows where the last copy ends. The template is
+  iteration 1 or later because a hook may act differently in iteration 0
+  (below).
+
+An `on_kernel_start` hook must act the same in every iteration after the
+first, given the same engine state, since the iterations a steady-state
+replay copies do not call it.
 """
 
 from __future__ import annotations
@@ -132,6 +157,18 @@ class SimResult:
     fault_log: list[tuple[int, int, int]]   # (iteration, kernel, tensor)
     event_log_sha256: str
     events: list[str] | None = None
+
+
+class _Mark(NamedTuple):
+    """An iteration start kept as the template of a steady-state replay."""
+    key: tuple
+    now: int
+    pending: int         # log entries already pending there
+    stats: int           # kernel stats before it
+    faults: int          # faults (and fault-log entries) before it
+    overlap_us: int
+    stalls: dict[str, int]
+    moved: tuple[int, ...]
 
 
 class _Tensor:
@@ -223,6 +260,16 @@ class _Engine:
                 or any(len(row) != n for row in durations)):
             raise ProgramInconsistentError("durations shape mismatch")
         self.durations = durations
+        # the first iteration whose duration row repeats to the end, kept
+        # as a steady-state template from there on (module docstring);
+        # never when no later start could replay it
+        steady = self.iterations - 1
+        while steady > 1 and durations[steady - 1] == durations[steady]:
+            steady -= 1
+        self._steady_from = (steady if steady < self.iterations - 1
+                             else self.iterations)
+        self._mark: _Mark | None = None
+        self._tape: list[str] | None = None  # entries flushed since _mark
 
         self.tensors = {tid: _Tensor(tid, config.padded(t.size_bytes))
                         for tid, t in trace.tensors.items()}
@@ -319,6 +366,8 @@ class _Engine:
 
     def _flush(self) -> None:
         text = "".join(self._pending)
+        if self._tape is not None:
+            self._tape += self._pending
         self._pending.clear()
         self._hash.update(text.encode())
         if self._event_lines is not None:
@@ -606,6 +655,9 @@ class _Engine:
             if self.running is not None:
                 return
             if self.pos == 0 and not self.iter_started:
+                if (self.iter_index >= self._steady_from
+                        and self._fast_forward()):
+                    return
                 self.iter_started = True
                 self._log(f"iteration {self.iter_index}")
                 self._arm_iteration(self.iter_index)
@@ -736,6 +788,81 @@ class _Engine:
         for ins, iteration in info.defers:
             self._trigger(ins, iteration)
         self._advance("none")
+
+    # -- steady state ---------------------------------------------------------
+
+    def _fast_forward(self) -> bool:
+        """At an iteration start, replay the previous iteration to the end
+        of the run if this start repeats its state (module docstring,
+        steady state); otherwise keep this start as the next template."""
+        mark, tape = self._mark, self._tape
+        self._mark = self._tape = None
+        tensors = self.tensors.values()
+        if (self.events or self.parked or self.block_started is not None
+                or any(lane.current is not None or lane.queue
+                       for lane in self.lanes)
+                or any(t.pending_in or t.pending_out
+                       or t.retry_fetch is not None for t in tensors)):
+            return False
+        base = self.iter_index * len(self._needed)
+        key = (self.prev_end - self.now,
+               tuple(t.loc for t in tensors),
+               tuple(t.last_use - base if t.last_use >= 0 else None
+                     for t in tensors))
+        if mark is not None and mark.key == key:
+            self._replay(mark, tape)
+            return True
+        if self.iter_index < self.iterations - 1:
+            self._mark = _Mark(
+                key, self.now, len(self._pending), len(self.kernel_stats),
+                self.faults, self.overlap_us, dict(self.stall_breakdown),
+                tuple(lane.moved for lane in self.lanes))
+            self._tape = []
+        return False
+
+    def _replay(self, mark: _Mark, tape: list[str]) -> None:
+        """Finish the run with copies of the iteration since mark, each
+        shifted by its length; tape holds the entries flushed since."""
+        first = self.iter_index - 1      # the template iteration
+        runs = self.iterations - 1 - first
+        period = self.now - mark.now
+        n = len(self._needed)
+        text = "".join((tape + self._pending)[mark.pending:])
+        self._flush()
+        # the template as a bytes %-format: its times become %d fields and
+        # its iteration numbers a NUL (no log line holds either character)
+        lines = [line.partition(" ") for line in text.splitlines()]
+        times = [int(t) for t, _, _ in lines]
+        fmt = "%d " + "\n%d ".join([rest for _, _, rest in lines]) + "\n"
+        fmt = fmt.replace(f"%d iteration {first}\n", "%d iteration \0\n")
+        fmt = fmt.replace(f" iter {first}\n", " iter \0\n").encode()
+        stats = self.kernel_stats[mark.stats:]
+        faults = self.fault_log[mark.faults:]
+        for r in range(1, runs + 1):
+            shift = r * period
+            data = (fmt.replace(b"\0", b"%d" % (first + r))
+                    % tuple(map(shift.__add__, times)))
+            # hashed and kept as _flush would
+            self._hash.update(data)
+            if self._event_lines is not None:
+                self._event_lines.extend(data.decode().splitlines())
+            self.kernel_stats.extend(
+                KernelStat(s.instance + r * n, s.iteration + r,
+                           s.kernel_index, s.name, s.start_us + shift,
+                           s.end_us + shift, s.stall_us) for s in stats)
+            self.fault_log.extend((it + r, k, tid) for it, k, tid in faults)
+        self.faults += runs * len(faults)
+        self.overlap_us += runs * (self.overlap_us - mark.overlap_us)
+        for cause, total in self.stall_breakdown.items():
+            self.stall_breakdown[cause] = total + runs * (
+                total - mark.stalls.get(cause, 0))
+        for lane, moved in zip(self.lanes, mark.moved):
+            lane.moved += runs * (lane.moved - moved)
+        self.prev_end += runs * period
+        self.now += runs * period
+        self.iter_index = self.iterations
+        self.finished = True
+        self._log("done")
 
     # -- runtime hook surface -------------------------------------------------
 

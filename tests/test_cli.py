@@ -217,14 +217,25 @@ def test_sweep_parallel_rows_match_serial(tmp_path):
     ([], "workers = 0\n", "workers must be >= 1"),
     ([], "sweep.noise_pct = 0.1, 1.5\n", "noise_pct must be in [0, 1)"),
 ], ids=["workers-flag", "workers-key", "noise-axis"])
-def test_sweep_settings_are_checked(tmp_path, capsys, flag, line, message):
+def test_sweep_settings_are_checked(tmp_path, capsys, monkeypatch, flag,
+                                    line, message):
     """A flag or a sweep value is checked as the same key in the config
-    is. The noise axis is applied last, after the memory axis."""
+    is, before any cell runs. The noise axis is applied last, after the
+    memory axis, and its good value comes first."""
     cfg = write_setup(tmp_path, extra="sweep.gpu_mem_bytes = 102400\n" + line)
     out = tmp_path / "out"
+    cells = []
+    run_policy = cli.run_policy
+
+    def counted(*args, **kwargs):
+        cells.append(args)
+        return run_policy(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_policy", counted)
     assert main(["sweep", "--config", cfg, "--out", str(out)] + flag) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+    assert cells == []
 
 
 def test_sweep_without_axes_is_an_input_error(tmp_path, capsys):

@@ -319,8 +319,10 @@ def test_run_ahead_waits_for_a_stale_stream_step():
 
 def test_event_log_hashed_across_block_boundaries(monkeypatch):
     # base-uvm faults every tensor in page-sized chunks for 12 iterations:
-    # 5,536 lines, several hash blocks, and one run-ahead that arrives when
-    # the pending list is one entry short of a flush
+    # 5,536 lines over several hash blocks. Noise-free, the run repeats
+    # from iteration 1 on and the engine replays it from iteration 2; with
+    # noise it is simulated in full, and one run-ahead arrives when the
+    # pending list is one entry short of a flush.
     trace = synthesize_trace(4, (20_000, 60_000), (8_000, 24_000), (20, 80),
                              14)
     dev = make_device(gpu_mem_bytes=117_760, host_mem_bytes=10_000_000,
@@ -335,15 +337,132 @@ def test_event_log_hashed_across_block_boundaries(monkeypatch):
         log_block(engine, entries)
 
     monkeypatch.setattr(_Engine, "_log_block", spy)
+    replays = _watch_replays(monkeypatch)
     kept = run_policy("base-uvm", trace, dev, keep_events=True)
+    assert replays == [2]
+    arrivals.clear()
+    noisy = run_policy("base-uvm", trace, dev, keep_events=True,
+                       noise_pct=0.1)
+    assert replays == [2] and len(noisy.events) == 5_536
+    assert any(pending == _HASH_BLOCK - 1 and n > 1
+               for pending, n in arrivals)
     monkeypatch.undo()
     plain = run_policy("base-uvm", trace, dev)
     assert len(kept.events) == 5_536 > 4 * _HASH_BLOCK
-    assert any(pending == _HASH_BLOCK - 1 and n > 1
-               for pending, n in arrivals)
     assert kept.event_log_sha256 == plain.event_log_sha256
-    text = "".join(line + "\n" for line in kept.events)
-    assert hashlib.sha256(text.encode()).hexdigest() == kept.event_log_sha256
-    # recorded before the event log was hashed in blocks
+    for run in (kept, noisy):
+        text = "".join(line + "\n" for line in run.events)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            run.event_log_sha256)
+    # recorded before the event log was hashed in blocks (the noise-free
+    # run) and before steady iterations were replayed (the noisy one)
     assert plain.event_log_sha256 == (
         "da9524672709d3ec71a5402b26e76241ad233bd1c79c8745a4672192fda61e1c")
+    assert noisy.event_log_sha256 == (
+        "406a00794ab6fab8a17a10b8f6157086c6aebd5049d774318a1b0447b9374993")
+
+
+_REPLAYED = ("base-uvm", "deepum-like", "flashneuron-like", "g10",
+             "g10-ssd-only")
+
+
+def _watch_replays(monkeypatch):
+    """The iterations at which steady-state replays start, as they run."""
+    replays = []
+    replay = _Engine._replay
+
+    def spy(engine, *args):
+        replays.append(engine.iter_index)
+        replay(engine, *args)
+
+    monkeypatch.setattr(_Engine, "_replay", spy)
+    return replays
+
+
+def _fully_simulated(policy, trace, dev, **kwargs):
+    """The run with no steady-state replay: every start is a new one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "_fast_forward", lambda engine: False)
+        return run_policy(policy, trace, dev, keep_events=True, **kwargs)
+
+
+@settings(max_examples=12, deadline=None)
+@given(layers=st.integers(2, 4), seed=st.integers(0, 10**6),
+       fraction=st.floats(0.3, 1.0), iterations=st.integers(3, 8),
+       noise=st.sampled_from([0.0, 0.0, 0.2]),
+       chunk=st.sampled_from([1_024, 4_096]))
+def test_steady_state_replay_matches_full_simulation(layers, seed, fraction,
+                                                      iterations, noise,
+                                                      chunk):
+    trace = synthesize_trace(layers, (8_000, 30_000), (4_000, 12_000),
+                             (20, 80), seed)
+    padded = make_device().padded
+    footprint = sum(padded(t.size_bytes) for t in trace.tensors.values())
+    working = max(sum(padded(trace.tensors[tid].size_bytes)
+                      for tid in k.tensors()) for k in trace.kernels)
+    dev = make_device(gpu_mem_bytes=max(working, int(fraction * footprint)),
+                      fault_chunk_bytes=chunk, fault_handling_us=1,
+                      num_iterations=iterations)
+    for policy in _REPLAYED:
+        fast = run_policy(policy, trace, dev, keep_events=True,
+                          noise_pct=noise, seed=seed)
+        assert fast == _fully_simulated(policy, trace, dev, noise_pct=noise,
+                                        seed=seed)
+
+
+def test_no_steady_state_replay_with_a_transfer_in_flight(monkeypatch):
+    # w0 goes out during k1 and its prefetch, held until the eviction
+    # lands, is still moving when every iteration ends. Iterations 1 and 2
+    # start with the same locations, uses and gap, but the prefetch lands
+    # 6 us into iteration 1 and 4 us into iteration 2.
+    tensors = {t: TensorDescriptor(t, 8_192, TensorKind.GLOBAL)
+               for t in (0, 1)}
+    kernels = (KernelRecord(0, "k0", 10, frozenset({0}), frozenset()),
+               KernelRecord(1, "k1", 10, frozenset({1}), frozenset()))
+    trace = WorkloadTrace(tensors=tensors, kernels=kernels)
+    program = parse_program("G10 pre_evict 0 8192 host @12\nKERNEL 0 k0 10\n"
+                            "G10 prefetch 0 8192 @18\nKERNEL 1 k1 10\n")
+    dev = make_device(num_iterations=6)
+    starts = {0: "gpu", 1: "gpu"}
+    replays = _watch_replays(monkeypatch)
+    fast = simulate(trace, program, dev, keep_events=True,
+                    initial_locations=starts)
+    monkeypatch.setattr(_Engine, "_fast_forward", lambda engine: False)
+    full = simulate(trace, program, dev, keep_events=True,
+                    initial_locations=starts)
+    assert replays == []
+    assert fast == full
+    assert "20 iteration 1" in fast.events
+    assert "26 xfer_done prefetch t0" in fast.events
+    assert "50 xfer_done prefetch t0" in fast.events
+
+
+def test_steady_state_waits_for_the_same_gap_after_the_last_kernel(
+        monkeypatch):
+    # iteration 0 faults w0 in, so t1's pre-eviction finds it unborn; from
+    # iteration 1 on it is deferred past k1, and the free of t1 waits 7 us
+    # for it to land. Iterations 1 and 2 start with the same tensor state
+    # but 0 and 7 us after the last kernel ended, so iteration 2 is not a
+    # copy of iteration 1: its first kernel stalls 7 us.
+    tensors = {0: TensorDescriptor(0, 8_192, TensorKind.GLOBAL),
+               1: TensorDescriptor(1, 8_192, TensorKind.INTERMEDIATE)}
+    kernels = (KernelRecord(0, "k0", 10, frozenset({0}), frozenset()),
+               KernelRecord(1, "k1", 10, frozenset(), frozenset({1})))
+    trace = WorkloadTrace(tensors=tensors, kernels=kernels)
+    program = parse_program(
+        "KERNEL 0 k0 10\nG10 alloc 1 8192 @10\n"
+        "G10 pre_evict 1 8192 host @15\nKERNEL 1 k1 10\n"
+        "G10 free 1 8192 @20\n")
+    dev = make_device(num_iterations=5, fault_handling_us=1)
+    starts = {0: "host"}
+    replays = _watch_replays(monkeypatch)
+    fast = simulate(trace, program, dev, policy="base-uvm", keep_events=True,
+                    initial_locations=starts)
+    monkeypatch.setattr(_Engine, "_fast_forward", lambda engine: False)
+    full = simulate(trace, program, dev, policy="base-uvm", keep_events=True,
+                    initial_locations=starts)
+    assert replays == [3]
+    assert fast == full
+    assert [k.stall_us for k in fast.kernels] == [8, 0, 0, 0, 7, 0, 7, 0, 7, 0]
+    assert fast.events[-3:] == ["136 xfer_done evict t1", "136 free t1",
+                                "136 done"]
