@@ -55,38 +55,29 @@ is SchedulingResult.book between round and picked, which clears the memo
 first. score_candidate asks through a fresh memo, so its callers (the
 oracle, FlashNeuron and the reference planner) share no answers.
 
-picked does not walk the remaining periods. It gives each check only the
-periods that can trigger it, found by an index of the periods by time
-(_Periods), and marks stale the periods whose SSD size is in the flash
-band, found by bisecting the sorted sizes:
+picked walks the remaining periods once and gives each period every
+check; a check tests its own overlap, so each forgets only what it is
+about and the order they run in does not matter:
 
-- relieved (a benefit moved): the periods that meet the relieved pieces. A
-  window lies inside its period and only shrinks, so every benefit the pick
-  can move sits in such a period.
-- booked and, after an SSD pick, ssd_booked (a slot moved; the SSD busy
-  time grew): the periods that meet the pick's two bookings. A period's SSD
-  busy time grows only if it meets an SSD pick's bookings. A slot a booking
-  can move lies inside its period, or its route can never fit again: an
-  outbound slot that ends after the period, or an inbound one that starts
-  before it, leaves no room for the other slot inside the period, and later
-  searches only move the outbound slot later and the inbound one earlier.
-  Such a route's stale slot is harmless.
+- relieved (a benefit moved): the window meets the pieces where the pick
+  lowered the pressure from above capacity to below capacity plus the
+  largest size.
+- booked (a slot moved): a slot of a route on the pick's channel meets
+  the pick's booking on its lane.
+- ssd_booked (the SSD busy time grew): after an SSD pick, the period meets
+  the pick's bookings.
 - crowded (a passed host check can fail): after a host pick that leaves
-  less host memory than the largest size somewhere, the periods that meet
-  the freed pieces, since a host check reads the occupancy inside its
-  window only.
+  less host memory than the largest size somewhere, the window meets the
+  freed pieces, since a host check reads the occupancy inside its window
+  only.
 - An SSD pick flips the SSD-capacity verdict only for sizes in
   (flash left, flash left + the pick's size].
-
-Each check only forgets what it is about, so the order they run in does not
-matter.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from tensortier.config import Channel, DeviceConfig, Direction
@@ -502,12 +493,11 @@ def apply_candidate(item: PlanItem, state: SchedulerState,
 class _Entry:
     """A remaining period, its two routes, the SSD lanes' busy time inside
     the period (outbound, inbound) and the route it chose in the last round
-    (None if neither fits, _STALE once an input of it changed). live turns
-    False when the period leaves the cache. specs holds the route constants
-    by (destination, padded size)."""
+    (None if neither fits, _STALE once an input of it changed). specs holds
+    the route constants by (destination, padded size)."""
 
     __slots__ = ("period", "pieces", "ssd", "host", "busy_out", "busy_in",
-                 "busy_limit", "choice", "live")
+                 "busy_limit", "choice")
 
     def __init__(self, period, state, config, specs):
         self.period = period
@@ -523,7 +513,6 @@ class _Entry:
         self.busy_limit = (config.hp_utilization_threshold
                            * (period.end_us - period.start_us))
         self.choice = _STALE
-        self.live = True
 
     def ssd_busy(self) -> bool:
         """_ssd_utilization_high, from the kept busy times."""
@@ -540,55 +529,12 @@ class _Entry:
         return idle and self.ssd_busy()
 
 
-class _Periods:
-    """The periods of the cache by the time their pieces cover, fixed when
-    the cache is built; a period that left the cache is skipped, not
-    removed.
-
-    meeting(lo, hi) finds the periods with a piece that meets [lo, hi) at
-    the cost of about its answer, by two slices: the pieces that cover the
-    last bucket point at or before lo (kept per point, sorted by end, so
-    the ones ending after lo are a suffix), and the pieces that start after
-    that point and before hi (sorted by start). The second slice can hold
-    pieces that end before lo, at most one bucket's worth.
-    """
-
-    # a piece is listed at every point it covers, so few points keep the
-    # build small; a query still reads at most one bucket too many
-    _BUCKETS = 16
-
-    def __init__(self, entries, total):
-        pieces = [(a, b, entry) for entry in entries for a, b in entry.pieces]
-        pieces.sort(key=lambda p: p[0])
-        self._starts = [a for a, _, _ in pieces]
-        self._by_start = [entry for _, _, entry in pieces]
-        self._width = width = max(1, -(-total // self._BUCKETS))
-        points = -(-total // width) or 1
-        self._ends = [[] for _ in range(points)]
-        self._covering = [[] for _ in range(points)]
-        pieces.sort(key=lambda p: p[1])  # so each point's list is by end
-        for a, b, entry in pieces:
-            # the bucket points k * width inside [a, b)
-            for k in range(-(-a // width), -(-b // width)):
-                self._ends[k].append(b)
-                self._covering[k].append(entry)
-
-    def meeting(self, lo, hi) -> list:
-        """Live and dead periods with a piece that meets [lo, hi) (and a
-        few that end before lo)."""
-        k = lo // self._width
-        found = self._covering[k][bisect_right(self._ends[k], lo):]
-        starts = self._starts
-        found += self._by_start[bisect_right(starts, k * self._width):
-                                bisect_left(starts, hi)]
-        return found
-
-
 class _RouteCache:
     """The remaining periods, by period start and tensor id, each with its
-    choose_destination answer kept between rounds, the indexes that find
-    the periods a pick can reach, and the answers of the current round
-    (round, invalidation, index and memo rules: module docstring)."""
+    choose_destination answer kept between rounds, and the answers of the
+    current round. After each pick, picked walks every remaining period
+    once, and each check forgets only what it is about (round,
+    invalidation and memo rules: module docstring)."""
 
     def __init__(self, periods, state: SchedulerState, config: DeviceConfig,
                  allow_host: bool):
@@ -604,13 +550,9 @@ class _RouteCache:
                                                            specs)
                          for p in sorted(periods, key=lambda p: (
                              p.start_us, p.tensor_id, p.end_us))}
-        entries = self._entries.values()
-        self._periods = _Periods(entries, state.total_us)
-        by_size = sorted(entries, key=lambda e: e.ssd.size)
-        self._sizes = [entry.ssd.size for entry in by_size]
-        self._by_size = by_size
         # the largest clamp of any benefit query
-        self._max_size = self._sizes[-1] if by_size else 0
+        self._max_size = max((entry.ssd.size
+                              for entry in self._entries.values()), default=0)
 
     def _choose(self, entry: _Entry):
         state, config, memo = self._state, self._config, self._memo
@@ -620,18 +562,6 @@ class _RouteCache:
             if entry.host.candidate(state, config, memo):
                 route = entry.host
         return route
-
-    def _remove(self, key) -> _Entry:
-        entry = self._entries.pop(key)
-        entry.live = False
-        return entry
-
-    def _reached(self, pieces) -> list:
-        """The live periods that meet any of pieces, each once."""
-        found = set()
-        for lo, hi in pieces:
-            found.update(self._periods.meeting(lo, hi))
-        return [entry for entry in found if entry.live]
 
     def round(self):
         """Choose again where stale, drop the periods that fit nowhere and
@@ -647,13 +577,13 @@ class _RouteCache:
                 dropped.append(key)
             elif route.benefit > 0 and (best is None or _better(route, best)):
                 best = route
-        return best, [self._remove(key).period for key in dropped]
+        return best, [self._entries.pop(key).period for key in dropped]
 
     def picked(self, best: PlanItem) -> None:
         """Forget what booking best can have changed (after it was
         booked)."""
         self._memo.clear()
-        self._remove(best.owner())
+        del self._entries[best.owner()]
         state, config = self._state, self._config
         total = state.total_us
         size = state.sizes[best.tensor_id]
@@ -668,37 +598,28 @@ class _RouteCache:
         relieved = [piece for a, b in freed
                     for piece in state.pressure.pieces_between(
                         cap - size, cap + self._max_size, a, b)]
-        # each check goes to the periods that can trigger it (module
-        # docstring)
-        for entry in self._reached(relieved):
+        ssd_pick = best.dest is Destination.SSD
+        if ssd_pick:
+            flash = config.ssd_capacity_bytes - state.ssd_occupancy
+        else:
+            room = config.host_mem_bytes - wrap_max(
+                state.host_occupancy, best.evict_end, best.prefetch_start)
+            crowding = self._max_size > room
+        # every check runs, since each one also updates what it keeps
+        for entry in self._entries.values():
             dirty = entry.ssd.relieved(relieved)
-            if entry.host.relieved(relieved):
-                dirty = True
+            dirty |= entry.host.relieved(relieved)
+            if ssd_pick:
+                # sizes that fitted the flash left before this pick only
+                dirty |= flash < entry.ssd.size <= flash + size
+                dirty |= entry.ssd.booked(evict, prefetch)
+                dirty |= entry.ssd_booked(evict, prefetch)
+            else:
+                dirty |= entry.host.booked(evict, prefetch)
+                if crowding:
+                    dirty |= entry.host.crowded(freed, room)
             if dirty:
                 entry.choice = _STALE
-        if best.dest is Destination.SSD:
-            flash = config.ssd_capacity_bytes - state.ssd_occupancy
-            # sizes that fitted the flash left before this pick only
-            for entry in self._by_size[bisect_right(self._sizes, flash):
-                                       bisect_right(self._sizes,
-                                                    flash + size)]:
-                entry.choice = _STALE
-            for entry in self._reached((evict, prefetch)):
-                dirty = entry.ssd.booked(evict, prefetch)
-                if entry.ssd_booked(evict, prefetch):
-                    dirty = True
-                if dirty:
-                    entry.choice = _STALE
-            return
-        for entry in self._reached((evict, prefetch)):
-            if entry.host.booked(evict, prefetch):
-                entry.choice = _STALE
-        room = config.host_mem_bytes - wrap_max(
-            state.host_occupancy, best.evict_end, best.prefetch_start)
-        if self._max_size > room:
-            for entry in self._reached(freed):
-                if entry.host.crowded(freed, room):
-                    entry.choice = _STALE
 
 
 def schedule_evictions(analysis: VitalityAnalysis, config: DeviceConfig, *,

@@ -40,23 +40,18 @@ def _durations(trace: WorkloadTrace, config: DeviceConfig, noise_pct: float,
     return perturb_durations(trace, noise_pct, seed, config.num_iterations)
 
 
-def _globals_of(analysis):
-    return sorted(tid for tid, life in analysis.lifetimes.items()
-                  if life.is_global)
-
-
-def planned_placement(analysis, config: DeviceConfig,
-                      allow_host: bool) -> dict[int, str]:
-    """Long-lived tensors start on device while they fit, spilling to the
-    next tier down."""
+def _spill(analysis, config: DeviceConfig, gpu_free: int,
+           allow_host: bool) -> dict[int, str]:
+    """Long-lived tensors fill gpu_free bytes of the device, then host
+    memory (when allowed), then flash, in tensor id order."""
     placement = {}
-    free = config.gpu_mem_bytes
     host_free = config.host_mem_bytes
-    for tid in _globals_of(analysis):
+    for tid in sorted(tid for tid, life in analysis.lifetimes.items()
+                      if life.is_global):
         size = config.padded(analysis.trace.tensors[tid].size_bytes)
-        if size <= free:
+        if size <= gpu_free:
             placement[tid] = GPU
-            free -= size
+            gpu_free -= size
         elif allow_host and size <= host_free:
             placement[tid] = HOST
             host_free -= size
@@ -65,19 +60,17 @@ def planned_placement(analysis, config: DeviceConfig,
     return placement
 
 
+def planned_placement(analysis, config: DeviceConfig,
+                      allow_host: bool) -> dict[int, str]:
+    """Long-lived tensors start on device while they fit, spilling to the
+    next tier down."""
+    return _spill(analysis, config, config.gpu_mem_bytes, allow_host)
+
+
 def faulting_placement(analysis, config: DeviceConfig) -> dict[int, str]:
     """Long-lived tensors begin in host memory, as managed-memory runtimes
     leave them, and fault onto the device on first touch."""
-    placement = {}
-    host_free = config.host_mem_bytes
-    for tid in _globals_of(analysis):
-        size = config.padded(analysis.trace.tensors[tid].size_bytes)
-        if size <= host_free:
-            placement[tid] = HOST
-            host_free -= size
-        else:
-            placement[tid] = SSD
-    return placement
+    return _spill(analysis, config, 0, True)
 
 
 def flashneuron_plan(analysis, config: DeviceConfig) -> SchedulingResult:

@@ -9,8 +9,7 @@ from conftest import make_device
 from reference_planner import schedule_evictions_fresh, select_best
 from tensortier import eviction
 from tensortier.config import DeviceConfig
-from tensortier.curve import (StepCurve, wrap_max, wrap_pieces,
-                              wrap_window_overflow_area)
+from tensortier.curve import StepCurve, wrap_max, wrap_window_overflow_area
 from tensortier.eviction import (CapacityViolationError, Destination,
                                  PlanItem, SchedulerState, SchedulingResult,
                                  plan_from_json, plan_to_json,
@@ -280,70 +279,6 @@ def test_plan_items_are_built_only_for_bookings(monkeypatch):
     assert {item.dest for item in plan.items} == set(Destination)
     assert plan.unschedulable
     assert len(built) == len(plan.items)
-
-
-def test_picks_check_only_the_routes_they_can_reach(monkeypatch):
-    trace = synthesize_trace(6, (20_480, 61_440), (8_192, 30_720),
-                             (20, 150), 6)
-    base = make_device()
-    footprint = sum(base.padded(t.size_bytes)
-                    for t in trace.tensors.values())
-    dev = make_device(gpu_mem_bytes=footprint * 4 // 10 // 1024 * 1024,
-                      host_mem_bytes=footprint // 10,
-                      ssd_capacity_bytes=footprint // 8, ssd_read_bw=1024,
-                      ssd_write_bw=1024)
-    analysis = analyze(trace)
-    checked = []
-    remaining = []
-    relieved = eviction._Route.relieved
-    picked = eviction._RouteCache.picked
-
-    def counting_relieved(self, pieces):
-        if self.dest is Destination.SSD:  # one check per period visited
-            checked.append(1)
-        return relieved(self, pieces)
-
-    def counting_picked(self, best):
-        remaining.append(len(self._entries) - 1)  # all but best itself
-        picked(self, best)
-
-    monkeypatch.setattr(eviction._Route, "relieved", counting_relieved)
-    monkeypatch.setattr(eviction._RouteCache, "picked", counting_picked)
-    plan = schedule_evictions(analysis, dev).plan
-    assert {item.dest for item in plan.items} == set(Destination)
-    # a full walk checks every remaining period after every pick
-    assert 0 < len(checked) < sum(remaining)
-    assert plan_to_json(plan) == plan_to_json(
-        schedule_evictions_fresh(analysis, dev).plan)
-
-
-class _PeriodStub:
-    def __init__(self, pieces):
-        self.pieces = pieces
-
-
-@settings(max_examples=200, deadline=None)
-@given(total=st.integers(1, 80),
-       spans=st.lists(st.tuples(st.integers(0, 79), st.integers(1, 80)),
-                      max_size=20),
-       queries=st.lists(st.tuples(st.integers(0, 79), st.integers(1, 80)),
-                        min_size=1, max_size=10))
-def test_period_index_finds_every_period_that_meets(total, spans, queries):
-    """_Periods.meeting against a scan: it finds every period with a piece
-    that meets the query, and only ones with a piece starting before its
-    end."""
-    entries = [_PeriodStub(wrap_pieces(a % total, a % total + min(n, total),
-                                  total))
-               for a, n in spans]
-    index = eviction._Periods(entries, total)
-    for a, n in queries:
-        lo = a % total
-        hi = min(lo + n, total)
-        found = index.meeting(lo, hi)
-        meets = [e for e in entries
-                 if any(s < hi and lo < t for s, t in e.pieces)]
-        assert {id(e) for e in meets} <= {id(e) for e in found}
-        assert all(any(s < hi for s, _ in e.pieces) for e in found)
 
 
 def _cand(benefit, cost, start=0, tid=0):
