@@ -155,6 +155,12 @@ class SchedulerState:
             host_occupancy=StepCurve(total),
         )
 
+    def copy(self) -> SchedulerState:
+        """A state to book on apart from this one; sizes is never written."""
+        return SchedulerState(self.total_us, self.sizes, self.pressure.copy(),
+                              {k: v.copy() for k, v in self.lanes.items()},
+                              self.host_occupancy.copy(), self.ssd_occupancy)
+
 
 @dataclass
 class SchedulingResult:
@@ -523,9 +529,13 @@ class _Entry:
         """Add an SSD pick's bookings to the busy times; True if that made
         the SSD lanes count as busy (bookings only add lane time, so a busy
         verdict stays busy)."""
+        out = _overlap_us(self.pieces, evict)
+        inbound = _overlap_us(self.pieces, prefetch)
+        if not (out or inbound):
+            return False  # nothing moved, so neither did the verdict
         idle = not self.ssd_busy()
-        self.busy_out += _overlap_us(self.pieces, evict)
-        self.busy_in += _overlap_us(self.pieces, prefetch)
+        self.busy_out += out
+        self.busy_in += inbound
         return idle and self.ssd_busy()
 
 

@@ -113,16 +113,12 @@ def _sorted_gap(instructions) -> tuple[MigrationInstruction, ...]:
                                        i.tensor_id)))
 
 
-def emit_program(analysis: VitalityAnalysis, plan: MigrationPlan) -> Program:
+def lifetime_gaps(analysis: VitalityAnalysis):
+    """Per gap, the alloc and free directives of the tensors' lifetimes:
+    the part of every program of the trace that no plan changes."""
     trace = analysis.trace
     timeline = analysis.timeline
-    total = timeline.total_us
-    if plan.total_us != total:
-        raise InconsistentPlanError("plan and trace disagree on iteration length")
-    n = len(trace.kernels)
-    gaps: list[list[MigrationInstruction]] = [[] for _ in range(n + 1)]
-    start_index = {timeline.starts[k]: k for k in range(n)}
-
+    gaps = [[] for _ in range(len(trace.kernels) + 1)]
     for life in analysis.lifetimes.values():
         tensor = trace.tensors[life.tensor_id]
         if life.is_global:
@@ -135,6 +131,19 @@ def emit_program(analysis: VitalityAnalysis, plan: MigrationPlan) -> Program:
         gaps[life.death_kernel + 1].append(MigrationInstruction(
             Op.FREE, tensor.id, tensor.size_bytes,
             timeline.ends[life.death_kernel]))
+    return tuple(map(tuple, gaps))
+
+
+def emit_program(analysis: VitalityAnalysis, plan: MigrationPlan,
+                 skeleton=None) -> Program:
+    """skeleton is lifetime_gaps(analysis) or None."""
+    trace = analysis.trace
+    timeline = analysis.timeline
+    total = timeline.total_us
+    if plan.total_us != total:
+        raise InconsistentPlanError("plan and trace disagree on iteration length")
+    gaps = list(map(list, skeleton or lifetime_gaps(analysis)))
+    start_index = {timeline.starts[k]: k for k in range(len(trace.kernels))}
 
     for item in plan.items:
         if item.tensor_id not in trace.tensors:

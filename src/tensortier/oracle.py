@@ -1,29 +1,33 @@
 """Exhaustive reference for the greedy scheduler on small instances.
 
 Enumerates every assignment of inactive periods to {skip, ssd, host},
-books each assignment in canonical period order through the same scoring
-and reservation mechanics the greedy pass uses, then runs each booked
-plan through the simulator and keeps the lowest run time (combos tie on
-transfer cost). The greedy plan is simulated and admitted to the pool and
-run-time ties go to it, so the reported optimum is never worse than
-greedy, the ratio is always >= 1, and a greedy plan that matches the
-enumerated best is reported as the optimal assignment it is.
+books each in canonical period order through the same scoring and
+reservation mechanics the greedy pass uses, then runs each booked plan
+through the simulator and keeps the lowest run time (combos tie on transfer
+cost, then go to the first). _booked books each shared prefix once: depth
+first, options in the order skip, ssd, host, a skip passing the parent's
+state down and a booking scoring on it and booking on a copy. Scoring only
+reads the state, so each leaf is booked as from a fresh state, an
+unbookable period prunes exactly the combos with its prefix, and leaves
+come in itertools.product order. The greedy plan is simulated and admitted
+to the pool and run-time ties go to it, so the reported optimum is never
+worse than greedy, the ratio is always >= 1, and a greedy plan that matches
+the enumerated best is reported as the optimal assignment it is.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from tensortier.config import DeviceConfig
 from tensortier.eviction import (CapacityViolationError, Destination,
                                  MigrationPlan, SchedulingResult,
                                  score_candidate)
-from tensortier.instrument import emit_program
+from tensortier.instrument import emit_program, lifetime_gaps
 from tensortier.policies import planned_placement
 from tensortier.prefetch import (assign_latest_safe, eager_reschedule,
                                  plan_migrations)
-from tensortier.simulate import SimulationError, simulate
+from tensortier.simulate import SimulationError, kernel_tables, simulate
 from tensortier.vitality import VitalityAnalysis
 
 MAX_PERIODS = 8
@@ -44,22 +48,32 @@ def _canonical_periods(analysis: VitalityAnalysis):
     return sorted(analysis.periods, key=lambda p: (p.start_us, p.tensor_id))
 
 
-def _book(analysis, config, periods, dests):
-    """Booked plan for one assignment, or None when it cannot be booked."""
-    result = SchedulingResult.initial(analysis, config)
-    for period, dest in zip(periods, dests):
-        if dest is None:
-            continue
-        item = score_candidate(period, dest, result.state, config)
-        if item is None:
-            return None
-        try:
-            result.book(item, config)
-        except CapacityViolationError:
-            return None
-    assign_latest_safe(result)
-    eager_reschedule(result, config)
-    return result
+def _booked(booked: SchedulingResult, periods, allow_host: bool,
+            config: DeviceConfig, combo=()):
+    """(combo, booked plan) for every bookable combo extending combo."""
+    if len(combo) == len(periods):
+        leaf = SchedulingResult(MigrationPlan(
+            booked.plan.total_us, list(map(replace, booked.plan.items))),
+            booked.state.copy())
+        assign_latest_safe(leaf)
+        eager_reschedule(leaf, config)
+        yield combo, leaf
+        return
+    for dest in (None, Destination.SSD, Destination.HOST)[:2 + allow_host]:
+        child = booked
+        if dest is not None:
+            item = score_candidate(periods[len(combo)], dest, booked.state,
+                                   config)
+            if item is None:
+                continue
+            child = SchedulingResult(MigrationPlan(
+                booked.plan.total_us, booked.plan.items[:]),
+                booked.state.copy())
+            try:
+                child.book(item, config)
+            except CapacityViolationError:
+                continue
+        yield from _booked(child, periods, allow_host, config, combo + (dest,))
 
 
 def _fingerprint(plan: MigrationPlan):
@@ -75,26 +89,24 @@ def best_assignment(analysis: VitalityAnalysis, config: DeviceConfig, *,
     if len(periods) > MAX_PERIODS:
         raise ValueError(
             f"{len(periods)} periods is past the exhaustive search limit")
-    options = ((None, Destination.SSD, Destination.HOST) if allow_host
-               else (None, Destination.SSD))
     locations = planned_placement(analysis, config, allow_host)
+    greedy = plan_migrations(analysis, config, allow_host=allow_host)
+    skeleton = lifetime_gaps(analysis)
+    tables = kernel_tables(analysis.trace, config)
 
     def run(plan: MigrationPlan) -> int:
-        sim = simulate(analysis.trace, emit_program(analysis, plan), config,
-                       policy="oracle", initial_locations=locations,
-                       allow_host_fallback=allow_host)
+        sim = simulate(analysis.trace, emit_program(analysis, plan, skeleton),
+                       config, policy="oracle", initial_locations=locations,
+                       allow_host_fallback=allow_host, tables=tables)
         return sim.total_us
 
-    greedy = plan_migrations(analysis, config, allow_host=allow_host)
     greedy_total = run(greedy.plan)
 
     combo_best = None
     combo_assign = None
     seen: dict = {_fingerprint(greedy.plan): greedy_total}
-    for combo in itertools.product(options, repeat=len(periods)):
-        booked = _book(analysis, config, periods, combo)
-        if booked is None:
-            continue
+    start = SchedulingResult.initial(analysis, config)
+    for combo, booked in _booked(start, periods, allow_host, config):
         key = _fingerprint(booked.plan)
         if key in seen:
             total = seen[key]

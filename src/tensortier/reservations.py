@@ -19,11 +19,15 @@ class LaneReservations:
 
     __slots__ = ("_ivals",)
 
-    def __init__(self):
-        self._ivals: list[tuple[int, int, object]] = []
+    def __init__(self, ivals=()):
+        self._ivals: list[tuple[int, int, object]] = list(ivals)
 
     def intervals(self):
         return list(self._ivals)
+
+    def copy(self):
+        """An independent lane holding the same intervals."""
+        return LaneReservations(self._ivals)
 
     def reserve(self, start, end, owner):
         if start >= end:

@@ -236,14 +236,29 @@ class _Running:
         self.defers: list = []
 
 
+def kernel_tables(trace: WorkloadTrace, config: DeviceConfig):
+    """What every replay of trace on config reads and never writes: padded
+    sizes, and per kernel its tensor ids sorted and as a set (its working
+    set, checked here: SimulationError when it cannot fit in GPU memory)."""
+    sizes = {tid: config.padded(t.size_bytes)
+             for tid, t in trace.tensors.items()}
+    touched = tuple(kernel.tensors() for kernel in trace.kernels)
+    for kernel, ids in zip(trace.kernels, touched):
+        need = sum(sizes[tid] for tid in ids)
+        if need > config.gpu_mem_bytes:
+            raise SimulationError(
+                f"kernel {kernel.index} working set ({need} bytes) "
+                f"cannot fit in GPU memory")
+    return sizes, tuple(tuple(sorted(ids)) for ids in touched), touched
+
+
 class _Engine:
     def __init__(self, trace: WorkloadTrace, program: Program,
                  config: DeviceConfig, *, policy: str,
                  durations=None, initial_locations=None,
                  allow_host_fallback: bool = True,
-                 on_kernel_start=None, keep_events: bool = False):
+                 on_kernel_start=None, keep_events: bool = False, tables=None):
         _check_program(trace, program)
-        self.trace = trace
         self.program = program
         self.config = config
         self.policy = policy
@@ -271,21 +286,9 @@ class _Engine:
         self._mark: _Mark | None = None
         self._tape: list[str] | None = None  # entries flushed since _mark
 
-        self.tensors = {tid: _Tensor(tid, config.padded(t.size_bytes))
-                        for tid, t in trace.tensors.items()}
-        # per kernel, built once: its tensors in id order, and their ids
-        self._needed: list[tuple[_Tensor, ...]] = []
-        self._touched: list[frozenset[int]] = []
-        for kernel in trace.kernels:
-            ids = kernel.tensors()
-            needed = tuple(self.tensors[tid] for tid in sorted(ids))
-            need = sum(t.size for t in needed)
-            if need > config.gpu_mem_bytes:
-                raise SimulationError(
-                    f"kernel {kernel.index} working set ({need} bytes) "
-                    f"cannot fit in GPU memory")
-            self._needed.append(needed)
-            self._touched.append(ids)
+        sizes, ids, self._touched = tables or kernel_tables(trace, config)
+        self.tensors = {tid: _Tensor(tid, size) for tid, size in sizes.items()}
+        self._needed = [tuple(map(self.tensors.__getitem__, k)) for k in ids]
         self.free = config.gpu_mem_bytes
         self.host_used = 0
         self.ssd_used = 0
@@ -935,11 +938,13 @@ def _check_program(trace: WorkloadTrace, program: Program) -> None:
 def simulate(trace: WorkloadTrace, program: Program, config: DeviceConfig, *,
              policy: str = "g10", durations=None, initial_locations=None,
              allow_host_fallback: bool = True, on_kernel_start=None,
-             keep_events: bool = False) -> SimResult:
+             keep_events: bool = False, tables=None) -> SimResult:
+    """Replay program; tables is kernel_tables(trace, config) or None."""
     engine = _Engine(trace, program, config, policy=policy,
                      durations=durations, initial_locations=initial_locations,
                      allow_host_fallback=allow_host_fallback,
-                     on_kernel_start=on_kernel_start, keep_events=keep_events)
+                     on_kernel_start=on_kernel_start, keep_events=keep_events,
+                     tables=tables)
     return engine.run()
 
 

@@ -5,7 +5,9 @@ tests can require the two to agree exactly.
 """
 
 from tensortier.config import Direction
-from tensortier.eviction import SchedulingResult, _better, choose_destination
+from tensortier.eviction import (CapacityViolationError, SchedulingResult,
+                                 _better, choose_destination, score_candidate)
+from tensortier.prefetch import assign_latest_safe, eager_reschedule
 
 
 def select_best(candidates):
@@ -70,3 +72,23 @@ def latest_safe_prefetch_time(item, state) -> int:
     if start is None or start < item.prefetch_start:
         raise RuntimeError("booked prefetch window is no longer feasible")
     return start
+
+
+def book_combo(analysis, config, periods, dests):
+    """The oracle's booked plan for one assignment of periods (canonical
+    order) to destinations (None skips), booked from a fresh state; None
+    when it cannot be booked."""
+    result = SchedulingResult.initial(analysis, config)
+    for period, dest in zip(periods, dests):
+        if dest is None:
+            continue
+        item = score_candidate(period, dest, result.state, config)
+        if item is None:
+            return None
+        try:
+            result.book(item, config)
+        except CapacityViolationError:
+            return None
+    assign_latest_safe(result)
+    eager_reschedule(result, config)
+    return result

@@ -98,6 +98,8 @@ def test_c03_ample_periods_run_without_stall():
 def test_c04_greedy_tracks_exhaustive_optimum():
     t0 = time.monotonic()
     nonempty = 0
+    # every outcome, recorded with `python tests/test_oracle.py c04`
+    golden = json.loads((GOLDEN / "c04_outcomes.json").read_text())
     for seed in range(100):
         trace = synthesize_trace(3, (20_480, 28_672), (20_480, 28_672),
                                  (100, 200), seed)
@@ -106,6 +108,10 @@ def test_c04_greedy_tracks_exhaustive_optimum():
         assert len(analysis.periods) <= 6
         outcome = best_assignment(analysis, dev)
         assert outcome.ratio <= 1.2, (seed, outcome.ratio)
+        recorded = {"best_total_us": outcome.best_total_us,
+                    "greedy_total_us": outcome.greedy_total_us,
+                    "assignment": list(outcome.assignment)}
+        assert recorded == golden[str(seed)], seed
 
         plan = plan_migrations(analysis, dev).plan
         if not plan.items:

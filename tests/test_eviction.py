@@ -347,6 +347,29 @@ def test_booking_a_period_twice_is_a_capacity_violation(device):
         result.book(dataclasses.replace(item, dest=Destination.HOST), device)
 
 
+def test_booking_on_a_copy_leaves_the_original_unchanged(s1r_trace, device):
+    def parts(state):
+        return (state.pressure.breakpoints(),
+                {key: lane.intervals() for key, lane in state.lanes.items()},
+                state.host_occupancy.breakpoints(), state.ssd_occupancy)
+
+    analysis = analyze(s1r_trace)
+    state = SchedulerState.initial(analysis, device)
+    before = parts(state)
+    booked = state.copy()
+    assert parts(booked) == before and booked.sizes is state.sizes
+    small, big = sorted(analysis.periods,
+                        key=lambda p: state.sizes[p.tensor_id])
+    # one booking to each tier touches every part of the state
+    for period, dest in ((big, Destination.SSD), (small, Destination.HOST)):
+        item = score_candidate(period, dest, booked, device)
+        eviction.apply_candidate(item, booked, device)
+    after = parts(booked)
+    assert parts(state) == before
+    assert all(a != b for a, b in zip(after, before))
+    assert all(after[1][key] != before[1][key] for key in before[1])
+
+
 def test_plan_json_round_trip(s1r_trace, device):
     result = schedule_evictions(analyze(s1r_trace), device)
     text = plan_to_json(result.plan)

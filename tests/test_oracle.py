@@ -4,16 +4,24 @@
 where the search beats the greedy plan, so the booking of enumerated
 assignments decides the answer. Record it with
 `PYTHONPATH=src python tests/test_oracle.py`, which prints it as JSON.
+`golden/c04_outcomes.json` holds all 100 c04 seeds' outcomes, which c04
+checks; `PYTHONPATH=src python tests/test_oracle.py c04` prints it.
 """
 
+import itertools
 import json
 import pathlib
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_device
-from tensortier.oracle import MAX_PERIODS, best_assignment
+from reference_planner import book_combo
+from tensortier.eviction import Destination, SchedulingResult
+from tensortier.oracle import (MAX_PERIODS, _booked, _canonical_periods,
+                               best_assignment)
 from tensortier.trace import synthesize_trace
 from tensortier.vitality import analyze
 
@@ -32,8 +40,8 @@ def _c04_outcome(seed):
             "assignment": list(out.assignment)}
 
 
-def outcomes():
-    return {str(seed): _c04_outcome(seed) for seed in SEARCH_WINS}
+def outcomes(seeds=SEARCH_WINS):
+    return {str(seed): _c04_outcome(seed) for seed in seeds}
 
 
 def test_s1_greedy_is_optimal(s1_trace, device):
@@ -103,6 +111,74 @@ def test_search_wins_match_golden():
         assert outcome == golden[seed], seed
 
 
+def _booked_state(result):
+    """A booked plan's items and every part of its final state."""
+    state = result.state
+    return (result.plan.items, state.pressure.breakpoints(),
+            {key: lane.intervals() for key, lane in state.lanes.items()},
+            state.host_occupancy.breakpoints(), state.ssd_occupancy)
+
+
+def _assert_walk_books_as_reference(analysis, dev, allow_host):
+    """The depth-first walk yields exactly the combos that book from a
+    fresh state, in itertools.product order, each booked the same way.
+    Returns the walk's (combo, booked plan) pairs and the combo count."""
+    periods = _canonical_periods(analysis)
+    options = (None, Destination.SSD, Destination.HOST)[:2 + allow_host]
+    combos = list(itertools.product(options, repeat=len(periods)))
+    reference = [(combo, book_combo(analysis, dev, periods, combo))
+                 for combo in combos]
+    reference = [(combo, booked) for combo, booked in reference
+                 if booked is not None]
+    walked = list(_booked(SchedulingResult.initial(analysis, dev), periods,
+                          allow_host, dev))
+    assert [combo for combo, _ in walked] == [c for c, _ in reference]
+    for (combo, got), (_, want) in zip(walked, reference):
+        assert _booked_state(got) == _booked_state(want), combo
+    return walked, len(combos)
+
+
+@pytest.mark.parametrize("allow_host", [True, False])
+def test_walk_books_s1r_as_reference(allow_host, s1r_trace, device):
+    _assert_walk_books_as_reference(analyze(s1r_trace), device, allow_host)
+
+
+def _c04_style(layers, seed):
+    return analyze(synthesize_trace(layers, (20_480, 28_672),
+                                    (20_480, 28_672), (100, 200), seed))
+
+
+# c04's device books every combo; tight host memory, flash or bandwidth
+# make periods unbookable, which prunes subtrees of the walk
+@settings(max_examples=8, deadline=None)
+@given(layers=st.integers(2, 3), seed=st.integers(0, 9_999),
+       gpu_kib=st.integers(96, 160), host_kib=st.integers(24, 1_000),
+       flash_kib=st.integers(24, 1_000),
+       bw=st.sampled_from((256, 1024, 4096)), allow_host=st.booleans())
+def test_walk_books_c04_traces_as_reference(layers, seed, gpu_kib, host_kib,
+                                            flash_kib, bw, allow_host):
+    dev = make_device(gpu_mem_bytes=gpu_kib * 1024,
+                      host_mem_bytes=host_kib * 1024,
+                      ssd_capacity_bytes=flash_kib * 1024, ssd_read_bw=bw,
+                      ssd_write_bw=bw, host_bw=bw)
+    _assert_walk_books_as_reference(_c04_style(layers, seed), dev,
+                                    allow_host)
+
+
+def test_walk_prunes_and_reschedules():
+    # a case the generated ones stand beside: some combos are pruned, and
+    # the eager pass moves some prefetch
+    analysis = _c04_style(3, 0)
+    dev = make_device(gpu_mem_bytes=131_072, host_mem_bytes=40_960,
+                      ssd_capacity_bytes=60_000)
+    walked, combos = _assert_walk_books_as_reference(analysis, dev, True)
+    assert 0 < len(walked) < combos
+    assert any(item.scheduled_us < item.latest_safe_us
+               for _, booked in walked for item in booked.plan.items)
+
+
 if __name__ == "__main__":
-    json.dump(outcomes(), sys.stdout, indent=1, sort_keys=True)
+    # "c04" prints golden/c04_outcomes.json, no argument oracle_outcomes.json
+    seeds = range(100) if sys.argv[1:] == ["c04"] else SEARCH_WINS
+    json.dump(outcomes(seeds), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

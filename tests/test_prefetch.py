@@ -1,5 +1,3 @@
-import itertools
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -7,7 +5,7 @@ from conftest import make_device
 from reference_planner import latest_safe_prefetch_time
 from tensortier import oracle
 from tensortier.config import DeviceConfig
-from tensortier.eviction import Destination, plan_to_json
+from tensortier.eviction import SchedulingResult, plan_to_json
 from tensortier.policies import flashneuron_plan
 from tensortier.prefetch import eager_reschedule, plan_migrations
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
@@ -106,12 +104,8 @@ def test_latest_safe_matches_booked_slot(s1r_trace, device, monkeypatch):
         analysis = analyze(trace)
         dev = make_device(gpu_mem_bytes=131_072)
         periods = oracle._canonical_periods(analysis)
-        options = (None, Destination.SSD, Destination.HOST)
-        combos = itertools.product(options, repeat=len(periods))
-        for dests in itertools.islice(combos, 0, None, 7):
-            result = oracle._book(analysis, dev, periods, dests)
-            if result is None:
-                continue
+        start = SchedulingResult.initial(analysis, dev)
+        for _, result in oracle._booked(start, periods, True, dev):
             booked += bool(result.plan.items)
             for item in result.plan.items:
                 assert item.scheduled_us <= item.latest_safe_us
