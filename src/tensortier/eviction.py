@@ -18,7 +18,7 @@ loop in tests/reference_planner.py does just that), and redoes only what
 the last pick can have changed. While the planner runs, the pressure curve
 and the flash left only fall, and host occupancy and lane bookings only
 grow. Per (period, destination) route the planner keeps the constant parts
-(padded size, and the transfer times and lanes, worked out once per
+(padded size, lanes, and the transfer times, worked out once per
 destination and padded size), the slot starts e0 and p0, the
 host-capacity verdict and the benefit:
 
@@ -200,15 +200,12 @@ def _overlap_us(pieces, interval) -> int:
     return total
 
 
-def _route_spec(dest: Destination, size: int, state: SchedulerState,
-                config: DeviceConfig):
-    """The constants of a route of this padded size to dest: (outbound and
-    inbound transfer times, outbound and inbound lanes)."""
-    spec = config.channel(dest.channel)
-    return (transfer_time(size, spec, Direction.FROM_DEVICE),
-            transfer_time(size, spec, Direction.TO_DEVICE),
-            state.lanes[dest.channel, Direction.FROM_DEVICE],
-            state.lanes[dest.channel, Direction.TO_DEVICE])
+def route_times(sizes, config: DeviceConfig, dests=tuple(Destination)):
+    """Outbound and inbound transfer times by (destination, padded size)."""
+    specs = [(dest, config.channel(dest.channel)) for dest in dests]
+    return {(dest, size): (transfer_time(size, spec, Direction.FROM_DEVICE),
+                           transfer_time(size, spec, Direction.TO_DEVICE))
+            for dest, spec in specs for size in sizes}
 
 
 class _Memo:
@@ -267,8 +264,8 @@ class _Memo:
 class _Route:
     """Scoring inputs for evicting one period to one destination.
 
-    Size, transfer times and lanes never change; spec holds the last two
-    (_route_spec), shared by the routes of one size. The slot starts are kept
+    Size, lanes and transfer times (times, shared by the routes of one
+    size) never change. The slot starts are kept
     between rounds: e0 on the outbound lane and p0 on the inbound lane (in
     lane time, before the wrap shift); win is the window they make and span
     its pieces in the iteration. A slot is searched within [e_lo, e_hi) or
@@ -285,12 +282,14 @@ class _Route:
                  "host_ok", "benefit")
 
     def __init__(self, period: InactivePeriod, dest: Destination,
-                 state: SchedulerState, spec):
+                 state: SchedulerState, times):
         self.period = period
         self.tensor_id, self.period_start = period.tensor_id, period.start_us
         self.dest = dest
         self.size = state.sizes[period.tensor_id]
-        self.e_dur, self.p_dur, self.from_lane, self.to_lane = spec
+        self.e_dur, self.p_dur = times
+        self.from_lane = state.lanes[dest.channel, Direction.FROM_DEVICE]
+        self.to_lane = state.lanes[dest.channel, Direction.TO_DEVICE]
         self.cost_us = self.e_dur + self.p_dur
         self.total = state.total_us
         self.e_lo = period.start_us
@@ -401,15 +400,16 @@ class _Route:
 
 
 def score_candidate(period: InactivePeriod, dest: Destination,
-                    state: SchedulerState, config: DeviceConfig):
+                    state: SchedulerState, config: DeviceConfig, times=None):
     """The PlanItem for evicting this period to dest: windows, benefit and
-    cost, from a fresh route.
+    cost, from a fresh route; times: route_times of its sizes, or None.
 
     Returns None when no feasible eviction/prefetch window pair exists (or a
     capacity bound already rules the destination out).
     """
-    spec = _route_spec(dest, state.sizes[period.tensor_id], state, config)
-    route = _Route(period, dest, state, spec)
+    size = state.sizes[period.tensor_id]
+    times = times or route_times((size,), config, (dest,))
+    route = _Route(period, dest, state, times[dest, size])
     return (route.item() if route.candidate(state, config,
                                             _Memo(state, config))
             else None)
@@ -499,21 +499,21 @@ def apply_candidate(item: PlanItem, state: SchedulerState,
 class _Entry:
     """A remaining period, its two routes, the SSD lanes' busy time inside
     the period (outbound, inbound) and the route it chose in the last round
-    (None if neither fits, _STALE once an input of it changed). specs holds
-    the route constants by (destination, padded size)."""
+    (None if neither fits, _STALE once an input of it changed). times is
+    route_times of the state's sizes."""
 
     __slots__ = ("period", "pieces", "ssd", "host", "busy_out", "busy_in",
                  "busy_limit", "choice")
 
-    def __init__(self, period, state, config, specs):
+    def __init__(self, period, state, config, times):
         self.period = period
         self.pieces = wrap_pieces(period.start_us, period.end_us,
                                   state.total_us)
         size = state.sizes[period.tensor_id]
         self.ssd = _Route(period, Destination.SSD, state,
-                          specs[Destination.SSD, size])
+                          times[Destination.SSD, size])
         self.host = _Route(period, Destination.HOST, state,
-                           specs[Destination.HOST, size])
+                           times[Destination.HOST, size])
         # the cache is built before any booking, so the SSD lanes are empty
         self.busy_out = self.busy_in = 0
         self.busy_limit = (config.hp_utilization_threshold
@@ -552,12 +552,11 @@ class _RouteCache:
         self._config = config
         self._allow_host = allow_host
         self._memo = _Memo(state, config)
-        specs = {(dest, size): _route_spec(dest, size, state, config)
-                 for size in set(state.sizes.values()) for dest in Destination}
+        times = route_times(set(state.sizes.values()), config)
         assert not any(state.lanes[Channel.SSD, d].intervals()
                        for d in Direction), "built after a booking"
         self._entries = {(p.tensor_id, p.start_us): _Entry(p, state, config,
-                                                           specs)
+                                                           times)
                          for p in sorted(periods, key=lambda p: (
                              p.start_us, p.tensor_id, p.end_us))}
         # the largest clamp of any benefit query

@@ -10,13 +10,19 @@ and prefetches before the kernel that needs the tensor back. Issue tags
 
 Sizes in the text are the raw tensor sizes; page rounding is an engine
 concern.
+
+program_skeleton is what no plan changes: the kernels and each gap's
+sorted allocs and frees. A program emitted from a simulate.ReplayContext
+(its origin) replays from the context's alloc/free stream, exact for every
+plan: the gap sort key (issue time, op precedence, tensor id) orders
+allocs and frees alike whatever directives join them.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from tensortier.eviction import Destination, MigrationPlan
 from tensortier.vitality import VitalityAnalysis
@@ -69,10 +75,12 @@ class ProgramKernel:
 
 @dataclass(frozen=True)
 class Program:
-    """n kernels and n+1 gaps; gap k precedes kernel k."""
+    """n kernels and n+1 gaps; gap k precedes kernel k. origin is the
+    ReplayContext emit_program built it from, if any."""
 
     kernels: tuple[ProgramKernel, ...]
     gaps: tuple[tuple[MigrationInstruction, ...], ...]
+    origin: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.gaps) != len(self.kernels) + 1:
@@ -113,9 +121,8 @@ def _sorted_gap(instructions) -> tuple[MigrationInstruction, ...]:
                                        i.tensor_id)))
 
 
-def lifetime_gaps(analysis: VitalityAnalysis):
-    """Per gap, the alloc and free directives of the tensors' lifetimes:
-    the part of every program of the trace that no plan changes."""
+def program_skeleton(analysis: VitalityAnalysis):
+    """(kernels, gaps) of the skeleton (module docstring)."""
     trace = analysis.trace
     timeline = analysis.timeline
     gaps = [[] for _ in range(len(trace.kernels) + 1)]
@@ -131,18 +138,25 @@ def lifetime_gaps(analysis: VitalityAnalysis):
         gaps[life.death_kernel + 1].append(MigrationInstruction(
             Op.FREE, tensor.id, tensor.size_bytes,
             timeline.ends[life.death_kernel]))
-    return tuple(map(tuple, gaps))
+    return (tuple(ProgramKernel(k.index, k.name, k.duration_us)
+                  for k in trace.kernels), tuple(map(_sorted_gap, gaps)))
 
 
 def emit_program(analysis: VitalityAnalysis, plan: MigrationPlan,
-                 skeleton=None) -> Program:
-    """skeleton is lifetime_gaps(analysis) or None."""
+                 context=None) -> Program:
+    """context is a simulate.ReplayContext with the analysis, or None."""
     trace = analysis.trace
     timeline = analysis.timeline
     total = timeline.total_us
     if plan.total_us != total:
         raise InconsistentPlanError("plan and trace disagree on iteration length")
-    gaps = list(map(list, skeleton or lifetime_gaps(analysis)))
+    if context is None:
+        kernels, skeleton = program_skeleton(analysis)
+    elif context.skeleton is None or context.trace is not trace:
+        raise ValueError("replay context of another trace or no analysis")
+    else:
+        kernels, skeleton = context.kernels, context.skeleton
+    gaps = list(skeleton)
     start_index = {timeline.starts[k]: k for k in range(len(trace.kernels))}
 
     for item in plan.items:
@@ -154,9 +168,9 @@ def emit_program(analysis: VitalityAnalysis, plan: MigrationPlan,
         if k == 0:
             raise InconsistentPlanError(
                 f"eviction at {item.evict_start} precedes every kernel end")
-        gaps[k].append(MigrationInstruction(
+        gaps[k] += (MigrationInstruction(
             Op.PRE_EVICT, item.tensor_id, size, item.evict_start,
-            dest=item.dest))
+            dest=item.dest),)
 
         consumer_start = item.period_end - total if item.wraps else item.period_end
         consumer = start_index.get(consumer_start)
@@ -168,12 +182,11 @@ def emit_program(analysis: VitalityAnalysis, plan: MigrationPlan,
             raise InconsistentPlanError("plan item missing a scheduled time")
         if issue >= total:
             issue -= total
-        gaps[consumer].append(MigrationInstruction(
-            Op.PREFETCH, item.tensor_id, size, issue))
+        gaps[consumer] += (MigrationInstruction(
+            Op.PREFETCH, item.tensor_id, size, issue),)
 
-    kernels = tuple(ProgramKernel(k.index, k.name, k.duration_us)
-                    for k in trace.kernels)
-    return Program(kernels, tuple(_sorted_gap(g) for g in gaps))
+    return Program(kernels, tuple(g if g is s else _sorted_gap(g)
+                                  for g, s in zip(gaps, skeleton)), context)
 
 
 def serialize_program(program: Program) -> str:

@@ -13,21 +13,25 @@ come in itertools.product order. The greedy plan is simulated and admitted
 to the pool and run-time ties go to it, so the reported optimum is never
 worse than greedy, the ratio is always >= 1, and a greedy plan that matches
 the enumerated best is reported as the optimal assignment it is.
+
+A search builds one simulate.ReplayContext and shares it across scoring,
+emission and replays. Leaves copy items with copy.copy (plain values).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 from tensortier.config import DeviceConfig
 from tensortier.eviction import (CapacityViolationError, Destination,
                                  MigrationPlan, SchedulingResult,
                                  score_candidate)
-from tensortier.instrument import emit_program, lifetime_gaps
+from tensortier.instrument import emit_program
 from tensortier.policies import planned_placement
 from tensortier.prefetch import (assign_latest_safe, eager_reschedule,
                                  plan_migrations)
-from tensortier.simulate import SimulationError, kernel_tables, simulate
+from tensortier.simulate import ReplayContext, SimulationError, simulate
 from tensortier.vitality import VitalityAnalysis
 
 MAX_PERIODS = 8
@@ -49,11 +53,11 @@ def _canonical_periods(analysis: VitalityAnalysis):
 
 
 def _booked(booked: SchedulingResult, periods, allow_host: bool,
-            config: DeviceConfig, combo=()):
+            config: DeviceConfig, times=None, combo=()):
     """(combo, booked plan) for every bookable combo extending combo."""
     if len(combo) == len(periods):
         leaf = SchedulingResult(MigrationPlan(
-            booked.plan.total_us, list(map(replace, booked.plan.items))),
+            booked.plan.total_us, list(map(copy.copy, booked.plan.items))),
             booked.state.copy())
         assign_latest_safe(leaf)
         eager_reschedule(leaf, config)
@@ -63,7 +67,7 @@ def _booked(booked: SchedulingResult, periods, allow_host: bool,
         child = booked
         if dest is not None:
             item = score_candidate(periods[len(combo)], dest, booked.state,
-                                   config)
+                                   config, times)
             if item is None:
                 continue
             child = SchedulingResult(MigrationPlan(
@@ -73,7 +77,8 @@ def _booked(booked: SchedulingResult, periods, allow_host: bool,
                 child.book(item, config)
             except CapacityViolationError:
                 continue
-        yield from _booked(child, periods, allow_host, config, combo + (dest,))
+        yield from _booked(child, periods, allow_host, config, times,
+                           combo + (dest,))
 
 
 def _fingerprint(plan: MigrationPlan):
@@ -91,13 +96,12 @@ def best_assignment(analysis: VitalityAnalysis, config: DeviceConfig, *,
             f"{len(periods)} periods is past the exhaustive search limit")
     locations = planned_placement(analysis, config, allow_host)
     greedy = plan_migrations(analysis, config, allow_host=allow_host)
-    skeleton = lifetime_gaps(analysis)
-    tables = kernel_tables(analysis.trace, config)
+    context = ReplayContext(analysis.trace, config, analysis)
 
     def run(plan: MigrationPlan) -> int:
-        sim = simulate(analysis.trace, emit_program(analysis, plan, skeleton),
+        sim = simulate(analysis.trace, emit_program(analysis, plan, context),
                        config, policy="oracle", initial_locations=locations,
-                       allow_host_fallback=allow_host, tables=tables)
+                       allow_host_fallback=allow_host, context=context)
         return sim.total_us
 
     greedy_total = run(greedy.plan)
@@ -106,7 +110,8 @@ def best_assignment(analysis: VitalityAnalysis, config: DeviceConfig, *,
     combo_assign = None
     seen: dict = {_fingerprint(greedy.plan): greedy_total}
     start = SchedulingResult.initial(analysis, config)
-    for combo, booked in _booked(start, periods, allow_host, config):
+    for combo, booked in _booked(start, periods, allow_host, config,
+                                 context.routes):
         key = _fingerprint(booked.plan)
         if key in seen:
             total = seen[key]

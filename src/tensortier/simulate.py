@@ -13,6 +13,12 @@ GPU bytes are charged when an inbound transfer starts and released when an
 outbound transfer finishes, mirroring the planner's accounting. All engine
 arithmetic uses page-padded sizes.
 
+A ReplayContext holds what every replay of a trace on a device only reads
+(padded sizes, each kernel's tensors, lane constants) and, given the
+analysis, instrument's skeleton and stream and score_candidate's transfer
+times. A program emitted from it replays from that stream unchecked (exact:
+instrument's docstring); any other program is checked and flattened.
+
 Every event logs a line stamped with its time. Lines are formatted at their
 event and hashed in blocks: they collect in a pending list, which is joined
 and hashed once it holds `_HASH_BLOCK` entries, and once more when the run
@@ -91,8 +97,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from tensortier.config import Channel, DeviceConfig, Direction, transfer_us
-from tensortier.eviction import Destination
-from tensortier.instrument import Op, Program
+from tensortier.eviction import Destination, route_times
+from tensortier.instrument import Op, Program, program_skeleton
 from tensortier.trace import WorkloadTrace
 
 
@@ -114,6 +120,7 @@ _PRE_EVICT = Op.PRE_EVICT
 
 # compute stream steps besides "kernel"
 _STEP_OF = {Op.ALLOC: "alloc", Op.FREE: "free"}
+_DIRECTIVE_OPS = (Op.PRE_EVICT, Op.PREFETCH)
 
 # heap ranks: transfer completions resolve first, then armed directives,
 # then the compute stream
@@ -207,13 +214,8 @@ class _Lane:
     __slots__ = ("label", "to_device", "bw", "latency", "queue", "current",
                  "started_at", "moved")
 
-    def __init__(self, channel: Channel, direction: Direction,
-                 config: DeviceConfig):
-        spec = config.channel(channel)
-        self.label = f"{channel.value}/{direction.value}"
-        self.to_device = direction is Direction.TO_DEVICE
-        self.bw = spec.bw(direction)
-        self.latency = spec.latency(direction)
+    def __init__(self, spec: tuple[str, bool, int, int]):
+        self.label, self.to_device, self.bw, self.latency = spec
         self.queue: deque[_Xfer] = deque()
         self.current: _Xfer | None = None
         self.started_at = 0
@@ -236,29 +238,47 @@ class _Running:
         self.defers: list = []
 
 
-def kernel_tables(trace: WorkloadTrace, config: DeviceConfig):
-    """What every replay of trace on config reads and never writes: padded
-    sizes, and per kernel its tensor ids sorted and as a set (its working
-    set, checked here: SimulationError when it cannot fit in GPU memory)."""
-    sizes = {tid: config.padded(t.size_bytes)
-             for tid, t in trace.tensors.items()}
-    touched = tuple(kernel.tensors() for kernel in trace.kernels)
-    for kernel, ids in zip(trace.kernels, touched):
-        need = sum(sizes[tid] for tid in ids)
-        if need > config.gpu_mem_bytes:
-            raise SimulationError(
-                f"kernel {kernel.index} working set ({need} bytes) "
-                f"cannot fit in GPU memory")
-    return sizes, tuple(tuple(sorted(ids)) for ids in touched), touched
+class ReplayContext:
+    """A trace's replay inputs on a device (module docstring)."""
+
+    def __init__(self, trace: WorkloadTrace, config: DeviceConfig,
+                 analysis=None):
+        if analysis is not None and analysis.trace is not trace:
+            raise ValueError("analysis of another trace")
+        self.trace, self.config = trace, config
+        self.sizes = {tid: config.padded(t.size_bytes)
+                      for tid, t in trace.tensors.items()}
+        self.touched = tuple(kernel.tensors() for kernel in trace.kernels)
+        for kernel, ids in zip(trace.kernels, self.touched):
+            need = sum(self.sizes[tid] for tid in ids)
+            if need > config.gpu_mem_bytes:
+                raise SimulationError(
+                    f"kernel {kernel.index} working set ({need} bytes) "
+                    f"cannot fit in GPU memory")
+        self.ids = tuple(tuple(sorted(ids)) for ids in self.touched)
+        self.lanes = tuple(
+            (f"{ch.value}/{d.value}", d is Direction.TO_DEVICE,
+             config.channel(ch).bw(d), config.channel(ch).latency(d))
+            for ch in (Channel.HOST, Channel.SSD) for d in Direction)
+        self.kernels = self.skeleton = self.stream = self.routes = None
+        if analysis is not None:
+            self.kernels, self.skeleton = program_skeleton(analysis)
+            self.stream = _flatten(Program(self.kernels, self.skeleton))
+            self.routes = route_times(set(self.sizes.values()), config)
 
 
 class _Engine:
     def __init__(self, trace: WorkloadTrace, program: Program,
                  config: DeviceConfig, *, policy: str,
                  durations=None, initial_locations=None,
-                 allow_host_fallback: bool = True,
-                 on_kernel_start=None, keep_events: bool = False, tables=None):
-        _check_program(trace, program)
+                 allow_host_fallback: bool = True, context=None,
+                 on_kernel_start=None, keep_events: bool = False):
+        emitted = context is not None and program.origin is context
+        if not emitted:
+            _check_program(trace, program)
+            context = context or ReplayContext(trace, config)
+        if context.trace is not trace or context.config != config:
+            raise ValueError("replay context of another trace or config")
         self.program = program
         self.config = config
         self.policy = policy
@@ -286,7 +306,7 @@ class _Engine:
         self._mark: _Mark | None = None
         self._tape: list[str] | None = None  # entries flushed since _mark
 
-        sizes, ids, self._touched = tables or kernel_tables(trace, config)
+        sizes, ids, self._touched = context.sizes, context.ids, context.touched
         self.tensors = {tid: _Tensor(tid, size) for tid, size in sizes.items()}
         self._needed = [tuple(map(self.tensors.__getitem__, k)) for k in ids]
         self.free = config.gpu_mem_bytes
@@ -309,8 +329,7 @@ class _Engine:
             else:
                 raise ValueError(f"bad initial location {loc!r}")
 
-        self.lanes = [_Lane(ch, d, config)
-                      for ch in (Channel.HOST, Channel.SSD) for d in Direction]
+        self.lanes = list(map(_Lane, context.lanes))
         host_in, host_out, ssd_in, ssd_out = self.lanes
         self._fetch_lane = {HOST: host_in, SSD: ssd_in}    # by source tier
         self._evict_lane = {HOST: host_out, SSD: ssd_out}  # by destination
@@ -327,9 +346,9 @@ class _Engine:
         self._idle_epoch: int | None = None  # epoch a no-op blocked step saw
 
         # stream cursor: per-iteration flat list of alloc/free/kernel steps
-        self.stream = _flatten(program)
+        self.stream = context.stream if emitted else _flatten(program)
         self._directives = [ins for ins in program.instructions()
-                            if ins.op in (Op.PRE_EVICT, Op.PREFETCH)]
+                            if ins.op in _DIRECTIVE_OPS]
         self.iter_index = 0
         self.pos = 0
         self.iter_started = False
@@ -344,6 +363,8 @@ class _Engine:
         self.faults = 0
         self.overlap_us = 0
         self.stall_breakdown: dict[str, int] = {}
+        # of it, waits since a kernel start: the last ones delay no kernel
+        self._tail: dict[str, int] = {}
         self._hash = hashlib.sha256()
         self._pending: list[str] = []    # log entries not yet hashed
         self._event_lines: list[str] | None = [] if keep_events else None
@@ -698,8 +719,8 @@ class _Engine:
         if self.block_started is not None:
             waited = self.now - self.block_started
             if waited:
-                self.stall_breakdown[cause] = (
-                    self.stall_breakdown.get(cause, 0) + waited)
+                for waits in (self.stall_breakdown, self._tail):
+                    waits[cause] = waits.get(cause, 0) + waited
             self.block_started = None
 
     def _do_alloc(self, tensor: _Tensor, cause: str) -> bool:
@@ -766,6 +787,7 @@ class _Engine:
         start = self.now
         stall = start - self.prev_end
         self._resolve_block(cause)
+        self._tail = {}
         iteration = self.iter_index
         instance = iteration * len(self._needed) + k
         end = start + self.durations[iteration][k]
@@ -903,7 +925,8 @@ class _Engine:
             traffic=Traffic(ssd_read=ssd_in.moved, ssd_write=ssd_out.moved,
                             host_in=host_in.moved, host_out=host_out.moved),
             kernels=self.kernel_stats,
-            stall_breakdown=dict(sorted(self.stall_breakdown.items())),
+            stall_breakdown={c: us - self._tail.get(c, 0) for c, us in sorted(
+                self.stall_breakdown.items()) if us > self._tail.get(c, 0)},
             fault_log=self.fault_log,
             event_log_sha256=self._hash.hexdigest(),
             events=self._event_lines,
@@ -938,13 +961,13 @@ def _check_program(trace: WorkloadTrace, program: Program) -> None:
 def simulate(trace: WorkloadTrace, program: Program, config: DeviceConfig, *,
              policy: str = "g10", durations=None, initial_locations=None,
              allow_host_fallback: bool = True, on_kernel_start=None,
-             keep_events: bool = False, tables=None) -> SimResult:
-    """Replay program; tables is kernel_tables(trace, config) or None."""
+             keep_events: bool = False, context=None) -> SimResult:
+    """Replay program; context: a ReplayContext of trace on config, or None."""
     engine = _Engine(trace, program, config, policy=policy,
                      durations=durations, initial_locations=initial_locations,
                      allow_host_fallback=allow_host_fallback,
                      on_kernel_start=on_kernel_start, keep_events=keep_events,
-                     tables=tables)
+                     context=context)
     return engine.run()
 
 

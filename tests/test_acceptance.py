@@ -277,6 +277,8 @@ def _prop_residency_bounded(case, policy):
     res = run_policy(policy, trace, dev, keep_events=True)
     peak, _, _ = _replay(res.events, _padded_sizes(trace, dev))
     assert peak <= dev.gpu_mem_bytes
+    # every wait in the breakdown delays a kernel
+    assert sum(res.stall_breakdown.values()) == res.stall_us
 
 
 @_PROP

@@ -464,5 +464,8 @@ def test_steady_state_waits_for_the_same_gap_after_the_last_kernel(
     assert replays == [3]
     assert fast == full
     assert [k.stall_us for k in fast.kernels] == [8, 0, 0, 0, 7, 0, 7, 0, 7, 0]
+    # the last iteration's 7 us wait for the free delays no kernel
+    assert fast.stall_breakdown == {"fault": 8, "free": 21}
+    assert sum(fast.stall_breakdown.values()) == fast.stall_us
     assert fast.events[-3:] == ["136 xfer_done evict t1", "136 free t1",
                                 "136 done"]
