@@ -14,8 +14,9 @@ to the pool and run-time ties go to it, so the reported optimum is never
 worse than greedy, the ratio is always >= 1, and a greedy plan that matches
 the enumerated best is reported as the optimal assignment it is.
 
-A search builds one simulate.ReplayContext and shares it across scoring,
-emission and replays. Leaves copy items with copy.copy (plain values).
+Every plan, greedy's included, replays through policies.replay_plan as g10
+(g10-ssd-only: no host) does. A search builds one simulate.ReplayContext and
+one route_times table for scoring. Leaf items are shallow copies (plain data).
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ from dataclasses import dataclass
 
 from tensortier.config import DeviceConfig
 from tensortier.eviction import (CapacityViolationError, Destination,
-                                 MigrationPlan, SchedulingResult,
+                                 MigrationPlan, SchedulingResult, route_times,
                                  score_candidate)
-from tensortier.instrument import emit_program
-from tensortier.policies import planned_placement
-from tensortier.prefetch import (assign_latest_safe, eager_reschedule,
-                                 plan_migrations)
-from tensortier.simulate import ReplayContext, SimulationError, simulate
+from tensortier.policies import policy_plan, replay_plan
+from tensortier.prefetch import assign_latest_safe, eager_reschedule
+from tensortier.simulate import ReplayContext, SimulationError
 from tensortier.vitality import VitalityAnalysis
 
 MAX_PERIODS = 8
@@ -94,24 +93,21 @@ def best_assignment(analysis: VitalityAnalysis, config: DeviceConfig, *,
     if len(periods) > MAX_PERIODS:
         raise ValueError(
             f"{len(periods)} periods is past the exhaustive search limit")
-    locations = planned_placement(analysis, config, allow_host)
-    greedy = plan_migrations(analysis, config, allow_host=allow_host)
+    policy = "g10" if allow_host else "g10-ssd-only"
+    greedy = policy_plan(policy, analysis, config)
     context = ReplayContext(analysis.trace, config, analysis)
 
     def run(plan: MigrationPlan) -> int:
-        sim = simulate(analysis.trace, emit_program(analysis, plan, context),
-                       config, policy="oracle", initial_locations=locations,
-                       allow_host_fallback=allow_host, context=context)
-        return sim.total_us
+        return replay_plan(policy, analysis, config, plan, context).total_us
 
-    greedy_total = run(greedy.plan)
+    greedy_total = run(greedy)
 
     combo_best = None
     combo_assign = None
-    seen: dict = {_fingerprint(greedy.plan): greedy_total}
+    seen: dict = {_fingerprint(greedy): greedy_total}
     start = SchedulingResult.initial(analysis, config)
-    for combo, booked in _booked(start, periods, allow_host, config,
-                                 context.routes):
+    times = route_times(set(context.sizes.values()), config)
+    for combo, booked in _booked(start, periods, allow_host, config, times):
         key = _fingerprint(booked.plan)
         if key in seen:
             total = seen[key]
@@ -130,7 +126,7 @@ def best_assignment(analysis: VitalityAnalysis, config: DeviceConfig, *,
             combo_best = obj
             combo_assign = tuple(d.value if d else None for d in combo)
     if combo_best is None or combo_best[0] >= greedy_total:
-        by_owner = {item.owner(): item.dest.value for item in greedy.plan.items}
+        by_owner = {item.owner(): item.dest.value for item in greedy.items}
         assign = tuple(by_owner.get((p.tensor_id, p.start_us))
                        for p in periods)
         best_total = greedy_total

@@ -15,6 +15,10 @@ flashneuron-like   offloads intermediates to SSD in birth order until the
 g10                vitality-driven greedy planning with eager prefetch and
                    host fallback
 g10-ssd-only       the same planner forbidden from touching host memory
+
+replay_plan decides how a policy replays a plan (initial placement, host
+fallback, deepum-like hook); run_policy and the oracle replay through it and
+one simulate.ReplayContext built with the analysis.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from tensortier.eviction import (Destination, MigrationPlan, SchedulingResult,
                                  score_candidate)
 from tensortier.instrument import emit_program
 from tensortier.prefetch import assign_latest_safe, plan_migrations
-from tensortier.simulate import (GPU, HOST, SSD, SimResult, ideal_run,
-                                 perturb_durations, simulate)
+from tensortier.simulate import (GPU, HOST, SSD, ReplayContext, SimResult,
+                                 ideal_run, perturb_durations, simulate)
 from tensortier.trace import WorkloadTrace
 from tensortier.vitality import analyze
 
@@ -138,6 +142,26 @@ def policy_plan(name: str, analysis, config: DeviceConfig, *,
                            eager=eager).plan
 
 
+def replay_plan(name: str, analysis, config: DeviceConfig,
+                plan: MigrationPlan, context, *, durations=None,
+                keep_events: bool = False) -> SimResult:
+    """Replay plan as policy name does, through context: a ReplayContext
+    built with the analysis, or None (checked and flattened)."""
+    kind, allow_host = _PLANS[name]
+    hook = None
+    if kind == "empty":
+        locations = faulting_placement(analysis, config)
+        if name == "deepum-like":
+            hook = _correlation_hook()
+    else:
+        locations = planned_placement(analysis, config, allow_host)
+    return simulate(analysis.trace, emit_program(analysis, plan, context),
+                    config, policy=name, durations=durations,
+                    initial_locations=locations,
+                    allow_host_fallback=allow_host, on_kernel_start=hook,
+                    keep_events=keep_events, context=context)
+
+
 def run_policy(name: str, trace: WorkloadTrace, config: DeviceConfig, *,
                seed: int = 0, noise_pct: float = 0.0, eager: bool = True,
                keep_events: bool = False) -> SimResult:
@@ -148,16 +172,7 @@ def run_policy(name: str, trace: WorkloadTrace, config: DeviceConfig, *,
         return ideal_run(trace, config, durations)
 
     analysis = analyze(trace)
-    kind, allow_host = _PLANS[name]
     plan = policy_plan(name, analysis, config, eager=eager)
-    hook = None
-    if kind == "empty":
-        locations = faulting_placement(analysis, config)
-        if name == "deepum-like":
-            hook = _correlation_hook()
-    else:
-        locations = planned_placement(analysis, config, allow_host)
-    return simulate(trace, emit_program(analysis, plan), config, policy=name,
-                    durations=durations, initial_locations=locations,
-                    allow_host_fallback=allow_host, on_kernel_start=hook,
-                    keep_events=keep_events)
+    return replay_plan(name, analysis, config, plan,
+                       ReplayContext(trace, config, analysis),
+                       durations=durations, keep_events=keep_events)

@@ -13,11 +13,12 @@ GPU bytes are charged when an inbound transfer starts and released when an
 outbound transfer finishes, mirroring the planner's accounting. All engine
 arithmetic uses page-padded sizes.
 
-A ReplayContext holds what every replay of a trace on a device only reads
-(padded sizes, each kernel's tensors, lane constants) and, given the
-analysis, instrument's skeleton and stream and score_candidate's transfer
-times. A program emitted from it replays from that stream unchecked (exact:
-instrument's docstring); any other program is checked and flattened.
+A ReplayContext holds replay inputs only, read by every replay of a trace on
+a device (padded sizes, each kernel's tensors, lane constants) and, given
+the analysis, instrument's skeleton and stream; every policy replay goes
+through one (policies.replay_plan). A program emitted from it replays from
+that stream unchecked (exact: instrument's docstring); any other program is
+checked and flattened.
 
 Every event logs a line stamped with its time. Lines are formatted at their
 event and hashed in blocks: they collect in a pending list, which is joined
@@ -97,7 +98,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from tensortier.config import Channel, DeviceConfig, Direction, transfer_us
-from tensortier.eviction import Destination, route_times
+from tensortier.eviction import Destination
 from tensortier.instrument import Op, Program, program_skeleton
 from tensortier.trace import WorkloadTrace
 
@@ -172,7 +173,7 @@ class _Mark(NamedTuple):
     now: int
     pending: int         # log entries already pending there
     stats: int           # kernel stats before it
-    faults: int          # faults (and fault-log entries) before it
+    faults: int          # fault-log entries before it
     overlap_us: int
     stalls: dict[str, int]
     moved: tuple[int, ...]
@@ -228,12 +229,10 @@ class _Lane:
 class _Running:
     """The kernel on the compute stream and the pre-evictions it defers."""
 
-    __slots__ = ("kernel", "start", "end", "tensors", "defers")
+    __slots__ = ("kernel", "tensors", "defers")
 
-    def __init__(self, kernel: int, start: int, end: int, tensors: frozenset):
+    def __init__(self, kernel: int, tensors: frozenset):
         self.kernel = kernel
-        self.start = start
-        self.end = end
         self.tensors = tensors
         self.defers: list = []
 
@@ -260,11 +259,10 @@ class ReplayContext:
             (f"{ch.value}/{d.value}", d is Direction.TO_DEVICE,
              config.channel(ch).bw(d), config.channel(ch).latency(d))
             for ch in (Channel.HOST, Channel.SSD) for d in Direction)
-        self.kernels = self.skeleton = self.stream = self.routes = None
+        self.kernels = self.skeleton = self.stream = None
         if analysis is not None:
             self.kernels, self.skeleton = program_skeleton(analysis)
             self.stream = _flatten(Program(self.kernels, self.skeleton))
-            self.routes = route_times(set(self.sizes.values()), config)
 
 
 class _Engine:
@@ -284,7 +282,6 @@ class _Engine:
         self.policy = policy
         self.allow_host_fallback = allow_host_fallback
         self.on_kernel_start = on_kernel_start
-        self.keep_events = keep_events
 
         n = len(program.kernels)
         self.iterations = config.num_iterations
@@ -358,9 +355,7 @@ class _Engine:
         self.prev_end = 0                # end of previous kernel instance
 
         self.kernel_stats: list[KernelStat] = []
-        self.kernel_spans: list[tuple[int, int]] = []
         self.fault_log: list[tuple[int, int, int]] = []
-        self.faults = 0
         self.overlap_us = 0
         self.stall_breakdown: dict[str, int] = {}
         # of it, waits since a kernel start: the last ones delay no kernel
@@ -524,17 +519,14 @@ class _Engine:
             self._kick(lane)
 
     def _add_overlap(self, start: int, end: int) -> None:
-        for k_start, k_end in reversed(self.kernel_spans):
-            if k_end <= start:
+        # a running kernel's stat holds its planned end, at or after end
+        for stat in reversed(self.kernel_stats):
+            if stat.end_us <= start:
                 break
-            lo = max(start, k_start)
-            hi = min(end, k_end)
+            lo = max(start, stat.start_us)
+            hi = min(end, stat.end_us)
             if lo < hi:
                 self.overlap_us += hi - lo
-        if self.running is not None:
-            lo = max(start, self.running.start)
-            if lo < end:
-                self.overlap_us += end - lo
 
     # -- migrations ----------------------------------------------------------
 
@@ -771,7 +763,6 @@ class _Engine:
                 if tensor.loc is None:
                     raise SimulationError(
                         f"kernel {k} touches unallocated tensor {tensor.id}")
-                self.faults += 1
                 self.fault_log.append((self.iter_index, k, tensor.id))
                 self._log(f"fault t{tensor.id} kernel {k}")
                 self._enqueue_fetch(tensor, "fault")
@@ -793,7 +784,7 @@ class _Engine:
         end = start + self.durations[iteration][k]
         for tensor in needed:
             tensor.last_use = instance
-        self.running = _Running(k, start, end, self._touched[k])
+        self.running = _Running(k, self._touched[k])
         self.kernel_stats.append(KernelStat(
             instance, iteration, k, self.program.kernels[k].name,
             start, end, stall))
@@ -808,7 +799,6 @@ class _Engine:
         info = self.running
         self.running = None
         self.prev_end = self.now
-        self.kernel_spans.append((info.start, info.end))
         self._log(f"kernel_end {info.kernel}")
         for ins, iteration in info.defers:
             self._trigger(ins, iteration)
@@ -838,10 +828,10 @@ class _Engine:
             self._replay(mark, tape)
             return True
         if self.iter_index < self.iterations - 1:
-            self._mark = _Mark(
-                key, self.now, len(self._pending), len(self.kernel_stats),
-                self.faults, self.overlap_us, dict(self.stall_breakdown),
-                tuple(lane.moved for lane in self.lanes))
+            self._mark = _Mark(key, self.now, len(self._pending),
+                               len(self.kernel_stats), len(self.fault_log),
+                               self.overlap_us, dict(self.stall_breakdown),
+                               tuple(lane.moved for lane in self.lanes))
             self._tape = []
         return False
 
@@ -876,7 +866,6 @@ class _Engine:
                            s.kernel_index, s.name, s.start_us + shift,
                            s.end_us + shift, s.stall_us) for s in stats)
             self.fault_log.extend((it + r, k, tid) for it, k, tid in faults)
-        self.faults += runs * len(faults)
         self.overlap_us += runs * (self.overlap_us - mark.overlap_us)
         for cause, total in self.stall_breakdown.items():
             self.stall_breakdown[cause] = total + runs * (
@@ -921,7 +910,7 @@ class _Engine:
             compute_us=sum(sum(row) for row in self.durations),
             stall_us=sum(ks.stall_us for ks in self.kernel_stats),
             overlap_us=self.overlap_us,
-            faults=self.faults,
+            faults=len(self.fault_log),
             traffic=Traffic(ssd_read=ssd_in.moved, ssd_write=ssd_out.moved,
                             host_in=host_in.moved, host_out=host_out.moved),
             kernels=self.kernel_stats,

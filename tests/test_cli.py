@@ -120,9 +120,9 @@ def test_plan_writes_what_simulate_replays(tmp_path, monkeypatch, policy,
     replayed = []
     emit, simulate = policies.emit_program, policies.simulate
 
-    def watching_emit(analysis, plan):
+    def watching_emit(analysis, plan, context=None):
         replayed.append(plan_to_json(plan))
-        return emit(analysis, plan)
+        return emit(analysis, plan, context)
 
     def watching_simulate(trace, program, *args, **kwargs):
         replayed.append(serialize_program(program))

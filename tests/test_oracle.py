@@ -1,11 +1,12 @@
 """Exhaustive oracle: hand-checked cases, guards, and pinned outcomes.
 
-`golden/oracle_outcomes.json` holds the `OracleOutcome` of every c04 seed
-where the search beats the greedy plan, so the booking of enumerated
-assignments decides the answer. Record it with
-`PYTHONPATH=src python tests/test_oracle.py`, which prints it as JSON.
 `golden/c04_outcomes.json` holds all 100 c04 seeds' outcomes, which c04
 checks; `PYTHONPATH=src python tests/test_oracle.py c04` prints it.
+`golden/oracle_outcomes.json` holds the `OracleOutcome` of every c04 seed
+where the search beats the greedy plan, so the booking of enumerated
+assignments decides the answer. It must equal those entries of the c04 file
+(c04 runs the searches); record it with
+`PYTHONPATH=src python tests/test_oracle.py`, which prints it as JSON.
 """
 
 import itertools
@@ -22,19 +23,25 @@ from reference_planner import book_combo
 from tensortier.eviction import Destination, SchedulingResult
 from tensortier.oracle import (MAX_PERIODS, _booked, _canonical_periods,
                                best_assignment)
+from tensortier.policies import run_policy
 from tensortier.trace import synthesize_trace
 from tensortier.vitality import analyze
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "oracle_outcomes.json"
+C04 = GOLDEN.with_name("c04_outcomes.json")
 
 # c04 seeds (out of 100) whose optimum is below the greedy total
 SEARCH_WINS = (11, 26, 29, 38, 41, 50, 54, 63, 65, 70, 75, 76, 83, 90)
 
 
+def _c04_trace(seed):
+    return synthesize_trace(3, (20_480, 28_672), (20_480, 28_672),
+                            (100, 200), seed)
+
+
 def _c04_outcome(seed):
-    trace = synthesize_trace(3, (20_480, 28_672), (20_480, 28_672),
-                             (100, 200), seed)
-    out = best_assignment(analyze(trace), make_device(gpu_mem_bytes=131_072))
+    out = best_assignment(analyze(_c04_trace(seed)),
+                          make_device(gpu_mem_bytes=131_072))
     return {"best_total_us": out.best_total_us,
             "greedy_total_us": out.greedy_total_us,
             "assignment": list(out.assignment)}
@@ -104,11 +111,31 @@ def test_period_limit_guard(device):
 
 
 def test_search_wins_match_golden():
-    golden = json.loads(GOLDEN.read_text())
-    assert sorted(golden, key=int) == [str(s) for s in SEARCH_WINS]
-    for seed, outcome in outcomes().items():
-        assert outcome["best_total_us"] < outcome["greedy_total_us"], seed
-        assert outcome == golden[seed], seed
+    c04 = json.loads(C04.read_text())
+    wins = sorted(int(seed) for seed, out in c04.items()
+                  if out["best_total_us"] < out["greedy_total_us"])
+    assert tuple(wins) == SEARCH_WINS
+    assert json.loads(GOLDEN.read_text()) == {
+        str(seed): c04[str(seed)] for seed in SEARCH_WINS}
+
+
+def test_greedy_total_is_the_g10_replay():
+    dev = make_device(gpu_mem_bytes=131_072)
+    for seed, out in json.loads(C04.read_text()).items():
+        assert run_policy("g10", _c04_trace(int(seed)), dev).total_us == (
+            out["greedy_total_us"]), seed
+
+
+# below c04's 128 KiB the replay faults and its LRU evictions fall back to
+# host memory or not, as the policy says
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 9_999), gpu_kib=st.integers(88, 128))
+def test_ssd_only_greedy_total_is_the_g10_ssd_only_replay(seed, gpu_kib):
+    trace = _c04_trace(seed)
+    dev = make_device(gpu_mem_bytes=gpu_kib * 1024)
+    out = best_assignment(analyze(trace), dev, allow_host=False)
+    assert run_policy("g10-ssd-only", trace, dev).total_us == (
+        out.greedy_total_us)
 
 
 def _booked_state(result):

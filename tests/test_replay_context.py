@@ -2,10 +2,11 @@
 
 Every plan of `golden/plan_corpus.json` and c08-style generated cases under
 every replayed policy are emitted and replayed twice: once with no context,
-as the CLI does, and once through one context per (trace, device) shared by
-every replay of it. Program bytes and whole SimResults, event logs included,
-must match. A program not emitted from the context replays from its own
-alloc/free stream, and a context of another trace or device is refused.
+so the program is checked and flattened, and once through one context per
+(trace, device) shared by every replay of it, as `run_policy` and the oracle
+replay. Program bytes and whole SimResults, event logs included, must match.
+A program not emitted from the context replays from its own alloc/free
+stream, and a context of another trace or device is refused.
 """
 
 import dataclasses
@@ -22,9 +23,8 @@ from tensortier.config import DeviceConfig
 from tensortier.eviction import MigrationPlan, plan_to_json
 from tensortier.instrument import (emit_program, parse_program,
                                    serialize_program)
-from tensortier.policies import (_PLANS, _correlation_hook,
-                                 faulting_placement, planned_placement,
-                                 policy_plan, run_policy)
+from tensortier.policies import (planned_placement, policy_plan, replay_plan,
+                                 run_policy)
 from tensortier.prefetch import plan_migrations
 from tensortier.simulate import ReplayContext, SimulationError, simulate
 from tensortier.trace import synthesize_trace
@@ -100,24 +100,6 @@ def test_corpus_plans_emit_and_replay_alike_with_a_shared_context():
         assert fresh == shared, name
 
 
-def _policy_replay(name, analysis, dev, context):
-    """run_policy's replay of name, through context."""
-    kind, allow_host = _PLANS[name]
-    plan = policy_plan(name, analysis, dev)
-    program = emit_program(analysis, plan, context)
-    hook = None
-    if kind == "empty":
-        locations = faulting_placement(analysis, dev)
-        if name == "deepum-like":
-            hook = _correlation_hook()
-    else:
-        locations = planned_placement(analysis, dev, allow_host)
-    return serialize_program(program), _outcome(lambda: simulate(
-        analysis.trace, program, dev, policy=name, initial_locations=locations,
-        allow_host_fallback=allow_host, on_kernel_start=hook,
-        keep_events=True, context=context))
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_cases())
 def test_generated_policy_replays_alike_with_a_shared_context(case):
@@ -125,10 +107,14 @@ def test_generated_policy_replays_alike_with_a_shared_context(case):
     analysis = analyze(trace)
     context = ReplayContext(trace, dev, analysis)
     for name in REPLAYED:
-        program, result = _policy_replay(name, analysis, dev, context)
-        assert program == serialize_program(
-            emit_program(analysis, policy_plan(name, analysis, dev))), name
-        assert result == _outcome(lambda: run_policy(
+        plan = policy_plan(name, analysis, dev)
+        fresh, shared = [(serialize_program(emit_program(analysis, plan, ctx)),
+                          _outcome(lambda: replay_plan(
+                              name, analysis, dev, plan, ctx,
+                              keep_events=True)))
+                         for ctx in (None, context)]
+        assert fresh == shared, name
+        assert shared[1] == _outcome(lambda: run_policy(
             name, trace, dev, keep_events=True)), name
 
 
