@@ -5,8 +5,11 @@
 Appends one entry to BENCH_pipeline.json at the repository root (--out
 changes the file). Each workload is a seeded trace serialized to text, so
 parsing is timed too. Every run walks the whole chain once, timing each
-stage on the previous stage's output: parse, analyze, schedule_evictions,
-assign_latest_safe, eager_reschedule, emit_program and the g10 simulate.
+stage on the previous stage's output: parse, analyze (the vitality
+analysis and the simulate.ReplayContext built from it, which every later
+stage reads), schedule_evictions, assign_latest_safe, eager_reschedule,
+emit_program and the g10 simulate through the context, as run_policy
+replays.
 After one warm-up run, each stage reports the median of five runs in
 milliseconds and in units of a fixed pure-Python reference work (the same
 work perfbench times), timed between stages, since this host's speed moves
@@ -39,7 +42,7 @@ from tensortier.instrument import emit_program
 from tensortier.policies import planned_placement
 from tensortier.prefetch import assign_latest_safe, eager_reschedule
 from tensortier.reservations import LaneReservations
-from tensortier.simulate import simulate
+from tensortier.simulate import ReplayContext, simulate
 from tensortier.trace import parse_trace, serialize_trace, synthesize_trace
 from tensortier.vitality import analyze
 
@@ -94,13 +97,11 @@ def _stages(text: bytes, dev: DeviceConfig):
     ctx = {}
 
     def parse(_):
-        ctx["trace"] = parse_trace(text)
-        return ctx["trace"]
+        return parse_trace(text)
 
-    def schedule(analysis):
-        ctx["analysis"] = analysis
-        ctx["result"] = schedule_evictions(analysis, dev)
-        return ctx["result"]
+    def build_context(trace):
+        ctx["context"] = ReplayContext(analyze(trace), dev)
+        return ctx["context"]
 
     def latest_safe(result):
         assign_latest_safe(result)
@@ -111,14 +112,16 @@ def _stages(text: bytes, dev: DeviceConfig):
         return result.plan
 
     def emit(plan):
-        return emit_program(ctx["analysis"], plan)
+        return emit_program(ctx["context"], plan)
 
     def replay(program):
-        return simulate(ctx["trace"], program, dev, policy="g10",
-                        initial_locations=planned_placement(
-                            ctx["analysis"], dev, True))
+        context = ctx["context"]
+        return simulate(context.trace, program, dev, policy="g10",
+                        initial_locations=planned_placement(context, True),
+                        context=context)
 
-    return (parse, analyze, schedule, latest_safe, eager, emit, replay)
+    return (parse, build_context, schedule_evictions, latest_safe, eager,
+            emit, replay)
 
 
 def time_chain(text: bytes, dev: DeviceConfig) -> dict[str, tuple]:
@@ -149,7 +152,7 @@ def _patched(owner, name, make):
 def planner_counts(text: bytes, dev: DeviceConfig) -> dict:
     """What one schedule_evictions call on this input asks, counted by
     wrapping the functions that answer it."""
-    analysis = analyze(parse_trace(text))
+    context = ReplayContext(analyze(parse_trace(text)), dev)
     counts = dict.fromkeys(("benefit_queries", "slot_searches",
                             "host_checks", "benefit_checks"), 0)
     in_round = [False]
@@ -186,9 +189,9 @@ def planner_counts(text: bytes, dev: DeviceConfig) -> dict:
           _patched(eviction._Route, "relieved",
                    counting("benefit_checks",
                             lambda route, *a: route.dest is Destination.SSD))):
-        plan = schedule_evictions(analysis, dev).plan
+        plan = schedule_evictions(context).plan
     picks = len(plan.items)
-    return {"periods": len(analysis.periods), **counts,
+    return {"periods": len(context.analysis.periods), **counts,
             "benefit_checks_per_pick":
                 round(counts["benefit_checks"] / picks, 1) if picks else 0.0,
             "picks": picks, "drops": len(plan.unschedulable)}

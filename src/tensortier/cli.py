@@ -26,7 +26,8 @@ from tensortier.oracle import best_assignment
 from tensortier.policies import policy_plan, run_policy
 from tensortier.reporting import (characterization_tables, render_csv,
                                   result_json, simulation_tables, write_tables)
-from tensortier.simulate import ProgramInconsistentError, SimulationError
+from tensortier.simulate import (ProgramInconsistentError, ReplayContext,
+                                 SimulationError)
 from tensortier.trace import (TraceError, parse_trace, serialize_trace,
                               synthesize_trace)
 from tensortier.vitality import analyze, characterize
@@ -113,18 +114,18 @@ def _load_trace(cfg: ExperimentConfig, base_dir: str):
 def _cmd_analyze(args) -> int:
     cfg, base = _load(args)
     trace = _load_trace(cfg, base)
-    report = characterize(analyze(trace), cfg.device)
+    report = characterize(ReplayContext(analyze(trace), cfg.device))
     write_tables(characterization_tables(report, trace), args.out)
     return 0
 
 
 def _cmd_plan(args) -> int:
     cfg, base = _load(args)
-    analysis = analyze(_load_trace(cfg, base))
-    plan = policy_plan(cfg.policy, analysis, cfg.device, eager=cfg.eager)
+    context = ReplayContext(analyze(_load_trace(cfg, base)), cfg.device)
+    plan = policy_plan(cfg.policy, context, eager=cfg.eager)
     write_tables({
         "plan.json": plan_to_json(plan),
-        "program.txt": serialize_program(emit_program(analysis, plan)),
+        "program.txt": serialize_program(emit_program(context, plan)),
     }, args.out)
     return 0
 

@@ -7,7 +7,9 @@ pressure-above-capacity area the freed interval removes; cost is the two
 transfer times. Iteration stops once the pressure curve fits GPU memory,
 no candidate helps, or periods run out. A planned migration is a PlanItem
 from scoring to the emitted program, and SchedulingResult.book is the one
-way to book one.
+way to book one. The planner reads a simulate.ReplayContext's padded
+sizes, initial pressure curve (each plan books on a copy) and transfer
+times, and never writes them.
 
 Times on the unrolled axis: a wrapping period's prefetch lands in the next
 iteration's prefix (window values >= total_us map into [0, total) mod total).
@@ -18,9 +20,8 @@ loop in tests/reference_planner.py does just that), and redoes only what
 the last pick can have changed. While the planner runs, the pressure curve
 and the flash left only fall, and host occupancy and lane bookings only
 grow. Per (period, destination) route the planner keeps the constant parts
-(padded size, lanes, and the transfer times, worked out once per
-destination and padded size), the slot starts e0 and p0, the
-host-capacity verdict and the benefit:
+(padded size, lanes, and the transfer times from route_times), the slot
+starts e0 and p0, the host-capacity verdict and the benefit:
 
 - a slot moves exactly when a new booking on its lane overlaps it, and is
   searched again from where it was; a search that failed keeps failing;
@@ -80,12 +81,11 @@ import enum
 import json
 from dataclasses import dataclass, field
 
-from tensortier.config import Channel, DeviceConfig, Direction
+from tensortier.config import Channel, DeviceConfig, Direction, transfer_us
 from tensortier.curve import (StepCurve, wrap_add, wrap_max, wrap_pieces,
                               wrap_window_overflow_area)
 from tensortier.reservations import LaneReservations
-from tensortier.vitality import (InactivePeriod, VitalityAnalysis,
-                                 initial_pressure_curve, transfer_time)
+from tensortier.vitality import InactivePeriod
 
 
 class CapacityViolationError(RuntimeError):
@@ -135,29 +135,32 @@ class SchedulerState:
 
     total_us: int
     sizes: dict[int, int]          # tensor id -> page-padded size
+    times: dict                    # route_times
     pressure: StepCurve
     lanes: dict[tuple[Channel, Direction], LaneReservations]  # all four
     host_occupancy: StepCurve
     ssd_occupancy: int = 0
 
     @classmethod
-    def initial(cls, analysis: VitalityAnalysis,
-                config: DeviceConfig) -> SchedulerState:
-        """Nothing booked yet: the pressure of the unplanned trace."""
-        total = analysis.timeline.total_us
+    def initial(cls, context) -> SchedulerState:
+        """Nothing booked yet: a copy of the unplanned trace's pressure,
+        with the sizes and times of context (a simulate.ReplayContext)."""
+        total = context.analysis.timeline.total_us
         return cls(
             total_us=total,
-            sizes={tid: config.padded(t.size_bytes)
-                   for tid, t in analysis.trace.tensors.items()},
-            pressure=initial_pressure_curve(analysis, config),
+            sizes=context.sizes,
+            times=context.times,
+            pressure=context.pressure.copy(),
             lanes={(ch, d): LaneReservations()
                    for ch in Channel for d in Direction},
             host_occupancy=StepCurve(total),
         )
 
     def copy(self) -> SchedulerState:
-        """A state to book on apart from this one; sizes is never written."""
-        return SchedulerState(self.total_us, self.sizes, self.pressure.copy(),
+        """A state to book on apart from this one; sizes and times are
+        never written."""
+        return SchedulerState(self.total_us, self.sizes, self.times,
+                              self.pressure.copy(),
                               {k: v.copy() for k, v in self.lanes.items()},
                               self.host_occupancy.copy(), self.ssd_occupancy)
 
@@ -168,10 +171,9 @@ class SchedulingResult:
     state: SchedulerState
 
     @classmethod
-    def initial(cls, analysis: VitalityAnalysis,
-                config: DeviceConfig) -> SchedulingResult:
+    def initial(cls, context) -> SchedulingResult:
         """An empty plan over the unplanned trace's state."""
-        state = SchedulerState.initial(analysis, config)
+        state = SchedulerState.initial(context)
         return cls(plan=MigrationPlan(total_us=state.total_us), state=state)
 
     def book(self, item: PlanItem, config: DeviceConfig) -> None:
@@ -200,12 +202,13 @@ def _overlap_us(pieces, interval) -> int:
     return total
 
 
-def route_times(sizes, config: DeviceConfig, dests=tuple(Destination)):
-    """Outbound and inbound transfer times by (destination, padded size)."""
-    specs = [(dest, config.channel(dest.channel)) for dest in dests]
-    return {(dest, size): (transfer_time(size, spec, Direction.FROM_DEVICE),
-                           transfer_time(size, spec, Direction.TO_DEVICE))
-            for dest, spec in specs for size in sizes}
+def route_times(context):
+    """Outbound and inbound transfer times by (destination, padded size),
+    from the lane constants the replay reads (context.lanes)."""
+    return {(dest, size): tuple(
+                transfer_us(size, *context.lanes[dest.channel, d][2:])
+                for d in (Direction.FROM_DEVICE, Direction.TO_DEVICE))
+            for dest in Destination for size in set(context.sizes.values())}
 
 
 class _Memo:
@@ -264,16 +267,15 @@ class _Memo:
 class _Route:
     """Scoring inputs for evicting one period to one destination.
 
-    Size, lanes and transfer times (times, shared by the routes of one
-    size) never change. The slot starts are kept
-    between rounds: e0 on the outbound lane and p0 on the inbound lane (in
-    lane time, before the wrap shift); win is the window they make and span
-    its pieces in the iteration. A slot is searched within [e_lo, e_hi) or
-    [0, p_hi); a search again after a booking took the slot starts from
-    it, since the times it skipped were taken before and still are.
-    host_ok caches the host-capacity check and benefit the overflow the
-    window removes, each for the current window (when they go stale: module
-    docstring).
+    Size, lanes and transfer times (from the state's route_times) never
+    change. The slot starts are kept between rounds: e0 on the outbound
+    lane and p0 on the inbound lane (in lane time, before the wrap shift);
+    win is the window they make and span its pieces in the iteration. A
+    slot is searched within [e_lo, e_hi) or [0, p_hi); a search again
+    after a booking took the slot starts from it, since the times it
+    skipped were taken before and still are. host_ok caches the
+    host-capacity check and benefit the overflow the window removes, each
+    for the current window (when they go stale: module docstring).
     """
 
     __slots__ = ("period", "tensor_id", "period_start", "dest", "size",
@@ -282,12 +284,12 @@ class _Route:
                  "host_ok", "benefit")
 
     def __init__(self, period: InactivePeriod, dest: Destination,
-                 state: SchedulerState, times):
+                 state: SchedulerState):
         self.period = period
         self.tensor_id, self.period_start = period.tensor_id, period.start_us
         self.dest = dest
         self.size = state.sizes[period.tensor_id]
-        self.e_dur, self.p_dur = times
+        self.e_dur, self.p_dur = state.times[dest, self.size]
         self.from_lane = state.lanes[dest.channel, Direction.FROM_DEVICE]
         self.to_lane = state.lanes[dest.channel, Direction.TO_DEVICE]
         self.cost_us = self.e_dur + self.p_dur
@@ -400,16 +402,14 @@ class _Route:
 
 
 def score_candidate(period: InactivePeriod, dest: Destination,
-                    state: SchedulerState, config: DeviceConfig, times=None):
+                    state: SchedulerState, config: DeviceConfig):
     """The PlanItem for evicting this period to dest: windows, benefit and
-    cost, from a fresh route; times: route_times of its sizes, or None.
+    cost, from a fresh route.
 
     Returns None when no feasible eviction/prefetch window pair exists (or a
     capacity bound already rules the destination out).
     """
-    size = state.sizes[period.tensor_id]
-    times = times or route_times((size,), config, (dest,))
-    route = _Route(period, dest, state, times[dest, size])
+    route = _Route(period, dest, state)
     return (route.item() if route.candidate(state, config,
                                             _Memo(state, config))
             else None)
@@ -499,21 +499,17 @@ def apply_candidate(item: PlanItem, state: SchedulerState,
 class _Entry:
     """A remaining period, its two routes, the SSD lanes' busy time inside
     the period (outbound, inbound) and the route it chose in the last round
-    (None if neither fits, _STALE once an input of it changed). times is
-    route_times of the state's sizes."""
+    (None if neither fits, _STALE once an input of it changed)."""
 
     __slots__ = ("period", "pieces", "ssd", "host", "busy_out", "busy_in",
                  "busy_limit", "choice")
 
-    def __init__(self, period, state, config, times):
+    def __init__(self, period, state, config):
         self.period = period
         self.pieces = wrap_pieces(period.start_us, period.end_us,
                                   state.total_us)
-        size = state.sizes[period.tensor_id]
-        self.ssd = _Route(period, Destination.SSD, state,
-                          times[Destination.SSD, size])
-        self.host = _Route(period, Destination.HOST, state,
-                           times[Destination.HOST, size])
+        self.ssd = _Route(period, Destination.SSD, state)
+        self.host = _Route(period, Destination.HOST, state)
         # the cache is built before any booking, so the SSD lanes are empty
         self.busy_out = self.busy_in = 0
         self.busy_limit = (config.hp_utilization_threshold
@@ -552,11 +548,9 @@ class _RouteCache:
         self._config = config
         self._allow_host = allow_host
         self._memo = _Memo(state, config)
-        times = route_times(set(state.sizes.values()), config)
         assert not any(state.lanes[Channel.SSD, d].intervals()
                        for d in Direction), "built after a booking"
-        self._entries = {(p.tensor_id, p.start_us): _Entry(p, state, config,
-                                                           times)
+        self._entries = {(p.tensor_id, p.start_us): _Entry(p, state, config)
                          for p in sorted(periods, key=lambda p: (
                              p.start_us, p.tensor_id, p.end_us))}
         # the largest clamp of any benefit query
@@ -631,13 +625,15 @@ class _RouteCache:
                 entry.choice = _STALE
 
 
-def schedule_evictions(analysis: VitalityAnalysis, config: DeviceConfig, *,
+def schedule_evictions(context, *,
                        allow_host: bool = True) -> SchedulingResult:
-    """Iterative greedy selection over all inactive periods."""
-    result = SchedulingResult.initial(analysis, config)
+    """Iterative greedy selection over all inactive periods of context (a
+    simulate.ReplayContext)."""
+    config = context.config
+    result = SchedulingResult.initial(context)
     state, plan = result.state, result.plan
 
-    routes = _RouteCache(analysis.periods, state, config, allow_host)
+    routes = _RouteCache(context.analysis.periods, state, config, allow_host)
 
     # a round over no periods selects nothing, which ends the loop
     while state.pressure.max_value() > config.gpu_mem_bytes:

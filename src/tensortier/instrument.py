@@ -12,10 +12,12 @@ Sizes in the text are the raw tensor sizes; page rounding is an engine
 concern.
 
 program_skeleton is what no plan changes: the kernels and each gap's
-sorted allocs and frees. A program emitted from a simulate.ReplayContext
-(its origin) replays from the context's alloc/free stream, exact for every
-plan: the gap sort key (issue time, op precedence, tensor id) orders
-allocs and frees alike whatever directives join them.
+sorted allocs and frees. A simulate.ReplayContext builds it once per trace
+and device, and emit_program adds a plan's directives to the context's
+copy, sorting only the gaps a directive joins. A program emitted from a
+context (its origin) replays from the context's alloc/free stream, exact
+for every plan: the gap sort key (issue time, op precedence, tensor id)
+orders allocs and frees alike whatever directives join them.
 """
 
 from __future__ import annotations
@@ -142,21 +144,15 @@ def program_skeleton(analysis: VitalityAnalysis):
                   for k in trace.kernels), tuple(map(_sorted_gap, gaps)))
 
 
-def emit_program(analysis: VitalityAnalysis, plan: MigrationPlan,
-                 context=None) -> Program:
-    """context is a simulate.ReplayContext with the analysis, or None."""
-    trace = analysis.trace
-    timeline = analysis.timeline
+def emit_program(context, plan: MigrationPlan) -> Program:
+    """plan's program over the skeleton of context (a
+    simulate.ReplayContext), which it names as its origin."""
+    trace = context.trace
+    timeline = context.analysis.timeline
     total = timeline.total_us
     if plan.total_us != total:
         raise InconsistentPlanError("plan and trace disagree on iteration length")
-    if context is None:
-        kernels, skeleton = program_skeleton(analysis)
-    elif context.skeleton is None or context.trace is not trace:
-        raise ValueError("replay context of another trace or no analysis")
-    else:
-        kernels, skeleton = context.kernels, context.skeleton
-    gaps = list(skeleton)
+    gaps = list(context.skeleton)
     start_index = {timeline.starts[k]: k for k in range(len(trace.kernels))}
 
     for item in plan.items:
@@ -185,8 +181,9 @@ def emit_program(analysis: VitalityAnalysis, plan: MigrationPlan,
         gaps[consumer] += (MigrationInstruction(
             Op.PREFETCH, item.tensor_id, size, issue),)
 
-    return Program(kernels, tuple(g if g is s else _sorted_gap(g)
-                                  for g, s in zip(gaps, skeleton)), context)
+    return Program(context.kernels,
+                   tuple(g if g is s else _sorted_gap(g)
+                         for g, s in zip(gaps, context.skeleton)), context)
 
 
 def serialize_program(program: Program) -> str:

@@ -15,8 +15,10 @@ worse than greedy, the ratio is always >= 1, and a greedy plan that matches
 the enumerated best is reported as the optimal assignment it is.
 
 Every plan, greedy's included, replays through policies.replay_plan as g10
-(g10-ssd-only: no host) does. A search builds one simulate.ReplayContext and
-one route_times table for scoring. Leaf items are shallow copies (plain data).
+(g10-ssd-only: no host) does. A search builds one simulate.ReplayContext,
+and the greedy plan, the booking walk and every replay read its tables
+(padded sizes, initial pressure curve, transfer times, skeleton). Leaf
+items are shallow copies (plain data).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from tensortier.config import DeviceConfig
 from tensortier.eviction import (CapacityViolationError, Destination,
-                                 MigrationPlan, SchedulingResult, route_times,
+                                 MigrationPlan, SchedulingResult,
                                  score_candidate)
 from tensortier.policies import policy_plan, replay_plan
 from tensortier.prefetch import assign_latest_safe, eager_reschedule
@@ -52,7 +54,7 @@ def _canonical_periods(analysis: VitalityAnalysis):
 
 
 def _booked(booked: SchedulingResult, periods, allow_host: bool,
-            config: DeviceConfig, times=None, combo=()):
+            config: DeviceConfig, combo=()):
     """(combo, booked plan) for every bookable combo extending combo."""
     if len(combo) == len(periods):
         leaf = SchedulingResult(MigrationPlan(
@@ -66,7 +68,7 @@ def _booked(booked: SchedulingResult, periods, allow_host: bool,
         child = booked
         if dest is not None:
             item = score_candidate(periods[len(combo)], dest, booked.state,
-                                   config, times)
+                                   config)
             if item is None:
                 continue
             child = SchedulingResult(MigrationPlan(
@@ -76,7 +78,7 @@ def _booked(booked: SchedulingResult, periods, allow_host: bool,
                 child.book(item, config)
             except CapacityViolationError:
                 continue
-        yield from _booked(child, periods, allow_host, config, times,
+        yield from _booked(child, periods, allow_host, config,
                            combo + (dest,))
 
 
@@ -94,20 +96,19 @@ def best_assignment(analysis: VitalityAnalysis, config: DeviceConfig, *,
         raise ValueError(
             f"{len(periods)} periods is past the exhaustive search limit")
     policy = "g10" if allow_host else "g10-ssd-only"
-    greedy = policy_plan(policy, analysis, config)
-    context = ReplayContext(analysis.trace, config, analysis)
+    context = ReplayContext(analysis, config)
+    greedy = policy_plan(policy, context)
 
     def run(plan: MigrationPlan) -> int:
-        return replay_plan(policy, analysis, config, plan, context).total_us
+        return replay_plan(policy, context, plan).total_us
 
     greedy_total = run(greedy)
 
     combo_best = None
     combo_assign = None
     seen: dict = {_fingerprint(greedy): greedy_total}
-    start = SchedulingResult.initial(analysis, config)
-    times = route_times(set(context.sizes.values()), config)
-    for combo, booked in _booked(start, periods, allow_host, config, times):
+    start = SchedulingResult.initial(context)
+    for combo, booked in _booked(start, periods, allow_host, config):
         key = _fingerprint(booked.plan)
         if key in seen:
             total = seen[key]

@@ -16,9 +16,12 @@ g10                vitality-driven greedy planning with eager prefetch and
                    host fallback
 g10-ssd-only       the same planner forbidden from touching host memory
 
-replay_plan decides how a policy replays a plan (initial placement, host
-fallback, deepum-like hook); run_policy and the oracle replay through it and
-one simulate.ReplayContext built with the analysis.
+Every stage of a run reads one simulate.ReplayContext, built from the
+trace's analysis on the device: the planners its padded sizes, initial
+pressure curve and transfer times, the placements its sizes, and the
+emitter and the replay its skeleton and stream. replay_plan decides how a
+policy replays a plan (initial placement, host fallback, deepum-like hook);
+run_policy and the oracle plan and replay through it and one context.
 """
 
 from __future__ import annotations
@@ -44,15 +47,14 @@ def _durations(trace: WorkloadTrace, config: DeviceConfig, noise_pct: float,
     return perturb_durations(trace, noise_pct, seed, config.num_iterations)
 
 
-def _spill(analysis, config: DeviceConfig, gpu_free: int,
-           allow_host: bool) -> dict[int, str]:
+def _spill(context, gpu_free: int, allow_host: bool) -> dict[int, str]:
     """Long-lived tensors fill gpu_free bytes of the device, then host
     memory (when allowed), then flash, in tensor id order."""
     placement = {}
-    host_free = config.host_mem_bytes
-    for tid in sorted(tid for tid, life in analysis.lifetimes.items()
+    host_free = context.config.host_mem_bytes
+    for tid in sorted(tid for tid, life in context.analysis.lifetimes.items()
                       if life.is_global):
-        size = config.padded(analysis.trace.tensors[tid].size_bytes)
+        size = context.sizes[tid]
         if size <= gpu_free:
             placement[tid] = GPU
             gpu_free -= size
@@ -64,23 +66,23 @@ def _spill(analysis, config: DeviceConfig, gpu_free: int,
     return placement
 
 
-def planned_placement(analysis, config: DeviceConfig,
-                      allow_host: bool) -> dict[int, str]:
+def planned_placement(context, allow_host: bool) -> dict[int, str]:
     """Long-lived tensors start on device while they fit, spilling to the
     next tier down."""
-    return _spill(analysis, config, config.gpu_mem_bytes, allow_host)
+    return _spill(context, context.config.gpu_mem_bytes, allow_host)
 
 
-def faulting_placement(analysis, config: DeviceConfig) -> dict[int, str]:
+def faulting_placement(context) -> dict[int, str]:
     """Long-lived tensors begin in host memory, as managed-memory runtimes
     leave them, and fault onto the device on first touch."""
-    return _spill(analysis, config, 0, True)
+    return _spill(context, 0, True)
 
 
-def flashneuron_plan(analysis, config: DeviceConfig) -> SchedulingResult:
+def flashneuron_plan(context) -> SchedulingResult:
     """Offload intermediates in birth order until the curve fits. Pressure
     left above capacity shows as residual_overflow > 0."""
-    result = SchedulingResult.initial(analysis, config)
+    analysis, config = context.analysis, context.config
+    result = SchedulingResult.initial(context)
     state, plan = result.state, result.plan
     periods = sorted(
         (p for p in analysis.periods
@@ -126,8 +128,7 @@ _PLANS = {
 }
 
 
-def policy_plan(name: str, analysis, config: DeviceConfig, *,
-                eager: bool = True) -> MigrationPlan:
+def policy_plan(name: str, context, *, eager: bool = True) -> MigrationPlan:
     """The plan a policy replays: an empty one for the fault-driven
     policies, the birth-order SSD plan for flashneuron-like and the greedy
     plan for g10 (without the host route for g10-ssd-only)."""
@@ -135,28 +136,26 @@ def policy_plan(name: str, analysis, config: DeviceConfig, *,
         raise ValueError(f"policy {name!r} replays no plan")
     kind, allow_host = _PLANS[name]
     if kind == "empty":
-        return MigrationPlan(total_us=analysis.timeline.total_us)
+        return MigrationPlan(total_us=context.analysis.timeline.total_us)
     if kind == "flashneuron":
-        return flashneuron_plan(analysis, config).plan
-    return plan_migrations(analysis, config, allow_host=allow_host,
-                           eager=eager).plan
+        return flashneuron_plan(context).plan
+    return plan_migrations(context, allow_host=allow_host, eager=eager).plan
 
 
-def replay_plan(name: str, analysis, config: DeviceConfig,
-                plan: MigrationPlan, context, *, durations=None,
+def replay_plan(name: str, context, plan: MigrationPlan, *, durations=None,
                 keep_events: bool = False) -> SimResult:
-    """Replay plan as policy name does, through context: a ReplayContext
-    built with the analysis, or None (checked and flattened)."""
+    """Replay plan as policy name does, emitted from and replayed through
+    context."""
     kind, allow_host = _PLANS[name]
     hook = None
     if kind == "empty":
-        locations = faulting_placement(analysis, config)
+        locations = faulting_placement(context)
         if name == "deepum-like":
             hook = _correlation_hook()
     else:
-        locations = planned_placement(analysis, config, allow_host)
-    return simulate(analysis.trace, emit_program(analysis, plan, context),
-                    config, policy=name, durations=durations,
+        locations = planned_placement(context, allow_host)
+    return simulate(context.trace, emit_program(context, plan),
+                    context.config, policy=name, durations=durations,
                     initial_locations=locations,
                     allow_host_fallback=allow_host, on_kernel_start=hook,
                     keep_events=keep_events, context=context)
@@ -171,8 +170,6 @@ def run_policy(name: str, trace: WorkloadTrace, config: DeviceConfig, *,
     if name == "ideal":
         return ideal_run(trace, config, durations)
 
-    analysis = analyze(trace)
-    plan = policy_plan(name, analysis, config, eager=eager)
-    return replay_plan(name, analysis, config, plan,
-                       ReplayContext(trace, config, analysis),
+    context = ReplayContext(analyze(trace), config)
+    return replay_plan(name, context, policy_plan(name, context, eager=eager),
                        durations=durations, keep_events=keep_events)

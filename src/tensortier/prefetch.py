@@ -14,7 +14,6 @@ from tensortier.config import DeviceConfig, Direction
 from tensortier.curve import wrap_add
 from tensortier.eviction import (Destination, SchedulingResult,
                                  schedule_evictions)
-from tensortier.vitality import VitalityAnalysis
 
 
 def assign_latest_safe(result: SchedulingResult) -> None:
@@ -70,13 +69,13 @@ def eager_reschedule(result: SchedulingResult, config: DeviceConfig) -> None:
             item.prefetch_end = start + dur
 
 
-def plan_migrations(analysis: VitalityAnalysis, config: DeviceConfig, *,
-                    allow_host: bool = True,
+def plan_migrations(context, *, allow_host: bool = True,
                     eager: bool = True) -> SchedulingResult:
-    """Full planning pipeline: greedy eviction booking, slack annotation,
-    then the optional eager pass."""
-    result = schedule_evictions(analysis, config, allow_host=allow_host)
+    """Full planning pipeline over context (a simulate.ReplayContext):
+    greedy eviction booking, slack annotation, then the optional eager
+    pass."""
+    result = schedule_evictions(context, allow_host=allow_host)
     assign_latest_safe(result)
     if eager:
-        eager_reschedule(result, config)
+        eager_reschedule(result, context.config)
     return result

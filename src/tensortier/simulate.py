@@ -13,12 +13,15 @@ GPU bytes are charged when an inbound transfer starts and released when an
 outbound transfer finishes, mirroring the planner's accounting. All engine
 arithmetic uses page-padded sizes.
 
-A ReplayContext holds replay inputs only, read by every replay of a trace on
-a device (padded sizes, each kernel's tensors, lane constants) and, given
-the analysis, instrument's skeleton and stream; every policy replay goes
-through one (policies.replay_plan). A program emitted from it replays from
-that stream unchecked (exact: instrument's docstring); any other program is
-checked and flattened.
+A ReplayContext, built from a trace's analysis on a device, holds what
+every stage reads of them: the padded sizes (the one place they are
+padded), each kernel's tensors and their bytes, the four lanes'
+constants, instrument's skeleton and stream, and, built on first use, the
+initial pressure curve and the planner's transfer times. The planner
+modules read its attributes and never import it. A replay, not its
+construction, raises the first working set over capacity. A program
+emitted from it replays from that stream unchecked (exact: instrument's
+docstring); any other program is checked and flattened.
 
 Every event logs a line stamped with its time. Lines are formatted at their
 event and hashed in blocks: they collect in a pending list, which is joined
@@ -95,12 +98,15 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from tensortier.config import Channel, DeviceConfig, Direction, transfer_us
-from tensortier.eviction import Destination
+from tensortier.eviction import Destination, route_times
 from tensortier.instrument import Op, Program, program_skeleton
 from tensortier.trace import WorkloadTrace
+from tensortier.vitality import (VitalityAnalysis, analyze,
+                                 initial_pressure_curve)
 
 
 class SimulationError(RuntimeError):
@@ -238,31 +244,39 @@ class _Running:
 
 
 class ReplayContext:
-    """A trace's replay inputs on a device (module docstring)."""
+    """A trace's tables on a device (module docstring); unfit is the error
+    a replay raises, or None."""
 
-    def __init__(self, trace: WorkloadTrace, config: DeviceConfig,
-                 analysis=None):
-        if analysis is not None and analysis.trace is not trace:
-            raise ValueError("analysis of another trace")
-        self.trace, self.config = trace, config
+    def __init__(self, analysis: VitalityAnalysis, config: DeviceConfig):
+        trace = analysis.trace
+        self.analysis, self.trace, self.config = analysis, trace, config
         self.sizes = {tid: config.padded(t.size_bytes)
                       for tid, t in trace.tensors.items()}
         self.touched = tuple(kernel.tensors() for kernel in trace.kernels)
-        for kernel, ids in zip(trace.kernels, self.touched):
-            need = sum(self.sizes[tid] for tid in ids)
-            if need > config.gpu_mem_bytes:
-                raise SimulationError(
-                    f"kernel {kernel.index} working set ({need} bytes) "
-                    f"cannot fit in GPU memory")
+        self.working_sets = tuple(sum(map(self.sizes.__getitem__, ids))
+                                  for ids in self.touched)
+        self.unfit = next(
+            (f"kernel {kernel.index} working set ({need} bytes) cannot fit "
+             f"in GPU memory"
+             for kernel, need in zip(trace.kernels, self.working_sets)
+             if need > config.gpu_mem_bytes), None)
         self.ids = tuple(tuple(sorted(ids)) for ids in self.touched)
-        self.lanes = tuple(
-            (f"{ch.value}/{d.value}", d is Direction.TO_DEVICE,
-             config.channel(ch).bw(d), config.channel(ch).latency(d))
-            for ch in (Channel.HOST, Channel.SSD) for d in Direction)
-        self.kernels = self.skeleton = self.stream = None
-        if analysis is not None:
-            self.kernels, self.skeleton = program_skeleton(analysis)
-            self.stream = _flatten(Program(self.kernels, self.skeleton))
+        self.lanes = {
+            (ch, d): (f"{ch.value}/{d.value}", d is Direction.TO_DEVICE,
+                      config.channel(ch).bw(d), config.channel(ch).latency(d))
+            for ch in (Channel.HOST, Channel.SSD) for d in Direction}
+        self.kernels, self.skeleton = program_skeleton(analysis)
+        self.stream = _flatten(Program(self.kernels, self.skeleton))
+
+    @cached_property
+    def pressure(self):
+        """The initial pressure curve; every plan books on a copy."""
+        return initial_pressure_curve(self.analysis, self.sizes)
+
+    @cached_property
+    def times(self):
+        """The planner's transfer times (eviction.route_times)."""
+        return route_times(self)
 
 
 class _Engine:
@@ -274,9 +288,11 @@ class _Engine:
         emitted = context is not None and program.origin is context
         if not emitted:
             _check_program(trace, program)
-            context = context or ReplayContext(trace, config)
+            context = context or ReplayContext(analyze(trace), config)
         if context.trace is not trace or context.config != config:
             raise ValueError("replay context of another trace or config")
+        if context.unfit:
+            raise SimulationError(context.unfit)
         self.program = program
         self.config = config
         self.policy = policy
@@ -326,7 +342,7 @@ class _Engine:
             else:
                 raise ValueError(f"bad initial location {loc!r}")
 
-        self.lanes = list(map(_Lane, context.lanes))
+        self.lanes = list(map(_Lane, context.lanes.values()))
         host_in, host_out, ssd_in, ssd_out = self.lanes
         self._fetch_lane = {HOST: host_in, SSD: ssd_in}    # by source tier
         self._evict_lane = {HOST: host_out, SSD: ssd_out}  # by destination

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tensortier.config import (ChannelSpec, DeviceConfig, Direction,
-                               transfer_us)
 from tensortier.curve import StepCurve
 from tensortier.trace import TensorKind, WorkloadTrace
 
@@ -151,28 +149,23 @@ def analyze(trace: WorkloadTrace) -> VitalityAnalysis:
 
 
 def initial_pressure_curve(analysis: VitalityAnalysis,
-                           config: DeviceConfig) -> StepCurve:
+                           sizes: dict[int, int]) -> StepCurve:
     """GPU memory pressure with no migrations planned.
 
     A tensor occupies memory from the start of its birth kernel to the end of
-    its death kernel; global tensors span the whole iteration. Sizes are
-    padded to whole pages.
+    its death kernel; global tensors span the whole iteration. sizes maps
+    each tensor id to its page-padded size.
     """
     timeline = analysis.timeline
     curve = StepCurve(timeline.total_us)
     for life in analysis.lifetimes.values():
-        size = config.padded(analysis.trace.tensors[life.tensor_id].size_bytes)
+        size = sizes[life.tensor_id]
         if life.is_global:
             curve.add(0, timeline.total_us, size)
         else:
             curve.add(timeline.starts[life.birth_kernel],
                       timeline.ends[life.death_kernel], size)
     return curve
-
-
-def transfer_time(size_bytes: int, spec: ChannelSpec, direction: Direction) -> int:
-    """Latency plus ceil(size / bandwidth), in whole microseconds."""
-    return transfer_us(size_bytes, spec.bw(direction), spec.latency(direction))
 
 
 @dataclass(frozen=True)
@@ -189,14 +182,12 @@ class CharacterizationReport:
     periods: tuple[InactivePeriod, ...]
 
 
-def characterize(analysis: VitalityAnalysis,
-                 config: DeviceConfig) -> CharacterizationReport:
-    """Active-vs-total bytes per kernel plus the period population."""
-    trace = analysis.trace
-    curve = initial_pressure_curve(analysis, config)
+def characterize(context) -> CharacterizationReport:
+    """Active-vs-total bytes per kernel plus the period population, from a
+    simulate.ReplayContext's working sets and initial pressure curve."""
+    analysis, curve = context.analysis, context.pressure
     rows = []
-    for k in trace.kernels:
-        active = sum(config.padded(trace.tensors[t].size_bytes) for t in k.tensors())
+    for k, active in zip(analysis.trace.kernels, context.working_sets):
         total = curve.max_over(analysis.timeline.starts[k.index],
                                analysis.timeline.ends[k.index])
         rows.append(KernelOccupancy(k.index, k.name, active, total))

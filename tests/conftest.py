@@ -1,8 +1,10 @@
 import pytest
 
 from tensortier.config import DeviceConfig
+from tensortier.simulate import ReplayContext
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace)
+from tensortier.vitality import analyze
 
 # Four-kernel scenario small enough to verify by hand: a 102400-byte device,
 # two weights used by the first and last kernels, and two activations born
@@ -25,6 +27,11 @@ def make_device(**overrides) -> DeviceConfig:
     )
     base.update(overrides)
     return DeviceConfig(**base)
+
+
+def make_context(trace: WorkloadTrace, dev: DeviceConfig) -> ReplayContext:
+    """The context every stage reads: trace's analysis on dev."""
+    return ReplayContext(analyze(trace), dev)
 
 
 def make_s1(with_r: bool) -> WorkloadTrace:

@@ -22,14 +22,15 @@ def select_best(candidates):
     return best
 
 
-def schedule_evictions_fresh(analysis, config, *, allow_host=True):
+def schedule_evictions_fresh(context, *, allow_host=True):
     """schedule_evictions with no kept state: every round calls
     choose_destination afresh for every remaining period."""
-    result = SchedulingResult.initial(analysis, config)
+    config = context.config
+    result = SchedulingResult.initial(context)
     state, plan = result.state, result.plan
     remaining = {
         (p.tensor_id, p.start_us): p
-        for p in sorted(analysis.periods,
+        for p in sorted(context.analysis.periods,
                         key=lambda p: (p.start_us, p.tensor_id, p.end_us))
     }
     while remaining and state.pressure.max_value() > config.gpu_mem_bytes:
@@ -74,11 +75,12 @@ def latest_safe_prefetch_time(item, state) -> int:
     return start
 
 
-def book_combo(analysis, config, periods, dests):
+def book_combo(context, periods, dests):
     """The oracle's booked plan for one assignment of periods (canonical
     order) to destinations (None skips), booked from a fresh state; None
     when it cannot be booked."""
-    result = SchedulingResult.initial(analysis, config)
+    config = context.config
+    result = SchedulingResult.initial(context)
     for period, dest in zip(periods, dests):
         if dest is None:
             continue

@@ -15,7 +15,7 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_device, make_s1
+from conftest import make_context, make_device, make_s1
 from tensortier.cli import main
 from tensortier.config import Channel, Direction, gbps_to_bytes_per_us
 from tensortier.eviction import (CapacityViolationError, SchedulerState,
@@ -26,7 +26,6 @@ from tensortier.oracle import best_assignment
 from tensortier.policies import run_policy
 from tensortier.prefetch import plan_migrations
 from tensortier.trace import parse_trace, synthesize_trace
-from tensortier.vitality import analyze
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -66,7 +65,7 @@ def test_c02_fitting_traces_match_ideal_exactly():
         trace = synthesize_trace(layers, (512, 3_000), (512, 3_000),
                                  (10, 60), seed)
         dev = make_device()
-        result = plan_migrations(analyze(trace), dev)
+        result = plan_migrations(make_context(trace, dev))
         assert not result.plan.items
         assert result.plan.residual_overflow == 0
         planned = run_policy("g10", trace, dev)
@@ -104,7 +103,8 @@ def test_c04_greedy_tracks_exhaustive_optimum():
         trace = synthesize_trace(3, (20_480, 28_672), (20_480, 28_672),
                                  (100, 200), seed)
         dev = make_device(gpu_mem_bytes=131_072)
-        analysis = analyze(trace)
+        context = make_context(trace, dev)
+        analysis = context.analysis
         assert len(analysis.periods) <= 6
         outcome = best_assignment(analysis, dev)
         assert outcome.ratio <= 1.2, (seed, outcome.ratio)
@@ -113,12 +113,12 @@ def test_c04_greedy_tracks_exhaustive_optimum():
                     "assignment": list(outcome.assignment)}
         assert recorded == golden[str(seed)], seed
 
-        plan = plan_migrations(analysis, dev).plan
+        plan = plan_migrations(context).plan
         if not plan.items:
             continue
         nonempty += 1
         first = plan.items[0]
-        state = SchedulerState.initial(analysis, dev)
+        state = SchedulerState.initial(context)
         for period in analysis.periods:
             cand = choose_destination(period, state, dev)
             if cand is not None:
@@ -238,10 +238,10 @@ def _replay(events, sizes):
 @given(_cases())
 def _prop_pressure_monotone_under_apply(case):
     trace, dev = case
-    analysis = analyze(trace)
-    state = SchedulerState.initial(analysis, dev)
+    context = make_context(trace, dev)
+    state = SchedulerState.initial(context)
     applied = 0
-    for period in sorted(analysis.periods,
+    for period in sorted(context.analysis.periods,
                          key=lambda p: (p.start_us, p.tensor_id)):
         if applied >= 4:
             break
@@ -262,7 +262,7 @@ def _prop_pressure_monotone_under_apply(case):
 @given(_cases())
 def _prop_reservations_disjoint(case):
     trace, dev = case
-    result = plan_migrations(analyze(trace), dev)
+    result = plan_migrations(make_context(trace, dev))
     for ch in Channel:
         for d in Direction:
             ivals = sorted(result.state.lanes[ch, d].intervals())
@@ -301,9 +301,9 @@ def _prop_traffic_conserved(case, policy):
 @given(_cases())
 def _prop_plan_byte_identical(case):
     trace, dev = case
-    first, second = analyze(trace), analyze(trace)
-    a = plan_migrations(first, dev)
-    b = plan_migrations(second, dev)
+    first, second = make_context(trace, dev), make_context(trace, dev)
+    a = plan_migrations(first)
+    b = plan_migrations(second)
     assert plan_to_json(a.plan) == plan_to_json(b.plan)
     assert (serialize_program(emit_program(first, a.plan))
             == serialize_program(emit_program(second, b.plan)))
@@ -313,9 +313,9 @@ def _prop_plan_byte_identical(case):
 @given(_cases())
 def _prop_directives_alternate(case):
     trace, dev = case
-    analysis = analyze(trace)
-    result = plan_migrations(analysis, dev)
-    program = emit_program(analysis, result.plan)
+    context = make_context(trace, dev)
+    result = plan_migrations(context)
+    program = emit_program(context, result.plan)
     seq = {}
     for ins in program.instructions():
         if ins.op in (Op.PRE_EVICT, Op.PREFETCH):
@@ -345,7 +345,7 @@ def test_c08_invariants_hold_on_generated_cases():
 def test_c09_worked_schedule_is_frozen():
     # four-kernel scenario: the small weight goes to flash first (best
     # benefit per transfer microsecond), the large one to the host
-    result = plan_migrations(analyze(make_s1(with_r=True)), make_device())
+    result = plan_migrations(make_context(make_s1(with_r=True), make_device()))
     assert plan_to_json(result.plan) == (GOLDEN / "s1r_plan.json").read_text()
 
 

@@ -120,9 +120,9 @@ def test_plan_writes_what_simulate_replays(tmp_path, monkeypatch, policy,
     replayed = []
     emit, simulate = policies.emit_program, policies.simulate
 
-    def watching_emit(analysis, plan, context=None):
+    def watching_emit(context, plan):
         replayed.append(plan_to_json(plan))
-        return emit(analysis, plan, context)
+        return emit(context, plan)
 
     def watching_simulate(trace, program, *args, **kwargs):
         replayed.append(serialize_program(program))
@@ -157,6 +157,27 @@ def test_analyze_writes_characterization_tables(tmp_path):
     assert names == ["active_vs_total.csv", "period_cdf.csv",
                      "period_scatter.csv"]
     assert "0,k0,61440,61440" in (out / "active_vs_total.csv").read_text()
+
+
+def test_working_set_over_capacity_plans_but_does_not_replay(tmp_path,
+                                                             capsys):
+    # one byte short of kernel 3's working set (tensors 0, 2 and 3), the
+    # largest of the trace
+    (tmp_path / "s1r.json").write_text(serialize_trace(make_s1(with_r=True)))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(DEVICE_LINES.replace("102400", "92159")
+                   + "trace = s1r.json\n")
+    out = tmp_path / "plan"
+    assert main(["plan", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "plan.json").read_text())["residual_overflow"] > 0
+    assert (out / "program.txt").exists()
+    for command in ("simulate", "oracle"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: kernel 3 working set (92160 bytes) cannot fit in GPU "
+            "memory\n")
+        assert not out.exists()
 
 
 def test_oracle_reports_matching_greedy_plan(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_device
+from conftest import make_context, make_device
 from reference_planner import schedule_evictions_fresh, select_best
 from tensortier import eviction
 from tensortier.config import DeviceConfig
@@ -17,7 +17,6 @@ from tensortier.eviction import (CapacityViolationError, Destination,
 from tensortier.reservations import LaneReservations, ReservationOverlapError
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace, synthesize_trace)
-from tensortier.vitality import analyze
 
 
 def _items(result):
@@ -27,7 +26,7 @@ def _items(result):
 
 
 def test_s1_schedule(s1_trace, device):
-    result = schedule_evictions(analyze(s1_trace), device)
+    result = schedule_evictions(make_context(s1_trace, device))
     # one pick: the weight rides the SSD channel through its idle window
     assert _items(result) == [
         (0, Destination.SSD, 25, 40, 60, 75, 409_600, 30)]
@@ -36,7 +35,7 @@ def test_s1_schedule(s1_trace, device):
 
 
 def test_s1r_schedule(s1r_trace, device):
-    result = schedule_evictions(analyze(s1r_trace), device)
+    result = schedule_evictions(make_context(s1r_trace, device))
     # the small weight goes first (bigger benefit per cost and it fits
     # fully inside the overflow plateau); rescoring then pushes the big
     # weight to the host channel because its SSD window has collapsed
@@ -49,7 +48,7 @@ def test_s1r_schedule(s1r_trace, device):
 
 
 def test_s1r_ssd_only(s1r_trace, device):
-    result = schedule_evictions(analyze(s1r_trace), device,
+    result = schedule_evictions(make_context(s1r_trace, device),
                                 allow_host=False)
     # with the host forbidden the second pick's usable window is empty
     # (evict and prefetch meet at the midpoint), so the loop stops
@@ -58,8 +57,8 @@ def test_s1r_ssd_only(s1r_trace, device):
 
 
 def test_cache_and_no_cache_agree(s1r_trace, device):
-    a = schedule_evictions(analyze(s1r_trace), device)
-    b = schedule_evictions_fresh(analyze(s1r_trace), device)
+    a = schedule_evictions(make_context(s1r_trace, device))
+    b = schedule_evictions_fresh(make_context(s1r_trace, device))
     assert plan_to_json(a.plan) == plan_to_json(b.plan)
 
 
@@ -75,11 +74,10 @@ def _assert_cache_matches(trace, gpu_frac, host_frac, ssd_frac, **device):
         gpu_mem_bytes=max(max_ws, int(footprint * gpu_frac) // 1024 * 1024),
         host_mem_bytes=int(footprint * host_frac),
         ssd_capacity_bytes=int(footprint * ssd_frac), **device)
-    analysis = analyze(trace)
+    context = make_context(trace, dev)
     for allow_host in (True, False):
-        cached = schedule_evictions(analysis, dev, allow_host=allow_host)
-        fresh = schedule_evictions_fresh(analysis, dev,
-                                         allow_host=allow_host)
+        cached = schedule_evictions(context, allow_host=allow_host)
+        fresh = schedule_evictions_fresh(context, allow_host=allow_host)
         assert plan_to_json(cached.plan) == plan_to_json(fresh.plan)
 
 
@@ -162,7 +160,7 @@ def _uniform_case():
     dev = make_device(gpu_mem_bytes=footprint * 3 // 10 // 1024 * 1024,
                       host_mem_bytes=footprint // 8, ssd_read_bw=1024,
                       ssd_write_bw=1024, hp_utilization_threshold=0.1)
-    return analyze(trace), dev
+    return make_context(trace, dev)
 
 
 def _watch(monkeypatch, owner, name, record):
@@ -176,7 +174,7 @@ def _watch(monkeypatch, owner, name, record):
 
 
 def test_a_round_asks_each_query_once(monkeypatch):
-    analysis, dev = _uniform_case()
+    context = _uniform_case()
     rounds = []
     asked = []   # per round: every slot search and benefit query asked
     _watch(monkeypatch, eviction._RouteCache, "round",
@@ -187,14 +185,14 @@ def test_a_round_asks_each_query_once(monkeypatch):
            lambda lane, *args: rounds[-1].append((id(lane), "l", args)))
     _watch(monkeypatch, eviction, "wrap_window_overflow_area",
            lambda curve, *args: rounds[-1].append(("benefit", args)))
-    plan = schedule_evictions(analysis, dev).plan
+    plan = schedule_evictions(context).plan
     for calls in rounds:
         asked += calls
         assert len(set(calls)) == len(calls)
     assert {item.dest for item in plan.items} == set(Destination)
     assert len(asked) > len(rounds)
     assert plan_to_json(plan) == plan_to_json(
-        schedule_evictions_fresh(analysis, dev).plan)
+        schedule_evictions_fresh(context).plan)
 
 
 _EDGES = st.sampled_from([0, 7, 20, 35, 50, 64, 80])
@@ -225,7 +223,7 @@ def test_memo_answers_as_fresh_queries(adds, bookings, queries):
             lanes[second].reserve(start, start + length, None)
         except ReservationOverlapError:
             pass
-    state = SchedulerState(total, {}, pressure, {}, host)
+    state = SchedulerState(total, {}, {}, pressure, {}, host)
     dev = make_device(gpu_mem_bytes=10)
     memo = eviction._Memo(state, dev)
     for second, dur, lo, span, size in queries * 2:
@@ -244,14 +242,14 @@ def test_planner_calls_the_functions_perfbench_traces(monkeypatch):
     """perfbench/tracing.py counts benefit queries and slot searches by
     wrapping these module attributes, so the planner must call them by
     those names."""
-    analysis, dev = _uniform_case()
+    context = _uniform_case()
     calls = []
     _watch(monkeypatch, eviction, "wrap_window_overflow_area",
            lambda *args: calls.append("benefit"))
     for name in ("earliest_slot", "latest_slot"):
         _watch(monkeypatch, LaneReservations, name,
                lambda *args, name=name: calls.append(name))
-    schedule_evictions(analysis, dev)
+    schedule_evictions(context)
     assert set(calls) == {"benefit", "earliest_slot", "latest_slot"}
 
 
@@ -265,7 +263,7 @@ def test_plan_items_are_built_only_for_bookings(monkeypatch):
                       host_mem_bytes=footprint // 10,
                       ssd_capacity_bytes=footprint // 8, ssd_read_bw=1024,
                       ssd_write_bw=1024)
-    analysis = analyze(trace)
+    context = make_context(trace, dev)
     built = []
     init = PlanItem.__init__
 
@@ -274,7 +272,7 @@ def test_plan_items_are_built_only_for_bookings(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PlanItem, "__init__", counting_init)
-    plan = schedule_evictions(analysis, dev).plan
+    plan = schedule_evictions(context).plan
     # picks to both tiers and drops, so every round path ran
     assert {item.dest for item in plan.items} == set(Destination)
     assert plan.unschedulable
@@ -321,8 +319,8 @@ def test_zero_benefit_candidates_are_not_applied(device):
         KernelRecord(0, "a", 2, frozenset({0, 1}), frozenset()),
         KernelRecord(1, "b", 2, frozenset({0, 1}), frozenset()),
     )
-    result = schedule_evictions(analyze(WorkloadTrace(tensors, kernels)),
-                                device)
+    result = schedule_evictions(make_context(WorkloadTrace(tensors, kernels),
+                                             device))
     assert result.plan.items == []
     assert result.plan.residual_overflow > 0
 
@@ -337,9 +335,10 @@ def test_booking_a_period_twice_is_a_capacity_violation(device):
         KernelRecord(1, "b", 100, frozenset(), frozenset()),
         KernelRecord(2, "c", 10, frozenset({0}), frozenset()),
     )
-    analysis = analyze(WorkloadTrace(tensors, kernels))
-    result = SchedulingResult.initial(analysis, device)
-    period = next(p for p in analysis.periods if not p.wraps_iteration)
+    context = make_context(WorkloadTrace(tensors, kernels), device)
+    result = SchedulingResult.initial(context)
+    period = next(p for p in context.analysis.periods
+                  if not p.wraps_iteration)
     item = score_candidate(period, Destination.SSD, result.state, device)
     result.book(item, device)
     with pytest.raises(CapacityViolationError,
@@ -353,12 +352,12 @@ def test_booking_on_a_copy_leaves_the_original_unchanged(s1r_trace, device):
                 {key: lane.intervals() for key, lane in state.lanes.items()},
                 state.host_occupancy.breakpoints(), state.ssd_occupancy)
 
-    analysis = analyze(s1r_trace)
-    state = SchedulerState.initial(analysis, device)
+    context = make_context(s1r_trace, device)
+    state = SchedulerState.initial(context)
     before = parts(state)
     booked = state.copy()
     assert parts(booked) == before and booked.sizes is state.sizes
-    small, big = sorted(analysis.periods,
+    small, big = sorted(context.analysis.periods,
                         key=lambda p: state.sizes[p.tensor_id])
     # one booking to each tier touches every part of the state
     for period, dest in ((big, Destination.SSD), (small, Destination.HOST)):
@@ -371,7 +370,7 @@ def test_booking_on_a_copy_leaves_the_original_unchanged(s1r_trace, device):
 
 
 def test_plan_json_round_trip(s1r_trace, device):
-    result = schedule_evictions(analyze(s1r_trace), device)
+    result = schedule_evictions(make_context(s1r_trace, device))
     text = plan_to_json(result.plan)
     doc = json.loads(text)
     assert {e["tensor_id"] for e in doc["evictions"]} == {0, 3}
@@ -388,5 +387,5 @@ def test_schedule_respects_tiny_host(s1r_trace):
         ssd_read_bw=4096, ssd_write_bw=4096, host_bw=4096,
         ssd_read_latency_us=5, ssd_write_latency_us=5, host_latency_us=5,
         page_size_bytes=1024)
-    result = schedule_evictions(analyze(s1r_trace), device)
+    result = schedule_evictions(make_context(s1r_trace, device))
     assert all(i.dest is Destination.SSD for i in result.plan.items)

@@ -1,12 +1,12 @@
 import pytest
 
+from conftest import make_context
 from tensortier.instrument import (InconsistentPlanError, Op,
                                    ProgramParseError, emit_program,
                                    parse_program, serialize_program)
 from tensortier.prefetch import plan_migrations
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace)
-from tensortier.vitality import analyze
 
 S1R_PROGRAM = """\
 G10 alloc 0 40960 @0
@@ -27,9 +27,9 @@ G10 free 2 30720 @100
 
 
 def _emit(trace, device, **kwargs):
-    analysis = analyze(trace)
-    result = plan_migrations(analysis, device, **kwargs)
-    return emit_program(analysis, result.plan)
+    context = make_context(trace, device)
+    result = plan_migrations(context, **kwargs)
+    return emit_program(context, result.plan)
 
 
 def test_s1r_program_text(s1r_trace, device):
@@ -83,11 +83,11 @@ def test_wrap_plan_emits_folded_prefetch():
         ssd_read_bw=4096, ssd_write_bw=4096, host_bw=4096,
         ssd_read_latency_us=5, ssd_write_latency_us=5, host_latency_us=5,
         page_size_bytes=1024)
-    analysis = analyze(trace)
-    result = plan_migrations(analysis, device)
+    context = make_context(trace, device)
+    result = plan_migrations(context)
     items = result.plan.items
     assert len(items) == 1 and items[0].wraps
-    program = emit_program(analysis, result.plan)
+    program = emit_program(context, result.plan)
     program.validate_alternation()
     text = serialize_program(program)
     lines = text.splitlines()
@@ -98,9 +98,9 @@ def test_wrap_plan_emits_folded_prefetch():
 
 
 def test_emit_rejects_foreign_plan(s1_trace, s1r_trace, device):
-    result = plan_migrations(analyze(s1r_trace), device)
+    result = plan_migrations(make_context(s1r_trace, device))
     with pytest.raises(InconsistentPlanError):
-        emit_program(analyze(s1_trace), result.plan)
+        emit_program(make_context(s1_trace, device), result.plan)
 
 
 @pytest.mark.parametrize("text", [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_device
+from conftest import make_context, make_device
 from tensortier.config import DeviceConfig
 from tensortier.instrument import emit_program, parse_program
 from tensortier.policies import run_policy
@@ -16,13 +16,12 @@ from tensortier.simulate import (_HASH_BLOCK, KernelStat, _Engine,
                                  ssd_lifetime_years)
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace, synthesize_trace)
-from tensortier.vitality import analyze
 
 
 def _planned(trace, device, **kwargs):
-    analysis = analyze(trace)
-    result = plan_migrations(analysis, device, **kwargs)
-    return emit_program(analysis, result.plan)
+    context = make_context(trace, device)
+    result = plan_migrations(context, **kwargs)
+    return emit_program(context, result.plan)
 
 
 def test_s1_end_to_end(s1_trace, device):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_device
+from conftest import make_context, make_device
 from reference_planner import book_combo
 from tensortier.eviction import Destination, SchedulingResult
 from tensortier.oracle import (MAX_PERIODS, _booked, _canonical_periods,
@@ -146,18 +146,19 @@ def _booked_state(result):
             state.host_occupancy.breakpoints(), state.ssd_occupancy)
 
 
-def _assert_walk_books_as_reference(analysis, dev, allow_host):
+def _assert_walk_books_as_reference(context, allow_host):
     """The depth-first walk yields exactly the combos that book from a
     fresh state, in itertools.product order, each booked the same way.
     Returns the walk's (combo, booked plan) pairs and the combo count."""
-    periods = _canonical_periods(analysis)
+    dev = context.config
+    periods = _canonical_periods(context.analysis)
     options = (None, Destination.SSD, Destination.HOST)[:2 + allow_host]
     combos = list(itertools.product(options, repeat=len(periods)))
-    reference = [(combo, book_combo(analysis, dev, periods, combo))
+    reference = [(combo, book_combo(context, periods, combo))
                  for combo in combos]
     reference = [(combo, booked) for combo, booked in reference
                  if booked is not None]
-    walked = list(_booked(SchedulingResult.initial(analysis, dev), periods,
+    walked = list(_booked(SchedulingResult.initial(context), periods,
                           allow_host, dev))
     assert [combo for combo, _ in walked] == [c for c, _ in reference]
     for (combo, got), (_, want) in zip(walked, reference):
@@ -167,12 +168,13 @@ def _assert_walk_books_as_reference(analysis, dev, allow_host):
 
 @pytest.mark.parametrize("allow_host", [True, False])
 def test_walk_books_s1r_as_reference(allow_host, s1r_trace, device):
-    _assert_walk_books_as_reference(analyze(s1r_trace), device, allow_host)
+    _assert_walk_books_as_reference(make_context(s1r_trace, device),
+                                    allow_host)
 
 
 def _c04_style(layers, seed):
-    return analyze(synthesize_trace(layers, (20_480, 28_672),
-                                    (20_480, 28_672), (100, 200), seed))
+    return synthesize_trace(layers, (20_480, 28_672), (20_480, 28_672),
+                            (100, 200), seed)
 
 
 # c04's device books every combo; tight host memory, flash or bandwidth
@@ -188,17 +190,18 @@ def test_walk_books_c04_traces_as_reference(layers, seed, gpu_kib, host_kib,
                       host_mem_bytes=host_kib * 1024,
                       ssd_capacity_bytes=flash_kib * 1024, ssd_read_bw=bw,
                       ssd_write_bw=bw, host_bw=bw)
-    _assert_walk_books_as_reference(_c04_style(layers, seed), dev,
-                                    allow_host)
+    _assert_walk_books_as_reference(make_context(_c04_style(layers, seed),
+                                                 dev), allow_host)
 
 
 def test_walk_prunes_and_reschedules():
     # a case the generated ones stand beside: some combos are pruned, and
     # the eager pass moves some prefetch
-    analysis = _c04_style(3, 0)
-    dev = make_device(gpu_mem_bytes=131_072, host_mem_bytes=40_960,
-                      ssd_capacity_bytes=60_000)
-    walked, combos = _assert_walk_books_as_reference(analysis, dev, True)
+    context = make_context(_c04_style(3, 0),
+                           make_device(gpu_mem_bytes=131_072,
+                                       host_mem_bytes=40_960,
+                                       ssd_capacity_bytes=60_000))
+    walked, combos = _assert_walk_books_as_reference(context, True)
     assert 0 < len(walked) < combos
     assert any(item.scheduled_us < item.latest_safe_us
                for _, booked in walked for item in booked.plan.items)

@@ -17,7 +17,7 @@ import pathlib
 import sys
 import tempfile
 
-from conftest import make_device
+from conftest import make_context, make_device
 from test_acceptance import _suite_case
 from tensortier.cli import main
 from tensortier.config import DeviceConfig
@@ -25,7 +25,6 @@ from tensortier.eviction import plan_to_json
 from tensortier.instrument import emit_program, serialize_program
 from tensortier.prefetch import plan_migrations
 from tensortier.trace import synthesize_trace
-from tensortier.vitality import analyze
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "plan_corpus.json"
 
@@ -35,13 +34,13 @@ def _sha(text):
 
 
 def _digests(trace, dev):
-    analysis = analyze(trace)
+    context = make_context(trace, dev)
     out = {}
     for route, allow_host in (("host", True), ("ssd-only", False)):
-        plan = plan_migrations(analysis, dev, allow_host=allow_host).plan
+        plan = plan_migrations(context, allow_host=allow_host).plan
         out[route] = {
             "plan": _sha(plan_to_json(plan)),
-            "program": _sha(serialize_program(emit_program(analysis, plan))),
+            "program": _sha(serialize_program(emit_program(context, plan))),
         }
     return out
 

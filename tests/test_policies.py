@@ -1,12 +1,11 @@
 import pytest
 
-from conftest import make_device, make_s1
+from conftest import make_context, make_device, make_s1
 from tensortier.eviction import Destination
 from tensortier.policies import (faulting_placement, planned_placement,
                                  flashneuron_plan, run_policy)
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace)
-from tensortier.vitality import analyze
 
 
 def _weight_chain(n=4, size=40_960, dur=100):
@@ -63,12 +62,12 @@ def testplanned_placement_spills_down_the_hierarchy():
         2: TensorDescriptor(2, 51_200, TensorKind.GLOBAL),
     }
     kernels = (KernelRecord(0, "k0", 25, frozenset({0, 1, 2}), frozenset()),)
-    analysis = analyze(WorkloadTrace(tensors=tensors, kernels=kernels))
-    dev = make_device(host_mem_bytes=61_440)
+    context = make_context(WorkloadTrace(tensors=tensors, kernels=kernels),
+                           make_device(host_mem_bytes=61_440))
     # first weight fills the device, second fits in host, third falls through
-    assert planned_placement(analysis, dev, allow_host=True) == {
+    assert planned_placement(context, allow_host=True) == {
         0: "gpu", 1: "host", 2: "ssd"}
-    assert planned_placement(analysis, dev, allow_host=False) == {
+    assert planned_placement(context, allow_host=False) == {
         0: "gpu", 1: "ssd", 2: "ssd"}
 
 
@@ -79,11 +78,11 @@ def testfaulting_placement_prefers_host():
         2: TensorDescriptor(2, 51_200, TensorKind.GLOBAL),
     }
     kernels = (KernelRecord(0, "k0", 25, frozenset({0, 1, 2}), frozenset()),)
-    analysis = analyze(WorkloadTrace(tensors=tensors, kernels=kernels))
+    context = make_context(WorkloadTrace(tensors=tensors, kernels=kernels),
+                           make_device(host_mem_bytes=61_440))
     # managed-memory runtimes never pin on the device; oversized residents
     # overflow straight to flash
-    assert faulting_placement(analysis, make_device(host_mem_bytes=61_440)) \
-        == {0: "ssd", 1: "host", 2: "ssd"}
+    assert faulting_placement(context) == {0: "ssd", 1: "host", 2: "ssd"}
 
 
 def test_correlation_prefetch_beats_demand_faulting():
@@ -105,7 +104,7 @@ def test_correlation_prefetch_beats_demand_faulting():
 
 
 def test_flashneuron_offloads_intermediates_in_birth_order():
-    result = flashneuron_plan(analyze(_offload_trace()), make_device())
+    result = flashneuron_plan(make_context(_offload_trace(), make_device()))
     picked = [(i.tensor_id, i.dest, i.evict_start, i.evict_end,
                i.prefetch_start, i.prefetch_end) for i in result.plan.items]
     assert picked == [
@@ -120,7 +119,7 @@ def test_flashneuron_offloads_intermediates_in_birth_order():
 def test_flashneuron_cannot_fix_global_pressure(s1r_trace, device):
     # both oversize tensors are weights; a policy that only offloads
     # activations has nothing to move
-    result = flashneuron_plan(analyze(s1r_trace), device)
+    result = flashneuron_plan(make_context(s1r_trace, device))
     assert result.plan.items == []
     assert result.plan.residual_overflow == 2_048_000
 
@@ -128,9 +127,8 @@ def test_flashneuron_cannot_fix_global_pressure(s1r_trace, device):
 def test_flashneuron_flags_oversized_working_set(device):
     tensors = {0: TensorDescriptor(0, 204_800, TensorKind.INTERMEDIATE)}
     kernels = (KernelRecord(0, "k0", 25, frozenset(), frozenset({0})),)
-    result = flashneuron_plan(analyze(WorkloadTrace(tensors=tensors,
-                                                    kernels=kernels)),
-                              device)
+    result = flashneuron_plan(make_context(
+        WorkloadTrace(tensors=tensors, kernels=kernels), device))
     assert result.plan.residual_overflow > 0
 
 

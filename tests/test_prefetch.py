@@ -1,7 +1,7 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_device
+from conftest import make_context, make_device
 from reference_planner import latest_safe_prefetch_time
 from tensortier import oracle
 from tensortier.config import DeviceConfig
@@ -10,7 +10,6 @@ from tensortier.policies import flashneuron_plan
 from tensortier.prefetch import eager_reschedule, plan_migrations
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace, synthesize_trace)
-from tensortier.vitality import analyze
 
 
 def _spike_trace():
@@ -63,28 +62,28 @@ def _generated_case(seed):
         gpu_mem_bytes=max(max_ws, footprint // 2 // 1024 * 1024),
         host_mem_bytes=footprint // 4, ssd_read_bw=1024, ssd_write_bw=1024,
         host_bw=16_384, hp_utilization_threshold=0.3)
-    return analyze(trace), dev
+    return make_context(trace, dev), dev
 
 
 def test_latest_safe_matches_booked_slot(s1r_trace, device, monkeypatch):
     """The booked start is the latest safe one for greedy plans (s1r and
     generated traces, host route on and off), FlashNeuron-like plans and
     oracle bookings, and the eager pass never moves a prefetch later."""
-    result = plan_migrations(analyze(s1r_trace), device, eager=False)
+    result = plan_migrations(make_context(s1r_trace, device), eager=False)
     assert result.plan.items
     _assert_latest_safe(result)
     _assert_eager_keeps_slack(result, device)
 
     items = {"greedy": 0, "flashneuron": 0}
     for seed in range(12):
-        analysis, dev = _generated_case(seed)
+        context, dev = _generated_case(seed)
         for allow_host in (True, False):
-            result = plan_migrations(analysis, dev, allow_host=allow_host,
+            result = plan_migrations(context, allow_host=allow_host,
                                      eager=False)
             items["greedy"] += len(result.plan.items)
             _assert_latest_safe(result)
             _assert_eager_keeps_slack(result, dev)
-        result = flashneuron_plan(analysis, dev)
+        result = flashneuron_plan(context)
         items["flashneuron"] += len(result.plan.items)
         _assert_latest_safe(result)
         _assert_eager_keeps_slack(result, dev)
@@ -101,10 +100,10 @@ def test_latest_safe_matches_booked_slot(s1r_trace, device, monkeypatch):
     for seed in range(3):
         trace = synthesize_trace(3, (20_480, 28_672), (20_480, 28_672),
                                  (100, 200), seed)
-        analysis = analyze(trace)
         dev = make_device(gpu_mem_bytes=131_072)
-        periods = oracle._canonical_periods(analysis)
-        start = SchedulingResult.initial(analysis, dev)
+        context = make_context(trace, dev)
+        periods = oracle._canonical_periods(context.analysis)
+        start = SchedulingResult.initial(context)
         for _, result in oracle._booked(start, periods, True, dev):
             booked += bool(result.plan.items)
             for item in result.plan.items:
@@ -115,15 +114,15 @@ def test_latest_safe_matches_booked_slot(s1r_trace, device, monkeypatch):
 def test_eager_noop_when_no_headroom(s1r_trace, device):
     # the survivors fill the device during the idle window, so neither
     # prefetch can move up
-    lazy = plan_migrations(analyze(s1r_trace), device, eager=False)
-    eager = plan_migrations(analyze(s1r_trace), device, eager=True)
+    lazy = plan_migrations(make_context(s1r_trace, device), eager=False)
+    eager = plan_migrations(make_context(s1r_trace, device), eager=True)
     assert plan_to_json(lazy.plan) == plan_to_json(eager.plan)
 
 
 def test_eager_moves_prefetch_to_spike_death(device):
     trace = _spike_trace()
-    lazy = plan_migrations(analyze(trace), device, eager=False)
-    eager = plan_migrations(analyze(trace), device, eager=True)
+    lazy = plan_migrations(make_context(trace, device), eager=False)
+    eager = plan_migrations(make_context(trace, device), eager=True)
 
     (item,) = lazy.plan.items
     assert item.tensor_id == 0
@@ -140,8 +139,8 @@ def test_eager_moves_prefetch_to_spike_death(device):
 def test_eager_is_idempotent_on_replan(device):
     # planning twice from scratch is deterministic
     trace = _spike_trace()
-    a = plan_migrations(analyze(trace), device, eager=True)
-    b = plan_migrations(analyze(trace), device, eager=True)
+    a = plan_migrations(make_context(trace, device), eager=True)
+    b = plan_migrations(make_context(trace, device), eager=True)
     assert plan_to_json(a.plan) == plan_to_json(b.plan)
 
 
@@ -161,8 +160,8 @@ def test_plan_invariants_on_synthetic_traces(layers, seed, eager):
         ssd_read_bw=4096, ssd_write_bw=4096, host_bw=8192,
         ssd_read_latency_us=5, ssd_write_latency_us=5, host_latency_us=2,
         page_size_bytes=1024)
-    analysis = analyze(trace)
-    result = plan_migrations(analysis, device, eager=eager)
+    context = make_context(trace, device)
+    result = plan_migrations(context, eager=eager)
     plan = result.plan
     total = plan.total_us
     assert plan.residual_overflow >= 0
@@ -195,4 +194,4 @@ def test_plan_invariants_on_synthetic_traces(layers, seed, eager):
                for t in k.tensors())
            for k in trace.kernels) > device.gpu_mem_bytes:
         assert plan.residual_overflow > 0
-        assert flashneuron_plan(analysis, device).plan.residual_overflow > 0
+        assert flashneuron_plan(context).plan.residual_overflow > 0

@@ -1,10 +1,12 @@
 """A shared ReplayContext gives what a fresh one gives.
 
-Every plan of `golden/plan_corpus.json` and c08-style generated cases under
-every replayed policy are emitted and replayed twice: once with no context,
-so the program is checked and flattened, and once through one context per
-(trace, device) shared by every replay of it, as `run_policy` and the oracle
-replay. Program bytes and whole SimResults, event logs included, must match.
+Every plan of `golden/plan_corpus.json` replays through `replay_plan`, as
+its policy replays it, from the context's stream; the reference replays the
+parsed program text with no context, so it is checked and flattened, under
+the planned placement. Program bytes and whole SimResults, event logs
+included, must match. c08-style generated cases replay every policy through
+one context per (trace, device) and match `run_policy`, which builds its
+own. Planning, replaying and an oracle search leave the context as built.
 A program not emitted from the context replays from its own alloc/free
 stream, and a context of another trace or device is refused.
 """
@@ -17,18 +19,18 @@ import pathlib
 import pytest
 from hypothesis import given, settings
 
-from conftest import make_device
+from conftest import make_context, make_device
 from test_acceptance import _cases, _suite_case
 from tensortier.config import DeviceConfig
 from tensortier.eviction import MigrationPlan, plan_to_json
 from tensortier.instrument import (emit_program, parse_program,
                                    serialize_program)
+from tensortier.oracle import best_assignment
 from tensortier.policies import (planned_placement, policy_plan, replay_plan,
                                  run_policy)
 from tensortier.prefetch import plan_migrations
-from tensortier.simulate import ReplayContext, SimulationError, simulate
+from tensortier.simulate import SimulationError, simulate
 from tensortier.trace import synthesize_trace
-from tensortier.vitality import analyze
 
 PLAN_CORPUS = pathlib.Path(__file__).parent / "golden" / "plan_corpus.json"
 REPLAYED = ("base-uvm", "deepum-like", "flashneuron-like", "g10",
@@ -46,20 +48,20 @@ def _outcome(fn):
         return f"SimulationError: {exc}"
 
 
-def _both_ways(analysis, dev, plan, context, **kwargs):
-    """(program text, replay) with no context and with context."""
-    out = []
-    for ctx in (None, context):
-        program = emit_program(analysis, plan, ctx)
-        out.append((serialize_program(program), _outcome(
-            lambda: simulate(analysis.trace, program, dev, keep_events=True,
-                             context=ctx, **kwargs))))
-    return out
+def _from_text(policy, context, plan):
+    """(program text, replay) of plan as g10 or g10-ssd-only, replayed
+    from its parsed text with no context under the planned placement."""
+    allow_host = policy == "g10"
+    text = serialize_program(emit_program(context, plan))
+    return text, _outcome(lambda: simulate(
+        context.trace, parse_program(text), context.config, policy=policy,
+        keep_events=True, allow_host_fallback=allow_host,
+        initial_locations=planned_placement(context, allow_host)))
 
 
 def _corpus_plans():
-    """(name, analysis, device, allow_host, plan, golden plan digest) for
-    every plan in the plan corpus."""
+    """(name, context, allow_host, plan, golden digests) for every plan in
+    the plan corpus; both routes of a trace share one context."""
     golden = json.loads(PLAN_CORPUS.read_text())
     cases = [(f"suite/{seed}", *_suite_case(seed), golden["suite"][str(seed)])
              for seed in range(30)]
@@ -74,58 +76,67 @@ def _corpus_plans():
     cases.append(("ladder/400", ladder, dataclasses.replace(
         dev, gpu_mem_bytes=footprint * 5 // 8), golden["ladder"]["400"]))
     for name, trace, dev, digests in cases:
-        analysis = analyze(trace)
+        context = make_context(trace, dev)
         for route, allow_host in (("host", True), ("ssd-only", False)):
-            plan = plan_migrations(analysis, dev, allow_host=allow_host).plan
-            yield (f"{name}/{route}", analysis, dev, allow_host, plan,
-                   digests[route]["plan"])
+            plan = plan_migrations(context, allow_host=allow_host).plan
+            yield f"{name}/{route}", context, allow_host, plan, digests[route]
     c10 = synthesize_trace(200, 64_000_000, 16_000_000, (300, 900), 11)
-    dev = dataclasses.replace(DeviceConfig(), gpu_mem_bytes=12 * 10**9)
-    analysis = analyze(c10)
-    yield ("c10", analysis, dev, True,
-           plan_migrations(analysis, dev, allow_host=True).plan,
-           golden["c10"]["plan"])
+    context = make_context(c10, dataclasses.replace(
+        DeviceConfig(), gpu_mem_bytes=12 * 10**9))
+    yield ("c10", context, True,
+           plan_migrations(context, allow_host=True).plan, golden["c10"])
 
 
 def test_corpus_plans_emit_and_replay_alike_with_a_shared_context():
-    context = None
-    for name, analysis, dev, allow_host, plan, digest in _corpus_plans():
-        assert _sha(plan_to_json(plan)) == digest, name
-        # one context serves both routes of a trace
-        if context is None or context.trace is not analysis.trace:
-            context = ReplayContext(analysis.trace, dev, analysis)
-        fresh, shared = _both_ways(
-            analysis, dev, plan, context, allow_host_fallback=allow_host,
-            initial_locations=planned_placement(analysis, dev, allow_host))
-        assert fresh == shared, name
+    for name, context, allow_host, plan, digests in _corpus_plans():
+        assert _sha(plan_to_json(plan)) == digests["plan"], name
+        policy = "g10" if allow_host else "g10-ssd-only"
+        text, reference = _from_text(policy, context, plan)
+        assert _sha(text) == digests["program"], name
+        assert _outcome(lambda: replay_plan(
+            policy, context, plan, keep_events=True)) == reference, name
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_cases())
 def test_generated_policy_replays_alike_with_a_shared_context(case):
     trace, dev = case
-    analysis = analyze(trace)
-    context = ReplayContext(trace, dev, analysis)
+    context = make_context(trace, dev)
     for name in REPLAYED:
-        plan = policy_plan(name, analysis, dev)
-        fresh, shared = [(serialize_program(emit_program(analysis, plan, ctx)),
-                          _outcome(lambda: replay_plan(
-                              name, analysis, dev, plan, ctx,
-                              keep_events=True)))
-                         for ctx in (None, context)]
-        assert fresh == shared, name
-        assert shared[1] == _outcome(lambda: run_policy(
+        plan = policy_plan(name, context)
+        shared = _outcome(lambda: replay_plan(name, context, plan,
+                                              keep_events=True))
+        assert shared == _outcome(lambda: run_policy(
             name, trace, dev, keep_events=True)), name
+        if name.startswith("g10"):
+            assert shared == _from_text(name, context, plan)[1], name
+
+
+def _tables(context):
+    return (context.sizes, context.pressure.breakpoints(), context.times)
+
+
+def test_planning_and_searching_leave_the_context_as_built():
+    trace = synthesize_trace(3, (20_480, 28_672), (20_480, 28_672),
+                             (100, 200), 0)
+    dev = make_device(gpu_mem_bytes=131_072)
+    shared = make_context(trace, dev)
+    names = ("g10", "g10-ssd-only", "flashneuron-like")
+    plans = [plan_to_json(policy_plan(name, shared)) for name in names]
+    best_assignment(shared.analysis, dev)
+    assert _tables(shared) == _tables(make_context(trace, dev))
+    assert plans == [plan_to_json(policy_plan(name, make_context(trace, dev)))
+                     for name in names]
+    assert all(json.loads(plan)["evictions"] for plan in plans)
 
 
 def test_program_with_its_own_placement_replays_from_its_own_stream():
     trace = synthesize_trace(2, (20_480, 28_672), (20_480, 28_672),
                              (100, 200), 3)
     dev = make_device(gpu_mem_bytes=1 << 20)
-    analysis = analyze(trace)
-    context = ReplayContext(trace, dev, analysis)
-    emitted = emit_program(analysis, MigrationPlan(analysis.timeline.total_us),
-                           context)
+    context = make_context(trace, dev)
+    emitted = emit_program(context,
+                           MigrationPlan(context.analysis.timeline.total_us))
     lines = serialize_program(emitted).splitlines()
     # every free moves to the end of the iteration
     frees = [line for line in lines if line.startswith("G10 free")]
@@ -144,18 +155,11 @@ def test_context_of_another_trace_or_device_is_refused():
     trace = synthesize_trace(2, 20_480, 20_480, 100, 0)
     other = synthesize_trace(2, 20_480, 20_480, 100, 0)
     dev = make_device(gpu_mem_bytes=1 << 20)
-    analysis = analyze(trace)
-    context = ReplayContext(trace, dev, analysis)
-    plan = MigrationPlan(analysis.timeline.total_us)
-    program = emit_program(analysis, plan, context)
+    context = make_context(trace, dev)
+    program = emit_program(context,
+                           MigrationPlan(context.analysis.timeline.total_us))
     with pytest.raises(ValueError, match="another trace or config"):
         simulate(other, program, dev, context=context)
     with pytest.raises(ValueError, match="another trace or config"):
         simulate(trace, program, make_device(gpu_mem_bytes=2 << 20),
                  context=context)
-    with pytest.raises(ValueError, match="another trace"):
-        emit_program(analyze(other), plan, context)
-    with pytest.raises(ValueError, match="no analysis"):
-        emit_program(analysis, plan, ReplayContext(trace, dev))
-    with pytest.raises(ValueError, match="analysis of another trace"):
-        ReplayContext(other, dev, analysis)

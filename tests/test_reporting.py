@@ -1,11 +1,12 @@
 import json
 
+from conftest import make_context
 from tensortier.policies import run_policy
 from tensortier.reporting import (characterization_tables, render_csv,
                                   result_json, simulation_tables,
                                   write_tables)
 from tensortier.simulate import ideal_run
-from tensortier.vitality import analyze, characterize
+from tensortier.vitality import characterize
 
 
 def test_render_csv_formats_floats_fixed():
@@ -28,7 +29,7 @@ def test_render_csv_mixed_rows_are_byte_stable():
 
 
 def test_characterization_tables(s1r_trace, device):
-    report = characterize(analyze(s1r_trace), device)
+    report = characterize(make_context(s1r_trace, device))
     tables = characterization_tables(report, s1r_trace)
     assert set(tables) == {"active_vs_total.csv", "period_cdf.csv",
                            "period_scatter.csv"}

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_context
 from tensortier.config import Channel, Direction
 from tensortier.eviction import SchedulerState
 from tensortier.reservations import LaneReservations, ReservationOverlapError
-from tensortier.vitality import analyze
 
 
 def test_reserve_and_release():
@@ -59,7 +59,7 @@ def test_busy_within():
 
 
 def test_channel_reservations_are_independent(s1_trace, device):
-    lanes = SchedulerState.initial(analyze(s1_trace), device).lanes
+    lanes = SchedulerState.initial(make_context(s1_trace, device)).lanes
     assert set(lanes) == {(ch, d) for ch in Channel for d in Direction}
     lanes[Channel.SSD, Direction.TO_DEVICE].reserve(0, 10, "x")
     assert lanes[Channel.SSD, Direction.FROM_DEVICE].earliest_slot(10, 0) == 0

@@ -1,9 +1,10 @@
-from tensortier.config import Channel, DeviceConfig, Direction
+from conftest import make_context
+from tensortier.config import Channel, DeviceConfig, Direction, transfer_us
+from tensortier.eviction import Destination
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace)
 from tensortier.vitality import (Timeline, analyze, characterize,
-                                 classify_tensors, initial_pressure_curve,
-                                 transfer_time)
+                                 classify_tensors)
 
 
 def test_timeline(s1_trace):
@@ -66,7 +67,7 @@ def test_wrap_period_spans_iteration_boundary():
 
 
 def test_initial_pressure_curve(s1_trace, device):
-    curve = initial_pressure_curve(analyze(s1_trace), device)
+    curve = make_context(s1_trace, device).pressure
     assert curve.value_at(0) == 40_960
     assert curve.value_at(25) == 122_880
     assert curve.value_at(74) == 122_880
@@ -77,26 +78,29 @@ def test_initial_pressure_curve(s1_trace, device):
 def test_pressure_uses_padded_sizes():
     tensors = {0: TensorDescriptor(0, 1, TensorKind.GLOBAL)}
     kernels = (KernelRecord(0, "a", 10, frozenset({0}), frozenset()),)
-    curve = initial_pressure_curve(analyze(WorkloadTrace(tensors, kernels)),
-                                   DeviceConfig())
+    curve = make_context(WorkloadTrace(tensors, kernels),
+                         DeviceConfig()).pressure
     assert curve.value_at(0) == 4096
 
 
 def test_transfer_time_examples():
-    dev = DeviceConfig()
-    ssd = dev.channel(Channel.SSD)
-    host = dev.channel(Channel.HOST)
-    # one page from SSD: 20 us latency + ceil(4096 / 3200)
-    assert transfer_time(4096, ssd, Direction.TO_DEVICE) == 22
-    assert transfer_time(4096, ssd, Direction.FROM_DEVICE) == 16 + 2
-    assert transfer_time(4096, host, Direction.TO_DEVICE) == 3 + 1
+    """The planner's route_times and the replay's lanes read one set of
+    lane constants."""
+    tensors = {0: TensorDescriptor(0, 4096, TensorKind.GLOBAL)}
+    kernels = (KernelRecord(0, "a", 10, frozenset({0}), frozenset()),)
+    context = make_context(WorkloadTrace(tensors, kernels), DeviceConfig())
+    # (outbound, inbound); one page from SSD: 20 us latency +
+    # ceil(4096 / 3200)
+    assert context.times[Destination.SSD, 4096] == (16 + 2, 22)
+    assert context.times[Destination.HOST, 4096][1] == 3 + 1
     # exact multiples do not round up
-    assert transfer_time(6400, ssd, Direction.TO_DEVICE) == 22
-    assert transfer_time(6401, ssd, Direction.TO_DEVICE) == 23
+    _, _, bw, latency = context.lanes[Channel.SSD, Direction.TO_DEVICE]
+    assert transfer_us(6400, bw, latency) == 22
+    assert transfer_us(6401, bw, latency) == 23
 
 
 def test_characterize(s1r_trace, device):
-    report = characterize(analyze(s1r_trace), device)
+    report = characterize(make_context(s1r_trace, device))
     rows = [(o.kernel_index, o.active_bytes, o.total_bytes)
             for o in report.occupancy]
     assert rows == [
