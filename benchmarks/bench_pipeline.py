@@ -9,7 +9,9 @@ stage on the previous stage's output: parse, analyze (the vitality
 analysis and the simulate.ReplayContext built from it, which every later
 stage reads), schedule_evictions, assign_latest_safe, eager_reschedule,
 emit_program and the g10 simulate through the context, as run_policy
-replays.
+replays. The context builds its tables on first use, so the initial
+pressure curve and transfer times are timed in schedule_evictions, the
+program skeleton in emit_program and its alloc/free stream in the replay.
 After one warm-up run, each stage reports the median of five runs in
 milliseconds and in units of a fixed pure-Python reference work (the same
 work perfbench times), timed between stages, since this host's speed moves

@@ -146,15 +146,10 @@ class SchedulerState:
         """Nothing booked yet: a copy of the unplanned trace's pressure,
         with the sizes and times of context (a simulate.ReplayContext)."""
         total = context.analysis.timeline.total_us
-        return cls(
-            total_us=total,
-            sizes=context.sizes,
-            times=context.times,
-            pressure=context.pressure.copy(),
-            lanes={(ch, d): LaneReservations()
-                   for ch in Channel for d in Direction},
-            host_occupancy=StepCurve(total),
-        )
+        return cls(total, context.sizes, context.times,
+                   context.pressure.copy(),
+                   {(ch, d): LaneReservations()
+                    for ch in Channel for d in Direction}, StepCurve(total))
 
     def copy(self) -> SchedulerState:
         """A state to book on apart from this one; sizes and times are
@@ -206,8 +201,9 @@ def route_times(context):
     """Outbound and inbound transfer times by (destination, padded size),
     from the lane constants the replay reads (context.lanes)."""
     return {(dest, size): tuple(
-                transfer_us(size, *context.lanes[dest.channel, d][2:])
-                for d in (Direction.FROM_DEVICE, Direction.TO_DEVICE))
+                transfer_us(size, lane.bw, lane.latency)
+                for lane in (context.lanes[dest.channel, Direction.FROM_DEVICE],
+                             context.lanes[dest.channel, Direction.TO_DEVICE]))
             for dest in Destination for size in set(context.sizes.values())}
 
 
@@ -471,12 +467,9 @@ def apply_candidate(item: PlanItem, state: SchedulerState,
     chan = item.dest.channel
     state.lanes[chan, Direction.FROM_DEVICE].reserve(
         item.evict_start, item.evict_end, owner)
-    if item.prefetch_start >= total:
-        state.lanes[chan, Direction.TO_DEVICE].reserve(
-            item.prefetch_start - total, item.prefetch_end - total, owner)
-    else:
-        state.lanes[chan, Direction.TO_DEVICE].reserve(
-            item.prefetch_start, item.prefetch_end, owner)
+    shift = total if item.prefetch_start >= total else 0
+    state.lanes[chan, Direction.TO_DEVICE].reserve(
+        item.prefetch_start - shift, item.prefetch_end - shift, owner)
     freed = wrap_pieces(item.evict_end, item.prefetch_start, total)
     for a, b in freed:
         state.pressure.add(a, b, -size)

@@ -152,7 +152,7 @@ def emit_program(context, plan: MigrationPlan) -> Program:
     total = timeline.total_us
     if plan.total_us != total:
         raise InconsistentPlanError("plan and trace disagree on iteration length")
-    gaps = list(context.skeleton)
+    gaps = list(context.skeleton.gaps)
     start_index = {timeline.starts[k]: k for k in range(len(trace.kernels))}
 
     for item in plan.items:
@@ -181,9 +181,10 @@ def emit_program(context, plan: MigrationPlan) -> Program:
         gaps[consumer] += (MigrationInstruction(
             Op.PREFETCH, item.tensor_id, size, issue),)
 
-    return Program(context.kernels,
+    return Program(context.skeleton.kernels,
                    tuple(g if g is s else _sorted_gap(g)
-                         for g, s in zip(gaps, context.skeleton)), context)
+                         for g, s in zip(gaps, context.skeleton.gaps)),
+                   context)
 
 
 def serialize_program(program: Program) -> str:

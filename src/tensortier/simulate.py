@@ -16,7 +16,8 @@ arithmetic uses page-padded sizes.
 A ReplayContext, built from a trace's analysis on a device, holds what
 every stage reads of them: the padded sizes (the one place they are
 padded), each kernel's tensors and their bytes, the four lanes'
-constants, instrument's skeleton and stream, and, built on first use, the
+constants, and, built on first use so that a stage builds only what it
+reads, instrument's skeleton (a Program of no directives) and stream, the
 initial pressure curve and the planner's transfer times. The planner
 modules read its attributes and never import it. A replay, not its
 construction, raises the first working set over capacity. A program
@@ -217,11 +218,16 @@ class _Xfer:
         self.dest_loc = dest_loc
 
 
+# a transfer lane's constants, read by the engine and by route_times
+LaneSpec = NamedTuple("LaneSpec", [("label", str), ("to_device", bool),
+                                   ("bw", int), ("latency", int)])
+
+
 class _Lane:
     __slots__ = ("label", "to_device", "bw", "latency", "queue", "current",
                  "started_at", "moved")
 
-    def __init__(self, spec: tuple[str, bool, int, int]):
+    def __init__(self, spec: LaneSpec):
         self.label, self.to_device, self.bw, self.latency = spec
         self.queue: deque[_Xfer] = deque()
         self.current: _Xfer | None = None
@@ -262,11 +268,19 @@ class ReplayContext:
              if need > config.gpu_mem_bytes), None)
         self.ids = tuple(tuple(sorted(ids)) for ids in self.touched)
         self.lanes = {
-            (ch, d): (f"{ch.value}/{d.value}", d is Direction.TO_DEVICE,
-                      config.channel(ch).bw(d), config.channel(ch).latency(d))
+            (ch, d): LaneSpec(f"{ch.value}/{d.value}",
+                              d is Direction.TO_DEVICE,
+                              config.channel(ch).bw(d),
+                              config.channel(ch).latency(d))
             for ch in (Channel.HOST, Channel.SSD) for d in Direction}
-        self.kernels, self.skeleton = program_skeleton(analysis)
-        self.stream = _flatten(Program(self.kernels, self.skeleton))
+
+    @cached_property
+    def skeleton(self):
+        return Program(*program_skeleton(self.analysis))
+
+    @cached_property
+    def stream(self):
+        return _flatten(self.skeleton)
 
     @cached_property
     def pressure(self):
@@ -458,8 +472,8 @@ class _Engine:
         self._add_overlap(lane.started_at, self.now)
         self._log(f"xfer_done {xfer.kind} t{tensor.id}")
 
+        lane.current = None
         if lane.to_device:
-            lane.current = None
             if tensor.loc == HOST:
                 self.host_used -= tensor.size
             elif tensor.loc == SSD:
@@ -467,9 +481,7 @@ class _Engine:
             tensor.loc = GPU
             tensor.pending_in = False
             self._lru_add(tensor)
-            self._kick(lane)
         else:
-            lane.current = None
             self.free += tensor.size
             self._outgoing -= tensor.size
             tensor.loc = xfer.dest_loc
@@ -483,7 +495,7 @@ class _Engine:
                 tensor.retry_fetch = None
                 self._trigger(directive, iteration)
             self._unpark()
-            self._kick(lane)
+        self._kick(lane)
         self._arm_advance(xfer.kind)
 
     def _run_train(self, lane: _Lane, xfer: _Xfer) -> None:
@@ -1006,14 +1018,9 @@ def perturb_durations(trace: WorkloadTrace, noise_pct: float, seed: int,
                       iterations: int) -> list[list[int]]:
     """Per-instance kernel durations drawn uniformly within +-noise_pct."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(iterations):
-        row = []
-        for kernel in trace.kernels:
-            f = rng.uniform(1.0 - noise_pct, 1.0 + noise_pct)
-            row.append(max(1, round(kernel.duration_us * f)))
-        out.append(row)
-    return out
+    return [[max(1, round(kernel.duration_us
+                          * rng.uniform(1.0 - noise_pct, 1.0 + noise_pct)))
+             for kernel in trace.kernels] for _ in range(iterations)]
 
 
 def ssd_lifetime_years(capacity_bytes: int, write_bytes_per_us: float, *,

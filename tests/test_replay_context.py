@@ -3,10 +3,12 @@
 Every plan of `golden/plan_corpus.json` replays through `replay_plan`, as
 its policy replays it, from the context's stream; the reference replays the
 parsed program text with no context, so it is checked and flattened, under
-the planned placement. Program bytes and whole SimResults, event logs
-included, must match. c08-style generated cases replay every policy through
-one context per (trace, device) and match `run_policy`, which builds its
-own. Planning, replaying and an oracle search leave the context as built.
+the placement, host fallback and hook the policy's description in
+`policies` gives. Program bytes and whole SimResults, event logs included,
+must match. c08-style generated cases replay every policy through one
+context per (trace, device) and match both that reference and `run_policy`,
+which builds its own context. Planning, and an oracle search through the
+context it builds, leave the context as built.
 A program not emitted from the context replays from its own alloc/free
 stream, and a context of another trace or device is refused.
 """
@@ -26,10 +28,12 @@ from tensortier.eviction import MigrationPlan, plan_to_json
 from tensortier.instrument import (emit_program, parse_program,
                                    serialize_program)
 from tensortier.oracle import best_assignment
-from tensortier.policies import (planned_placement, policy_plan, replay_plan,
+from tensortier import oracle
+from tensortier.policies import (_correlation_hook, faulting_placement,
+                                 planned_placement, policy_plan, replay_plan,
                                  run_policy)
 from tensortier.prefetch import plan_migrations
-from tensortier.simulate import SimulationError, simulate
+from tensortier.simulate import ReplayContext, SimulationError, simulate
 from tensortier.trace import synthesize_trace
 
 PLAN_CORPUS = pathlib.Path(__file__).parent / "golden" / "plan_corpus.json"
@@ -49,14 +53,22 @@ def _outcome(fn):
 
 
 def _from_text(policy, context, plan):
-    """(program text, replay) of plan as g10 or g10-ssd-only, replayed
-    from its parsed text with no context under the planned placement."""
-    allow_host = policy == "g10"
+    """(program text, replay) of plan as policy, replayed from its parsed
+    text with no context: the fault-driven policies start from the faulting
+    placement (deepum-like with a fresh correlation hook), the others from
+    the planned one; only flashneuron-like and g10-ssd-only keep off host
+    memory."""
+    allow_host = policy not in ("flashneuron-like", "g10-ssd-only")
+    if policy in ("base-uvm", "deepum-like"):
+        locations = faulting_placement(context)
+    else:
+        locations = planned_placement(context, allow_host)
+    hook = _correlation_hook() if policy == "deepum-like" else None
     text = serialize_program(emit_program(context, plan))
     return text, _outcome(lambda: simulate(
         context.trace, parse_program(text), context.config, policy=policy,
         keep_events=True, allow_host_fallback=allow_host,
-        initial_locations=planned_placement(context, allow_host)))
+        initial_locations=locations, on_kernel_start=hook))
 
 
 def _corpus_plans():
@@ -106,25 +118,35 @@ def test_generated_policy_replays_alike_with_a_shared_context(case):
         plan = policy_plan(name, context)
         shared = _outcome(lambda: replay_plan(name, context, plan,
                                               keep_events=True))
+        assert shared == _from_text(name, context, plan)[1], name
         assert shared == _outcome(lambda: run_policy(
             name, trace, dev, keep_events=True)), name
-        if name.startswith("g10"):
-            assert shared == _from_text(name, context, plan)[1], name
 
 
 def _tables(context):
     return (context.sizes, context.pressure.breakpoints(), context.times)
 
 
-def test_planning_and_searching_leave_the_context_as_built():
+def test_planning_and_searching_leave_the_context_as_built(monkeypatch):
     trace = synthesize_trace(3, (20_480, 28_672), (20_480, 28_672),
                              (100, 200), 0)
     dev = make_device(gpu_mem_bytes=131_072)
     shared = make_context(trace, dev)
     names = ("g10", "g10-ssd-only", "flashneuron-like")
     plans = [plan_to_json(policy_plan(name, shared)) for name in names]
+    searched = []
+
+    def build(*args):
+        searched.append(ReplayContext(*args))
+        return searched[-1]
+
+    monkeypatch.setattr(oracle, "ReplayContext", build)
     best_assignment(shared.analysis, dev)
-    assert _tables(shared) == _tables(make_context(trace, dev))
+    fresh = _tables(make_context(trace, dev))
+    assert _tables(shared) == fresh
+    # the search plans the greedy plan and books every combination on the
+    # context it builds
+    assert len(searched) == 1 and _tables(searched[0]) == fresh
     assert plans == [plan_to_json(policy_plan(name, make_context(trace, dev)))
                      for name in names]
     assert all(json.loads(plan)["evictions"] for plan in plans)

@@ -94,9 +94,9 @@ def test_transfer_time_examples():
     assert context.times[Destination.SSD, 4096] == (16 + 2, 22)
     assert context.times[Destination.HOST, 4096][1] == 3 + 1
     # exact multiples do not round up
-    _, _, bw, latency = context.lanes[Channel.SSD, Direction.TO_DEVICE]
-    assert transfer_us(6400, bw, latency) == 22
-    assert transfer_us(6401, bw, latency) == 23
+    lane = context.lanes[Channel.SSD, Direction.TO_DEVICE]
+    assert transfer_us(6400, lane.bw, lane.latency) == 22
+    assert transfer_us(6401, lane.bw, lane.latency) == 23
 
 
 def test_characterize(s1r_trace, device):
