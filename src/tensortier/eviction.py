@@ -200,11 +200,14 @@ def _overlap_us(pieces, interval) -> int:
 def route_times(context):
     """Outbound and inbound transfer times by (destination, padded size),
     from the lane constants the replay reads (context.lanes)."""
-    return {(dest, size): tuple(
-                transfer_us(size, lane.bw, lane.latency)
-                for lane in (context.lanes[dest.channel, Direction.FROM_DEVICE],
-                             context.lanes[dest.channel, Direction.TO_DEVICE]))
-            for dest in Destination for size in set(context.sizes.values())}
+    times = {}
+    for dest in Destination:
+        out = context.lanes[dest.channel, Direction.FROM_DEVICE]
+        back = context.lanes[dest.channel, Direction.TO_DEVICE]
+        for size in set(context.sizes.values()):
+            times[dest, size] = (transfer_us(size, out.bw, out.latency),
+                                 transfer_us(size, back.bw, back.latency))
+    return times
 
 
 class _Memo:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from tensortier.eviction import Destination, MigrationPlan
 from tensortier.vitality import VitalityAnalysis
@@ -49,8 +50,7 @@ class Op(enum.Enum):
 _PRECEDENCE = {Op.FREE: 0, Op.PRE_EVICT: 1, Op.ALLOC: 2, Op.PREFETCH: 3}
 
 
-@dataclass(frozen=True)
-class MigrationInstruction:
+class MigrationInstruction(NamedTuple):
     op: Op
     tensor_id: int
     size_bytes: int
@@ -65,8 +65,7 @@ class MigrationInstruction:
                 f"@{self.issue_us}")
 
 
-@dataclass(frozen=True)
-class ProgramKernel:
+class ProgramKernel(NamedTuple):
     index: int
     name: str
     duration_us: int
@@ -124,24 +123,26 @@ def _sorted_gap(instructions) -> tuple[MigrationInstruction, ...]:
 
 
 def program_skeleton(analysis: VitalityAnalysis):
-    """(kernels, gaps) of the skeleton (module docstring)."""
-    trace = analysis.trace
-    timeline = analysis.timeline
-    gaps = [[] for _ in range(len(trace.kernels) + 1)]
-    for life in analysis.lifetimes.values():
-        tensor = trace.tensors[life.tensor_id]
+    """(kernels, gaps) of the skeleton (module docstring). A gap's entries
+    share its boundary's time, so it sorts as frees, then allocs, by id."""
+    trace, timeline = analysis.trace, analysis.timeline
+    alloc, free = Op.ALLOC, Op.FREE
+    frees = [[] for _ in range(len(trace.kernels) + 1)]
+    allocs = [[] for _ in frees]
+    for tid, life in sorted(analysis.lifetimes.items()):
+        size = trace.tensors[tid].size_bytes
         if life.is_global:
-            gaps[0].append(MigrationInstruction(
-                Op.ALLOC, tensor.id, tensor.size_bytes, 0))
+            allocs[0].append(MigrationInstruction(alloc, tid, size, 0))
             continue
-        gaps[life.birth_kernel].append(MigrationInstruction(
-            Op.ALLOC, tensor.id, tensor.size_bytes,
-            timeline.starts[life.birth_kernel]))
-        gaps[life.death_kernel + 1].append(MigrationInstruction(
-            Op.FREE, tensor.id, tensor.size_bytes,
-            timeline.ends[life.death_kernel]))
+        k = life.birth_kernel
+        allocs[k].append(MigrationInstruction(
+            alloc, tid, size, timeline.starts[k]))
+        k = life.death_kernel
+        frees[k + 1].append(MigrationInstruction(
+            free, tid, size, timeline.ends[k]))
     return (tuple(ProgramKernel(k.index, k.name, k.duration_us)
-                  for k in trace.kernels), tuple(map(_sorted_gap, gaps)))
+                  for k in trace.kernels),
+            tuple(tuple(f + a) for f, a in zip(frees, allocs)))
 
 
 def emit_program(context, plan: MigrationPlan) -> Program:

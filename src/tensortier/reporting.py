@@ -1,8 +1,9 @@
 """CSV and JSON rendering of analysis and simulation results.
 
-Every table is built as rows first so it can go to a file in a result
-directory or be streamed to stdout as sections separated by `# <name>`
-comment lines.
+Every table is built as text so it can go to a file in a result directory
+or be streamed to stdout as sections separated by `# <name>` comment lines.
+render_csv quotes fields as the csv module does; kernels.csv, all numbers,
+is written one f-string per row, in the bytes render_csv would write.
 """
 
 from __future__ import annotations
@@ -55,20 +56,17 @@ def characterization_tables(report: CharacterizationReport,
 
 
 def simulation_tables(result: SimResult, ideal_us: int) -> dict[str, str]:
-    kernel_rows = []
-    for ks in result.kernels:
-        duration = ks.end_us - ks.start_us
-        slowdown = (ks.stall_us + duration) / duration
-        kernel_rows.append([ks.instance, ks.start_us, ks.end_us, ks.stall_us,
-                            slowdown])
+    kernel_rows = [f"{i},{start},{end},{stall},"
+                   f"{(stall + end - start) / (end - start):.6f}\n"
+                   for i, _, _, _, start, end, stall in result.kernels]
     summary_rows = [[result.policy, result.total_us, ideal_us,
                      result.compute_us, result.overlap_us, result.stall_us,
                      result.faults]]
     t = result.traffic
     traffic_rows = [[t.ssd_read, t.ssd_write, t.host_in, t.host_out]]
     return {
-        "kernels.csv": render_csv(
-            ["index", "start", "end", "stall_us", "slowdown"], kernel_rows),
+        "kernels.csv": ("index,start,end,stall_us,slowdown\n"
+                        + "".join(kernel_rows)),
         "summary.csv": render_csv(
             ["policy", "total_us", "ideal_us", "compute_us", "overlap_us",
              "stall_us", "faults"], summary_rows),

@@ -15,21 +15,21 @@ arithmetic uses page-padded sizes.
 
 A ReplayContext, built from a trace's analysis on a device, holds what
 every stage reads of them: the padded sizes (the one place they are
-padded), each kernel's tensors and their bytes, the four lanes'
-constants, and, built on first use so that a stage builds only what it
-reads, instrument's skeleton (a Program of no directives) and stream, the
-initial pressure curve and the planner's transfer times. The planner
-modules read its attributes and never import it. A replay, not its
-construction, raises the first working set over capacity. A program
-emitted from it replays from that stream unchecked (exact: instrument's
-docstring); any other program is checked and flattened.
+padded), each kernel's tensors and their bytes, the four lanes' constants,
+and, built on first use so that a stage builds only what it reads,
+instrument's skeleton (a Program of no directives), its stream and each
+kernel's sorted ids, the initial pressure curve and the planner's transfer
+times. The planner modules read its attributes and never import it. A
+replay, not its construction, raises the first working set over capacity. A
+program emitted from it replays from that stream unchecked (exact:
+instrument's docstring); any other program is checked and flattened.
 
-Every event logs a line stamped with its time. Lines are formatted at their
-event and hashed in blocks: they collect in a pending list, which is joined
-and hashed once it holds `_HASH_BLOCK` entries, and once more when the run
-ends; a steady-state replay (below) hashes each copied iteration at once.
-The digest is the sha256 of the joined lines, whatever the block size, and
-`keep_events` gets the same lines.
+Every event logs one line, built whole (time stamp and newline included)
+by one f-string at the event; `_log` only collects it. Lines are hashed in
+blocks of `_HASH_BLOCK` entries from a pending list, and once more when
+the run ends; a steady-state replay (below) hashes each copied iteration
+at once. The digest is the sha256 of the joined lines, whatever the block
+size, and `keep_events` gets the same lines.
 
 Work per event is kept to what changed, under four rules that leave every
 event log and figure as a full re-evaluation would:
@@ -42,12 +42,12 @@ event log and figure as a full re-evaluation would:
   fault, prefetch or eviction and every unpark goes through `_kick`, which
   bumps a state epoch; those are all the changes to what a blocked stream
   step reads (free bytes, the parked list, tensor locations and pending
-  flags, host and SSD use, lane heads). Each completion still arms a stream
-  advance. The advance runs the blocked step again only if the epoch moved
-  since the step last ran or that run moved it itself (a fault, an LRU
-  eviction, an unpark that parks again). Otherwise running it would change
-  nothing: the block's start is already noted, and its stall is charged to
-  the cause of the advance that finally resolves it.
+  flags, host and SSD use, lane heads). Each completion but a quiet chunk
+  landing (below) arms a stream advance, which runs the blocked step again
+  only if the epoch moved since the step last ran or that run moved it
+  itself (a fault, an LRU eviction, an unpark that parks again). Otherwise
+  that would change nothing: the block's start is already noted, and its
+  stall is charged to the cause of the advance that finally resolves it.
 - Run-ahead. Every full fault chunk takes the same time, so a landing
   chunk also lands, in closed form, the chunks after it whose boundaries
   fall strictly before the heap's next event, never the train's last one.
@@ -60,12 +60,15 @@ event log and figure as a full re-evaluation would:
   step must run again at this landing. A train restart leaves the epoch
   alone, so the condition holds at every skipped boundary, and each skipped
   landing would only log its two lines, add its bytes and overlap, and
-  restart the train. The one completion pushed, for the chunk that ends at
-  or after the next event, gets a later sequence number than everything in
-  the heap, as the push at the previous boundary would have, so
+  restart the train. The one completion pushed, for the chunk that ends
+  at or after the next event, gets a later sequence number than everything
+  in the heap, as the push at the previous boundary would have, so
   equal-time events keep their order. Overlap is additive over contiguous
   intervals while no kernel starts or ends, so one `_add_overlap` call
-  covers the merged interval.
+  covers the merged interval. A quiet landing, under (2) with no other
+  event due at its instant, arms no advance: it would pop next, a no-op.
+  Any other landing arms one, since an event due then may move the epoch
+  (a trigger arms no advance) or arm its own advance, with another cause.
 - Steady state. At the start of iteration j >= 2 the run ends with copies of
   iteration j-1 in place of iterations j to N-1 when (1) the start is
   quiescent: no event is due, every lane is idle with an empty queue,
@@ -266,7 +269,6 @@ class ReplayContext:
              f"in GPU memory"
              for kernel, need in zip(trace.kernels, self.working_sets)
              if need > config.gpu_mem_bytes), None)
-        self.ids = tuple(tuple(sorted(ids)) for ids in self.touched)
         self.lanes = {
             (ch, d): LaneSpec(f"{ch.value}/{d.value}",
                               d is Direction.TO_DEVICE,
@@ -281,6 +283,10 @@ class ReplayContext:
     @cached_property
     def stream(self):
         return _flatten(self.skeleton)
+
+    @cached_property
+    def ids(self):
+        return tuple(tuple(sorted(ids)) for ids in self.touched)
 
     @cached_property
     def pressure(self):
@@ -400,9 +406,9 @@ class _Engine:
         self._seq += 1
         heapq.heappush(self.events, (t, rank, self._seq, fn, args))
 
-    def _log(self, text: str) -> None:
+    def _log(self, line: str) -> None:
         pending = self._pending
-        pending.append(f"{self.now} {text}\n")
+        pending.append(line)
         if len(pending) >= _HASH_BLOCK:
             self._flush()
 
@@ -447,7 +453,7 @@ class _Engine:
                         self._lru_evict(head.need - self.free, cause="prefetch")
                     self.parked.append(head)
                     self._parked_ids.add(head.tensor.id)
-                    self._log(f"park {head.kind} t{head.tensor.id}")
+                    self._log(f"{self.now} park {head.kind} t{head.tensor.id}\n")
                     continue
                 self.free -= head.need
                 head.need = 0
@@ -456,8 +462,8 @@ class _Engine:
     def _start(self, lane: _Lane, xfer: _Xfer) -> None:
         lane.current = xfer
         lane.started_at = self.now
-        self._log(f"xfer_start {xfer.kind} t{xfer.tensor.id} "
-                  f"{lane.label} {xfer.nbytes}")
+        self._log(f"{self.now} xfer_start {xfer.kind} t{xfer.tensor.id} "
+                  f"{lane.label} {xfer.nbytes}\n")
         self._push(self.now + lane.duration(xfer.nbytes, xfer.extra_us),
                    _R_COMPLETE, self._complete, lane)
 
@@ -466,11 +472,13 @@ class _Engine:
         tensor = xfer.tensor
         if xfer.tail_bytes:
             self._run_train(lane, xfer)
-            self._arm_advance(xfer.kind)
+            # a quiet landing arms no advance (module docstring)
+            if self._idle_epoch != self._epoch or self.events[0][0] == self.now:
+                self._arm_advance(xfer.kind)
             return
         lane.moved += xfer.nbytes
         self._add_overlap(lane.started_at, self.now)
-        self._log(f"xfer_done {xfer.kind} t{tensor.id}")
+        self._log(f"{self.now} xfer_done {xfer.kind} t{tensor.id}\n")
 
         lane.current = None
         if lane.to_device:
@@ -638,7 +646,7 @@ class _Engine:
             elif tid in pinned:
                 held.append(entry)
             else:
-                self._log(f"lru_evict t{tid} cause {cause}")
+                self._log(f"{self.now} lru_evict t{tid} cause {cause}\n")
                 self._enqueue_evict(victim, self._fallback_dest(victim),
                                     front=True)
                 outgoing += victim.size
@@ -659,11 +667,11 @@ class _Engine:
         running = self.running
         if ins.op is _PRE_EVICT:
             if tensor.loc != GPU or tensor.pending_in or tensor.pending_out:
-                self._log(f"skip pre_evict t{tensor.id}")
+                self._log(f"{self.now} skip pre_evict t{tensor.id}\n")
                 return
             if running is not None and tensor.id in running.tensors:
                 running.defers.append((ins, iteration))
-                self._log(f"defer pre_evict t{tensor.id}")
+                self._log(f"{self.now} defer pre_evict t{tensor.id}\n")
                 return
             dest = HOST if ins.dest is Destination.HOST else SSD
             if dest == HOST and (self.host_used + tensor.size
@@ -682,12 +690,12 @@ class _Engine:
                 for d, _ in running.defers)
             if tensor.pending_out or deferred_evict:
                 tensor.retry_fetch = (ins, iteration)
-                self._log(f"hold prefetch t{tensor.id}")
+                self._log(f"{self.now} hold prefetch t{tensor.id}\n")
                 return
             # loc None: replay slipped behind the plan and the tensor has
             # not been (re)born this iteration, so there is nothing to move
             if tensor.loc in (GPU, None) or tensor.pending_in:
-                self._log(f"skip prefetch t{tensor.id}")
+                self._log(f"{self.now} skip prefetch t{tensor.id}\n")
                 return
             self._enqueue_fetch(tensor, "prefetch")
 
@@ -703,13 +711,13 @@ class _Engine:
                         and self._fast_forward()):
                     return
                 self.iter_started = True
-                self._log(f"iteration {self.iter_index}")
+                self._log(f"{self.now} iteration {self.iter_index}\n")
                 self._arm_iteration(self.iter_index)
             if self.pos >= len(self.stream):
                 self.iter_index += 1
                 if self.iter_index >= self.iterations:
                     self.finished = True
-                    self._log("done")
+                    self._log(f"{self.now} done\n")
                     return
                 self.pos = 0
                 self.iter_started = False
@@ -756,7 +764,7 @@ class _Engine:
         self.free -= tensor.size
         tensor.loc = GPU
         self._lru_add(tensor)
-        self._log(f"alloc t{tensor.id}")
+        self._log(f"{self.now} alloc t{tensor.id}\n")
         return True
 
     def _do_free(self, tensor: _Tensor) -> bool:
@@ -769,7 +777,7 @@ class _Engine:
         tensor.last_use = -1
         # log before _unpark so a transfer funded by this free appears
         # after the free that paid for it
-        self._log(f"free t{tensor.id}")
+        self._log(f"{self.now} free t{tensor.id}\n")
         if loc == GPU:
             self.free += tensor.size
             self._unpark()
@@ -792,7 +800,7 @@ class _Engine:
                     raise SimulationError(
                         f"kernel {k} touches unallocated tensor {tensor.id}")
                 self.fault_log.append((self.iter_index, k, tensor.id))
-                self._log(f"fault t{tensor.id} kernel {k}")
+                self._log(f"{self.now} fault t{tensor.id} kernel {k}\n")
                 self._enqueue_fetch(tensor, "fault")
             # transfers stuck waiting for space block this kernel: make
             # room. Their bytes exceed free, since a transfer parks only
@@ -816,7 +824,7 @@ class _Engine:
         self.kernel_stats.append(KernelStat(
             instance, iteration, k, self.program.kernels[k].name,
             start, end, stall))
-        self._log(f"kernel_start {k} iter {iteration}")
+        self._log(f"{self.now} kernel_start {k} iter {iteration}\n")
         if self.on_kernel_start is not None:
             self.on_kernel_start(self, iteration, k)
         self.pos += 1
@@ -827,7 +835,7 @@ class _Engine:
         info = self.running
         self.running = None
         self.prev_end = self.now
-        self._log(f"kernel_end {info.kernel}")
+        self._log(f"{self.now} kernel_end {info.kernel}\n")
         for ins, iteration in info.defers:
             self._trigger(ins, iteration)
         self._advance("none")
@@ -904,7 +912,7 @@ class _Engine:
         self.now += runs * period
         self.iter_index = self.iterations
         self.finished = True
-        self._log("done")
+        self._log(f"{self.now} done\n")
 
     # -- runtime hook surface -------------------------------------------------
 
@@ -955,8 +963,8 @@ def _flatten(program: Program) -> list[tuple[str, int]]:
     id), then the kernel the gap precedes; the last gap precedes none."""
     stream = []
     for k, gap in enumerate(program.gaps):
-        stream.extend((_STEP_OF[ins.op], ins.tensor_id)
-                      for ins in gap if ins.op in _STEP_OF)
+        stream += [(step, ins.tensor_id) for ins in gap
+                   if (step := _STEP_OF.get(ins.op))]
         if k < len(program.kernels):
             stream.append(("kernel", k))
     return stream

@@ -10,6 +10,7 @@ import enum
 import json
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class TraceError(ValueError):
@@ -42,15 +43,13 @@ class TensorKind(enum.Enum):
     UNSPECIFIED = None
 
 
-@dataclass(frozen=True)
-class TensorDescriptor:
+class TensorDescriptor(NamedTuple):
     id: int
     size_bytes: int
     kind: TensorKind = TensorKind.UNSPECIFIED
 
 
-@dataclass(frozen=True)
-class KernelRecord:
+class KernelRecord(NamedTuple):
     index: int
     name: str
     duration_us: int
@@ -78,10 +77,59 @@ def _as_int(obj, what):
     return obj
 
 
+_KINDS = {kind.value: kind for kind in TensorKind}
+
+
+# parse_trace calls these for an entry it refused, and every JSON value it
+# refuses has a fault: each raises the first, in message order
+def _reject_tensor(entry):
+    if not isinstance(entry, dict):
+        raise MalformedInputError("tensor entry must be an object")
+    for key in ("id", "size_bytes", "kind"):
+        if key not in entry:
+            raise MalformedInputError(f"tensor missing field {key!r}")
+    tid = _as_int(entry["id"], "tensor id")
+    if _as_int(entry["size_bytes"], "size_bytes") <= 0:
+        raise NonPositiveValueError(f"tensor {tid}: size_bytes must be > 0")
+    if entry["kind"] not in ("global", "intermediate", None):
+        raise MalformedInputError(f"tensor {tid}: bad kind {entry['kind']!r}")
+    raise DuplicateIdError(f"duplicate tensor id {tid}")
+
+
+def _reject_kernel(pos, entry, tensors):
+    if not isinstance(entry, dict):
+        raise MalformedInputError("kernel entry must be an object")
+    for key in ("index", "name", "duration_us", "inputs", "outputs"):
+        if key not in entry:
+            raise MalformedInputError(f"kernel missing field {key!r}")
+    idx = _as_int(entry["index"], "kernel index")
+    if idx != pos:
+        raise MalformedInputError(
+            f"kernel indices must be contiguous from 0 "
+            f"(position {pos} has index {idx})")
+    if not isinstance(entry["name"], str):
+        raise MalformedInputError("kernel name must be a string")
+    if _as_int(entry["duration_us"], "duration_us") <= 0:
+        raise NonPositiveValueError(f"kernel {idx}: duration_us must be > 0")
+    for key in ("inputs", "outputs"):
+        ids = entry[key]
+        if not isinstance(ids, list):
+            raise MalformedInputError(f"{key} must be a list")
+        # every ref is type-checked before any is looked up
+        for t in ids:
+            _as_int(t, "tensor ref")
+        for t in ids:
+            if t not in tensors:
+                raise DanglingTensorRefError(
+                    f"kernel {idx} references unknown tensor {t}")
+    raise MalformedInputError(f"kernel {idx} touches no tensors")
+
+
 def parse_trace(raw) -> WorkloadTrace:
     """Parse a UTF-8 JSON byte stream (or str) into a validated trace.
 
-    Each check formats its message only when it fails.
+    Each entry is checked whole on a happy path; _reject_tensor and
+    _reject_kernel name the first fault of one it refuses.
     """
     try:
         if isinstance(raw, bytes):
@@ -99,58 +147,34 @@ def parse_trace(raw) -> WorkloadTrace:
 
     tensors: dict[int, TensorDescriptor] = {}
     for entry in doc["tensors"]:
-        if not isinstance(entry, dict):
-            raise MalformedInputError("tensor entry must be an object")
-        for key in ("id", "size_bytes", "kind"):
-            if key not in entry:
-                raise MalformedInputError(f"tensor missing field {key!r}")
-        tid = _as_int(entry["id"], "tensor id")
-        size = _as_int(entry["size_bytes"], "size_bytes")
-        if size <= 0:
-            raise NonPositiveValueError(f"tensor {tid}: size_bytes must be > 0")
-        kind_raw = entry["kind"]
-        if kind_raw not in ("global", "intermediate", None):
-            raise MalformedInputError(f"tensor {tid}: bad kind {kind_raw!r}")
-        if tid in tensors:
-            raise DuplicateIdError(f"duplicate tensor id {tid}")
-        tensors[tid] = TensorDescriptor(tid, size, TensorKind(kind_raw))
+        try:
+            tid, size = entry["id"], entry["size_bytes"]
+            kind = _KINDS[entry["kind"]]
+        except (KeyError, TypeError):
+            tid = None
+        # JSON numbers parse as exactly int or float, and bool is apart
+        if (tid.__class__ is not int or size.__class__ is not int
+                or size <= 0 or tid in tensors):
+            _reject_tensor(entry)
+        tensors[tid] = TensorDescriptor(tid, size, kind)
 
     kernels = []
     for pos, entry in enumerate(doc["kernels"]):
-        if not isinstance(entry, dict):
-            raise MalformedInputError("kernel entry must be an object")
-        for key in ("index", "name", "duration_us", "inputs", "outputs"):
-            if key not in entry:
-                raise MalformedInputError(f"kernel missing field {key!r}")
-        idx = _as_int(entry["index"], "kernel index")
-        if idx != pos:
-            raise MalformedInputError(
-                f"kernel indices must be contiguous from 0 "
-                f"(position {pos} has index {idx})")
-        name = entry["name"]
-        if not isinstance(name, str):
-            raise MalformedInputError("kernel name must be a string")
-        dur = _as_int(entry["duration_us"], "duration_us")
-        if dur <= 0:
-            raise NonPositiveValueError(f"kernel {idx}: duration_us must be > 0")
-        refs = {}
-        for key in ("inputs", "outputs"):
-            ids = entry[key]
-            if not isinstance(ids, list):
-                raise MalformedInputError(f"{key} must be a list")
-            # every ref is type-checked before any is looked up; only a
-            # non-int can fail _as_int, so plain ints skip the call
-            for t in ids:
-                if t.__class__ is not int:
-                    _as_int(t, "tensor ref")
-            for t in ids:
-                if t not in tensors:
-                    raise DanglingTensorRefError(
-                        f"kernel {idx} references unknown tensor {t}")
-            refs[key] = frozenset(ids)
-        if not (refs["inputs"] or refs["outputs"]):
-            raise MalformedInputError(f"kernel {idx} touches no tensors")
-        kernels.append(KernelRecord(idx, name, dur, refs["inputs"], refs["outputs"]))
+        try:
+            idx, name, dur = entry["index"], entry["name"], entry["duration_us"]
+            inputs, outputs = entry["inputs"], entry["outputs"]
+            refs = inputs + outputs
+        except (KeyError, TypeError):
+            idx = None
+        if not (idx.__class__ is int and idx == pos and name.__class__ is str
+                and dur.__class__ is int and dur > 0
+                and refs.__class__ is list and refs):
+            _reject_kernel(pos, entry, tensors)
+        for t in refs:
+            if t.__class__ is not int or t not in tensors:
+                _reject_kernel(pos, entry, tensors)
+        kernels.append(KernelRecord(idx, name, dur, frozenset(inputs),
+                                    frozenset(outputs)))
 
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):

@@ -11,6 +11,8 @@ replay (end_us > total_us).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 from tensortier.curve import StepCurve
 from tensortier.trace import TensorKind, WorkloadTrace
@@ -26,25 +28,19 @@ class Timeline:
 
     @classmethod
     def from_trace(cls, trace: WorkloadTrace) -> "Timeline":
-        starts, ends = [], []
-        now = 0
-        for k in trace.kernels:
-            starts.append(now)
-            now += k.duration_us
-            ends.append(now)
-        return cls(tuple(starts), tuple(ends), now)
+        edges = tuple(accumulate((k.duration_us for k in trace.kernels),
+                                 initial=0))
+        return cls(edges[:-1], edges[1:], edges[-1])
 
 
-@dataclass(frozen=True)
-class TensorLifetime:
+class TensorLifetime(NamedTuple):
     tensor_id: int
     birth_kernel: int      # first kernel that references the tensor
     death_kernel: int      # last kernel that references it
     is_global: bool
 
 
-@dataclass(frozen=True)
-class InactivePeriod:
+class InactivePeriod(NamedTuple):
     """A span where the tensor is inactive but not dead.
 
     start_us is the end of the last kernel using it; end_us the start of the
@@ -73,9 +69,8 @@ def _uses(trace: WorkloadTrace) -> dict[int, list[int]]:
     """Sorted kernel indices referencing each tensor."""
     uses: dict[int, list[int]] = {tid: [] for tid in trace.tensors}
     for k in trace.kernels:
-        for tid in k.tensors():
-            if not uses[tid] or uses[tid][-1] != k.index:
-                uses[tid].append(k.index)
+        for tid in k.inputs | k.outputs:
+            uses[tid].append(k.index)
     return uses
 
 
@@ -85,7 +80,12 @@ def classify_tensors(trace: WorkloadTrace) -> dict[int, bool]:
     Explicit kinds are preserved; unspecified tensors are global iff some
     kernel reads them strictly before any kernel writes them.
     """
-    out = {}
+    glob, unknown = TensorKind.GLOBAL, TensorKind.UNSPECIFIED
+    out = {tid: desc.kind is glob for tid, desc in trace.tensors.items()}
+    unspecified = [tid for tid, desc in trace.tensors.items()
+                   if desc.kind is unknown]
+    if not unspecified:
+        return out
     first_read: dict[int, int] = {}
     first_write: dict[int, int] = {}
     for k in trace.kernels:
@@ -93,46 +93,39 @@ def classify_tensors(trace: WorkloadTrace) -> dict[int, bool]:
             first_read.setdefault(tid, k.index)
         for tid in k.outputs:
             first_write.setdefault(tid, k.index)
-    for tid, desc in trace.tensors.items():
-        if desc.kind is TensorKind.GLOBAL:
-            out[tid] = True
-        elif desc.kind is TensorKind.INTERMEDIATE:
-            out[tid] = False
-        else:
-            r = first_read.get(tid)
-            w = first_write.get(tid)
-            out[tid] = r is not None and (w is None or r < w)
+    for tid in unspecified:
+        r = first_read.get(tid)
+        w = first_write.get(tid)
+        out[tid] = r is not None and (w is None or r < w)
     return out
 
 
 def _lifetimes(kinds: dict[int, bool],
                uses: dict[int, list[int]]) -> dict[int, TensorLifetime]:
-    out = {}
-    for tid, refs in uses.items():
-        if refs:
-            out[tid] = TensorLifetime(tid, refs[0], refs[-1], kinds[tid])
-    return out
+    return {tid: TensorLifetime(tid, refs[0], refs[-1], kinds[tid])
+            for tid, refs in uses.items() if refs}
 
 
 def _inactive_periods(kinds: dict[int, bool], uses: dict[int, list[int]],
                       timeline: Timeline) -> tuple[InactivePeriod, ...]:
     """All non-empty inactive periods, ordered by (tensor id, start)."""
+    starts, ends = timeline.starts, timeline.ends
     periods = []
     for tid in sorted(uses):
         refs = uses[tid]
         if not refs:
             continue
         for k1, k2 in zip(refs, refs[1:]):
-            start = timeline.ends[k1]
-            end = timeline.starts[k2]
+            start = ends[k1]
+            end = starts[k2]
             if start < end:
                 periods.append(InactivePeriod(tid, start, end))
         if kinds[tid]:
             # the tensor survives into the next replay of the trace
-            start = timeline.ends[refs[-1]]
-            end = timeline.total_us + timeline.starts[refs[0]]
+            start = ends[refs[-1]]
+            end = timeline.total_us + starts[refs[0]]
             if start < end:
-                periods.append(InactivePeriod(tid, start, end, wraps_iteration=True))
+                periods.append(InactivePeriod(tid, start, end, True))
     return tuple(periods)
 
 

@@ -316,6 +316,54 @@ def test_run_ahead_waits_for_a_stale_stream_step():
     assert result.total_us == 267
 
 
+class _ArmEveryLanding(_Engine):
+    """The reference for quiet chunk landings: every landing of a fault
+    chunk arms a stream advance."""
+
+    def _run_train(self, lane, xfer):
+        super()._run_train(lane, xfer)
+        self._arm_advance(xfer.kind)
+
+
+@pytest.mark.parametrize("due", [17, 22, 23])
+def test_quiet_chunk_landings_arm_no_advance_and_change_nothing(due):
+    # test_run_ahead_waits_for_a_stale_stream_step's scenario, with t4's
+    # prefetch due between t2's chunk landings or, at 22, at the same
+    # instant as one. That landing runs first and must still arm an
+    # advance: the prefetch arms none, and it takes the GPU bytes whose
+    # lack makes the blocked step evict t1 at once. Every run must equal
+    # one where each landing arms an advance.
+    sizes = {0: 57_344, 1: 8_192, 2: 40_960, 3: 88_064, 4: 28_672}
+    trace = WorkloadTrace(
+        tensors={t: TensorDescriptor(t, s, TensorKind.GLOBAL)
+                 for t, s in sizes.items()},
+        kernels=(KernelRecord(0, "k0", 10, frozenset({0, 1}), frozenset()),
+                 KernelRecord(1, "k1", 20, frozenset({2, 3}), frozenset()),
+                 KernelRecord(2, "k2", 10, frozenset({4}), frozenset())))
+    program = parse_program(f"G10 prefetch 4 28672 @{due}\n"
+                            "KERNEL 0 k0 10\nKERNEL 1 k1 20\nKERNEL 2 k2 10\n")
+    dev = make_device(gpu_mem_bytes=137_216, fault_chunk_bytes=4_096,
+                      fault_handling_us=0)
+    engines = [engine(trace, program, dev, policy="base-uvm",
+                      keep_events=True,
+                      initial_locations={0: "gpu", 1: "gpu", 2: "host",
+                                         3: "ssd", 4: "ssd"})
+               for engine in (_Engine, _ArmEveryLanding)]
+    runs = [engine.run() for engine in engines]
+    assert runs[0] == runs[1]
+    # the quiet landings pushed no advance
+    assert engines[0]._seq < engines[1]._seq
+    events = runs[0].events
+    start = events.index(f"{due} xfer_start prefetch t4 ssd/to_device 28672")
+    # at the first chunk landing at or after the prefetch (16, 22, 28)
+    evict = next(line for line in events if " lru_evict t1 " in line)
+    assert evict == f"{22 if due <= 22 else 28} lru_evict t1 cause wait"
+    if due == 22:
+        assert events[start - 2:start + 2] == [
+            "22 xfer_done fault t2", "22 xfer_start fault t2 host/to_device "
+            "4096", "22 xfer_start prefetch t4 ssd/to_device 28672", evict]
+
+
 def test_event_log_hashed_across_block_boundaries(monkeypatch):
     # base-uvm faults every tensor in page-sized chunks for 12 iterations:
     # 5,536 lines over several hash blocks. Noise-free, the run repeats

@@ -1,12 +1,19 @@
 import json
 
+from hypothesis import given, settings
+
 from conftest import make_context
+from test_acceptance import _cases
 from tensortier.policies import run_policy
 from tensortier.reporting import (characterization_tables, render_csv,
                                   result_json, simulation_tables,
                                   write_tables)
-from tensortier.simulate import ideal_run
+from tensortier.simulate import (KernelStat, SimResult, SimulationError,
+                                 Traffic, ideal_run)
 from tensortier.vitality import characterize
+
+REPLAYED = ("base-uvm", "deepum-like", "flashneuron-like", "g10",
+            "g10-ssd-only")
 
 
 def test_render_csv_formats_floats_fixed():
@@ -69,6 +76,60 @@ def test_simulation_tables(s1r_trace, device):
     assert lines[1] == "0,0,25,0,1.000000"
     assert lines[2] == "1,40,65,15,1.600000"
     assert len(lines) == 5
+
+
+def _render_csv_kernels(result):
+    """kernels.csv as render_csv writes it from rows of values."""
+    rows = []
+    for ks in result.kernels:
+        duration = ks.end_us - ks.start_us
+        rows.append([ks.instance, ks.start_us, ks.end_us, ks.stall_us,
+                     (ks.stall_us + duration) / duration])
+    return render_csv(["index", "start", "end", "stall_us", "slowdown"], rows)
+
+
+def test_kernels_csv_matches_render_csv_on_s1r(s1r_trace, device):
+    for name in REPLAYED:
+        for noise in (0.0, 0.2):
+            result = run_policy(name, s1r_trace, device, seed=3,
+                                noise_pct=noise)
+            assert (simulation_tables(result, 100)["kernels.csv"]
+                    == _render_csv_kernels(result)), (name, noise)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_cases())
+def test_kernels_csv_matches_render_csv_on_generated_cases(case):
+    trace, dev = case
+    for name in REPLAYED:
+        for noise in (0.0, 0.2):
+            try:
+                result = run_policy(name, trace, dev, seed=5,
+                                    noise_pct=noise)
+            except SimulationError:
+                continue
+            assert (simulation_tables(result, 0)["kernels.csv"]
+                    == _render_csv_kernels(result)), (name, noise)
+
+
+def test_kernels_csv_rounds_slowdowns_as_render_csv():
+    # (duration, stall): 1/128 and 3/128 are exact binary halves at the
+    # seventh decimal (round half to even), 1/2e6 and 3/2e6 inexact ones,
+    # 1/3 a repeating fraction; 10**13 needs no exponent
+    spans = [(128, 1), (128, 3), (2_000_000, 1), (2_000_000, 3), (3, 1),
+             (640, 1), (1, 0), (7, 10**13)]
+    kernels, now = [], 0
+    for i, (duration, stall) in enumerate(spans):
+        start = now + stall
+        kernels.append(KernelStat(i, 0, i, f"k{i}", start, start + duration,
+                                  stall))
+        now = start + duration
+    result = SimResult("g10", now, now, 0, 0, 0, Traffic(), kernels, {}, [],
+                       "")
+    text = simulation_tables(result, now)["kernels.csv"]
+    assert text == _render_csv_kernels(result)
+    assert text.splitlines()[1:3] == ["0,1,129,1,1.007812",
+                                      "1,132,260,3,1.023438"]
 
 
 def test_result_json_round_trips(s1r_trace, device):
