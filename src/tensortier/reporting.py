@@ -56,8 +56,10 @@ def characterization_tables(report: CharacterizationReport,
 
 
 def simulation_tables(result: SimResult, ideal_us: int) -> dict[str, str]:
+    # a row with no stall has slowdown d / d, exactly 1.0
     kernel_rows = [f"{i},{start},{end},{stall},"
-                   f"{(stall + end - start) / (end - start):.6f}\n"
+                   f"{(stall + end - start) / (end - start):.6f}\n" if stall
+                   else f"{i},{start},{end},0,1.000000\n"
                    for i, _, _, _, start, end, stall in result.kernels]
     summary_rows = [[result.policy, result.total_us, ideal_us,
                      result.compute_us, result.overlap_us, result.stall_us,

@@ -24,14 +24,17 @@ replay, not its construction, raises the first working set over capacity. A
 program emitted from it replays from that stream unchecked (exact:
 instrument's docstring); any other program is checked and flattened.
 
-Every event logs one line, built whole (time stamp and newline included)
-by one f-string at the event; `_log` only collects it. Lines are hashed in
-blocks of `_HASH_BLOCK` entries from a pending list, and once more when
-the run ends; a steady-state replay (below) hashes each copied iteration
-at once. The digest is the sha256 of the joined lines, whatever the block
-size, and `keep_events` gets the same lines.
+Every event appends its log lines to a pending list, each built whole
+(time stamp and newline included) by one f-string at the event; a
+run-ahead (below) appends one entry per block of `_HASH_BLOCK` chunk
+boundaries, joined at C level. `run` hashes the pending list after any
+event that leaves `_HASH_BLOCK` entries or more in it, `_run_train` after
+each full block, and `run` once more when the run ends; a steady-state
+replay (below) hashes each copied iteration at once. The digest is the
+sha256 of the joined lines, wherever the flushes fall, and `keep_events`
+gets the same lines.
 
-Work per event is kept to what changed, under four rules that leave every
+Work per event is kept to what changed, under five rules that leave every
 event log and figure as a full re-evaluation would:
 
 - Chunk train. When a fault chunk lands with bytes still to move, the same
@@ -69,6 +72,14 @@ event log and figure as a full re-evaluation would:
   event due at its instant, arms no advance: it would pop next, a no-op.
   Any other landing arms one, since an event due then may move the epoch
   (a trigger arms no advance) or arm its own advance, with another cause.
+- Advances off the heap. The heap pops entries in (time, rank, sequence
+  number) order, and numbers only grow. An armed advance takes its number
+  but is not pushed; `run` calls it as soon as no heap entry at or before
+  (now, `_R_STREAM`, that number) remains, which is exactly when the heap
+  would have popped it. Only entries at its own instant can come first,
+  so now stays put meanwhile: until it runs it counts as an event due now,
+  so no run-ahead passes it and no iteration start is quiescent, and a
+  quiet landing's test needs no change, since arming again is a no-op.
 - Steady state. At the start of iteration j >= 2 the run ends with copies of
   iteration j-1 in place of iterations j to N-1 when (1) the start is
   quiescent: no event is due, every lane is idle with an empty queue,
@@ -98,11 +109,12 @@ replay copies do not call it.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from tensortier.config import Channel, DeviceConfig, Direction, transfer_us
@@ -124,6 +136,7 @@ class ProgramInconsistentError(ValueError):
 GPU = "gpu"
 HOST = "host"
 SSD = "ssd"
+_TIERS = {GPU: GPU, HOST: HOST, SSD: SSD}  # the engine tests these by identity
 
 # bound once: each attribute lookup on an Enum class goes through a
 # descriptor (lanes and transfers carry no enum members for the same reason)
@@ -237,9 +250,6 @@ class _Lane:
         self.started_at = 0
         self.moved = 0                   # bytes delivered
 
-    def duration(self, nbytes: int, extra_us: int) -> int:
-        return transfer_us(nbytes, self.bw, self.latency) + extra_us
-
 
 class _Running:
     """The kernel on the compute stream and the pre-evictions it defers."""
@@ -342,25 +352,26 @@ class _Engine:
         sizes, ids, self._touched = context.sizes, context.ids, context.touched
         self.tensors = {tid: _Tensor(tid, size) for tid, size in sizes.items()}
         self._needed = [tuple(map(self.tensors.__getitem__, k)) for k in ids]
+        self._names = [kernel.name for kernel in program.kernels]
         self.free = config.gpu_mem_bytes
         self.host_used = 0
         self.ssd_used = 0
         # LRU candidates: a heap of (last_use, id) entries (see _lru_evict)
         self._lru: list[tuple[int, int]] = []
-        for tid, loc in sorted((initial_locations or {}).items()):
+        for tid, given in sorted((initial_locations or {}).items()):
             tensor = self.tensors[tid]
-            tensor.loc = loc
-            if loc == GPU:
+            loc = tensor.loc = _TIERS.get(given)
+            if loc is GPU:
                 if tensor.size > self.free:
                     raise SimulationError("initial placement over GPU capacity")
                 self.free -= tensor.size
                 self._lru_add(tensor)
-            elif loc == HOST:
+            elif loc is HOST:
                 self.host_used += tensor.size
-            elif loc == SSD:
+            elif loc is SSD:
                 self.ssd_used += tensor.size
             else:
-                raise ValueError(f"bad initial location {loc!r}")
+                raise ValueError(f"bad initial location {given!r}")
 
         self.lanes = list(map(_Lane, context.lanes.values()))
         host_in, host_out, ssd_in, ssd_out = self.lanes
@@ -374,7 +385,7 @@ class _Engine:
         self.now = 0
         self.events: list = []
         self._seq = 0
-        self._advance_armed = False
+        self._armed: tuple | None = None  # (now, _R_STREAM, seq, cause)
         self._epoch = 0                  # bumped by every _kick
         self._idle_epoch: int | None = None  # epoch a no-op blocked step saw
 
@@ -402,23 +413,6 @@ class _Engine:
 
     # -- event plumbing -----------------------------------------------------
 
-    def _push(self, t: int, rank: int, fn, *args) -> None:
-        self._seq += 1
-        heapq.heappush(self.events, (t, rank, self._seq, fn, args))
-
-    def _log(self, line: str) -> None:
-        pending = self._pending
-        pending.append(line)
-        if len(pending) >= _HASH_BLOCK:
-            self._flush()
-
-    def _log_block(self, entries) -> None:
-        """Log entries of whole lines, each already stamped with its time."""
-        pending = self._pending
-        pending.extend(entries)
-        if len(pending) >= _HASH_BLOCK:
-            self._flush()
-
     def _flush(self) -> None:
         text = "".join(self._pending)
         if self._tape is not None:
@@ -429,16 +423,9 @@ class _Engine:
             self._event_lines.extend(text.splitlines())
 
     def _arm_advance(self, cause: str) -> None:
-        if not self._advance_armed and not self.finished:
-            self._advance_armed = True
-            self._push(self.now, _R_STREAM, self._advance_event, cause)
-
-    def _advance_event(self, cause: str) -> None:
-        self._advance_armed = False
-        if self._idle_epoch != self._epoch:
-            # otherwise the blocked step would change nothing (module
-            # docstring)
-            self._advance(cause)
+        if self._armed is None and not self.finished:
+            self._seq += 1
+            self._armed = (self.now, _R_STREAM, self._seq, cause)
 
     # -- lanes --------------------------------------------------------------
 
@@ -453,7 +440,8 @@ class _Engine:
                         self._lru_evict(head.need - self.free, cause="prefetch")
                     self.parked.append(head)
                     self._parked_ids.add(head.tensor.id)
-                    self._log(f"{self.now} park {head.kind} t{head.tensor.id}\n")
+                    self._pending.append(
+                        f"{self.now} park {head.kind} t{head.tensor.id}\n")
                     continue
                 self.free -= head.need
                 head.need = 0
@@ -461,11 +449,13 @@ class _Engine:
 
     def _start(self, lane: _Lane, xfer: _Xfer) -> None:
         lane.current = xfer
-        lane.started_at = self.now
-        self._log(f"{self.now} xfer_start {xfer.kind} t{xfer.tensor.id} "
-                  f"{lane.label} {xfer.nbytes}\n")
-        self._push(self.now + lane.duration(xfer.nbytes, xfer.extra_us),
-                   _R_COMPLETE, self._complete, lane)
+        now = lane.started_at = self.now
+        self._pending.append(f"{now} xfer_start {xfer.kind} t{xfer.tensor.id} "
+                             f"{lane.label} {xfer.nbytes}\n")
+        self._seq += 1
+        heappush(self.events, (
+            now + transfer_us(xfer.nbytes, lane.bw, lane.latency)
+            + xfer.extra_us, _R_COMPLETE, self._seq, self._complete, (lane,)))
 
     def _complete(self, lane: _Lane) -> None:
         xfer = lane.current
@@ -478,13 +468,13 @@ class _Engine:
             return
         lane.moved += xfer.nbytes
         self._add_overlap(lane.started_at, self.now)
-        self._log(f"{self.now} xfer_done {xfer.kind} t{tensor.id}\n")
+        self._pending.append(f"{self.now} xfer_done {xfer.kind} t{tensor.id}\n")
 
         lane.current = None
         if lane.to_device:
-            if tensor.loc == HOST:
+            if tensor.loc is HOST:
                 self.host_used -= tensor.size
-            elif tensor.loc == SSD:
+            elif tensor.loc is SSD:
                 self.ssd_used -= tensor.size
             tensor.loc = GPU
             tensor.pending_in = False
@@ -494,7 +484,7 @@ class _Engine:
             self._outgoing -= tensor.size
             tensor.loc = xfer.dest_loc
             tensor.pending_out = False
-            if xfer.dest_loc == HOST:
+            if xfer.dest_loc is HOST:
                 self.host_used += tensor.size
             else:
                 self.ssd_used += tensor.size
@@ -502,7 +492,8 @@ class _Engine:
                 directive, iteration = tensor.retry_fetch
                 tensor.retry_fetch = None
                 self._trigger(directive, iteration)
-            self._unpark()
+            if self.parked:
+                self._unpark()
         self._kick(lane)
         self._arm_advance(xfer.kind)
 
@@ -511,12 +502,12 @@ class _Engine:
         after it up to the heap's next event (module docstring, chunk train
         and run-ahead), and restart the train's lane head on the next one."""
         chunk = self._chunk
-        step = lane.duration(chunk, xfer.extra_us)
+        step = transfer_us(chunk, lane.bw, lane.latency) + xfer.extra_us
         start = self.now
-        # full chunks that land with no event of their own: every one
-        # before the last that ends before the next event
+        # full chunks that land with no event of their own: every one before
+        # the last that ends before the next event (an armed advance is due now)
         ahead = 0
-        if self._idle_epoch == self._epoch:
+        if self._idle_epoch == self._epoch and self._armed is None:
             ahead = (xfer.tail_bytes - 1) // chunk
             if self.events:
                 ahead = max(0, min(ahead,
@@ -525,13 +516,15 @@ class _Engine:
         done = f" xfer_done {xfer.kind} t{xfer.tensor.id}\n"
         restart = (f" xfer_start {xfer.kind} t{xfer.tensor.id} "
                    f"{lane.label} {chunk}\n")
-        # one block of boundaries at a time, so the pending list stays
-        # under two blocks
-        for lo in range(start, end, _HASH_BLOCK * step):
-            self._log_block(
-                f"{t}{done}{t}{restart}"
-                for t in range(lo, min(end, lo + _HASH_BLOCK * step), step))
-        self._log_block((f"{end}{done}",))
+        # one pending entry per block of boundaries, hashed once full
+        pending, span = self._pending, _HASH_BLOCK * step
+        for lo in range(start, end, span):
+            stamps = list(map(str, range(lo, min(end, lo + span), step)))
+            pending.append("".join(chain.from_iterable(
+                zip(stamps, repeat(done), stamps, repeat(restart)))))
+            if len(stamps) == _HASH_BLOCK:
+                self._flush()
+        pending.append(f"{end}{done}")
         lane.moved += xfer.nbytes + ahead * chunk
         self._add_overlap(lane.started_at, end)
         self.now = end
@@ -542,8 +535,6 @@ class _Engine:
         self._start(lane, xfer)
 
     def _unpark(self) -> None:
-        if not self.parked:
-            return
         waiting, self.parked = self.parked, []
         self._parked_ids.clear()
         by_lane: dict[_Lane, list[_Xfer]] = {}
@@ -606,12 +597,12 @@ class _Engine:
         """Enter a tensor that has just come onto the GPU as an LRU
         candidate."""
         heap = self._lru
-        heapq.heappush(heap, (tensor.last_use, tensor.id))
+        heappush(heap, (tensor.last_use, tensor.id))
         if len(heap) > 2 * len(self.tensors):
             # drop the entries of tensors that left and stale duplicates
             heap[:] = [(t.last_use, t.id) for t in self.tensors.values()
-                       if t.loc == GPU and not t.pending_out]
-            heapq.heapify(heap)
+                       if t.loc is GPU and not t.pending_out]
+            heapify(heap)
 
     def _lru_evict(self, deficit: int, cause: str) -> None:
         """Queue least-recently-used victims worth at least deficit bytes.
@@ -636,22 +627,23 @@ class _Engine:
         tensors = self.tensors
         held = []
         while outgoing < deficit and heap:
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
             last_use, tid = entry
             victim = tensors[tid]
-            if victim.loc != GPU or victim.pending_out:
+            if victim.loc is not GPU or victim.pending_out:
                 continue
             if last_use != victim.last_use:
-                heapq.heappush(heap, (victim.last_use, tid))
+                heappush(heap, (victim.last_use, tid))
             elif tid in pinned:
                 held.append(entry)
             else:
-                self._log(f"{self.now} lru_evict t{tid} cause {cause}\n")
+                self._pending.append(
+                    f"{self.now} lru_evict t{tid} cause {cause}\n")
                 self._enqueue_evict(victim, self._fallback_dest(victim),
                                     front=True)
                 outgoing += victim.size
         for entry in held:
-            heapq.heappush(heap, entry)
+            heappush(heap, entry)
 
     # -- armed directives ----------------------------------------------------
 
@@ -659,25 +651,28 @@ class _Engine:
         # issue times are offsets into the iteration; anchoring them to the
         # actual start keeps the planned stagger even when replay slips
         for ins in self._directives:
-            self._push(self.now + ins.issue_us, _R_TRIGGER, self._trigger,
-                       ins, iteration)
+            self._seq += 1
+            heappush(self.events, (self.now + ins.issue_us, _R_TRIGGER,
+                                   self._seq, self._trigger, (ins, iteration)))
 
     def _trigger(self, ins, iteration: int) -> None:
         tensor = self.tensors[ins.tensor_id]
         running = self.running
         if ins.op is _PRE_EVICT:
-            if tensor.loc != GPU or tensor.pending_in or tensor.pending_out:
-                self._log(f"{self.now} skip pre_evict t{tensor.id}\n")
+            if tensor.loc is not GPU or tensor.pending_in or tensor.pending_out:
+                self._pending.append(
+                    f"{self.now} skip pre_evict t{tensor.id}\n")
                 return
             if running is not None and tensor.id in running.tensors:
                 running.defers.append((ins, iteration))
-                self._log(f"{self.now} defer pre_evict t{tensor.id}\n")
+                self._pending.append(
+                    f"{self.now} defer pre_evict t{tensor.id}\n")
                 return
             dest = HOST if ins.dest is Destination.HOST else SSD
-            if dest == HOST and (self.host_used + tensor.size
+            if dest is HOST and (self.host_used + tensor.size
                                  > self.config.host_mem_bytes):
                 dest = SSD
-            if (dest == SSD and self.ssd_used + tensor.size
+            if (dest is SSD and self.ssd_used + tensor.size
                     > self.config.ssd_capacity_bytes):
                 raise SimulationError("planned eviction has no room")
             self._enqueue_evict(tensor, dest)
@@ -690,12 +685,12 @@ class _Engine:
                 for d, _ in running.defers)
             if tensor.pending_out or deferred_evict:
                 tensor.retry_fetch = (ins, iteration)
-                self._log(f"{self.now} hold prefetch t{tensor.id}\n")
+                self._pending.append(f"{self.now} hold prefetch t{tensor.id}\n")
                 return
             # loc None: replay slipped behind the plan and the tensor has
             # not been (re)born this iteration, so there is nothing to move
             if tensor.loc in (GPU, None) or tensor.pending_in:
-                self._log(f"{self.now} skip prefetch t{tensor.id}\n")
+                self._pending.append(f"{self.now} skip prefetch t{tensor.id}\n")
                 return
             self._enqueue_fetch(tensor, "prefetch")
 
@@ -703,31 +698,34 @@ class _Engine:
 
     def _advance(self, cause: str) -> None:
         self._idle_epoch = None
+        stream, tensors = self.stream, self.tensors
         while not self.finished:
             if self.running is not None:
                 return
-            if self.pos == 0 and not self.iter_started:
+            pos = self.pos
+            if pos == 0 and not self.iter_started:
                 if (self.iter_index >= self._steady_from
                         and self._fast_forward()):
                     return
                 self.iter_started = True
-                self._log(f"{self.now} iteration {self.iter_index}\n")
+                self._pending.append(
+                    f"{self.now} iteration {self.iter_index}\n")
                 self._arm_iteration(self.iter_index)
-            if self.pos >= len(self.stream):
+            if pos >= len(stream):
                 self.iter_index += 1
                 if self.iter_index >= self.iterations:
                     self.finished = True
-                    self._log(f"{self.now} done\n")
+                    self._pending.append(f"{self.now} done\n")
                     return
                 self.pos = 0
                 self.iter_started = False
                 continue
-            kind, payload = self.stream[self.pos]
+            kind, payload = stream[pos]
             epoch = self._epoch
             if kind == "alloc":
-                done = self._do_alloc(self.tensors[payload], cause)
+                done = self._do_alloc(tensors[payload], cause)
             elif kind == "free":
-                done = self._do_free(self.tensors[payload])
+                done = self._do_free(tensors[payload])
             else:
                 # _start_kernel moves the cursor itself once it launches,
                 # after on_kernel_start has seen it on the kernel
@@ -737,19 +735,19 @@ class _Engine:
                     self._idle_epoch = epoch
                 return
             if kind != "kernel":
-                self.pos += 1
+                self.pos = pos + 1
 
     def _note_block(self) -> None:
         if self.block_started is None:
             self.block_started = self.now
 
     def _resolve_block(self, cause: str) -> None:
-        if self.block_started is not None:
-            waited = self.now - self.block_started
-            if waited:
-                for waits in (self.stall_breakdown, self._tail):
-                    waits[cause] = waits.get(cause, 0) + waited
-            self.block_started = None
+        """End the open block (callers test that one is open)."""
+        waited = self.now - self.block_started
+        if waited:
+            for waits in (self.stall_breakdown, self._tail):
+                waits[cause] = waits.get(cause, 0) + waited
+        self.block_started = None
 
     def _do_alloc(self, tensor: _Tensor, cause: str) -> bool:
         if tensor.loc is not None or tensor.pending_in or tensor.pending_out:
@@ -760,60 +758,47 @@ class _Engine:
             self._note_block()
             self._lru_evict(tensor.size - self.free, cause="alloc")
             return False
-        self._resolve_block(cause if cause != "none" else "alloc")
+        if self.block_started is not None:
+            self._resolve_block(cause if cause != "none" else "alloc")
         self.free -= tensor.size
         tensor.loc = GPU
         self._lru_add(tensor)
-        self._log(f"{self.now} alloc t{tensor.id}\n")
+        self._pending.append(f"{self.now} alloc t{tensor.id}\n")
         return True
 
     def _do_free(self, tensor: _Tensor) -> bool:
         if tensor.pending_in or tensor.pending_out:
             self._note_block()
             return False
-        self._resolve_block("free")
+        if self.block_started is not None:
+            self._resolve_block("free")
         loc = tensor.loc
         tensor.loc = None
         tensor.last_use = -1
         # log before _unpark so a transfer funded by this free appears
         # after the free that paid for it
-        self._log(f"{self.now} free t{tensor.id}\n")
-        if loc == GPU:
+        self._pending.append(f"{self.now} free t{tensor.id}\n")
+        if loc is GPU:
             self.free += tensor.size
-            self._unpark()
-        elif loc == HOST:
+            if self.parked:
+                self._unpark()
+        elif loc is HOST:
             self.host_used -= tensor.size
-        elif loc == SSD:
+        elif loc is SSD:
             self.ssd_used -= tensor.size
         return True
 
     def _start_kernel(self, k: int, cause: str) -> bool:
         """Launch kernel k, or note the block and fetch what it lacks."""
         needed = self._needed[k]
-        missing = [t for t in needed if t.loc != GPU or t.pending_out]
-        if missing:
-            self._note_block()
-            for tensor in missing:
-                if tensor.pending_in or tensor.pending_out:
-                    continue
-                if tensor.loc is None:
-                    raise SimulationError(
-                        f"kernel {k} touches unallocated tensor {tensor.id}")
-                self.fault_log.append((self.iter_index, k, tensor.id))
-                self._log(f"{self.now} fault t{tensor.id} kernel {k}\n")
-                self._enqueue_fetch(tensor, "fault")
-            # transfers stuck waiting for space block this kernel: make
-            # room. Their bytes exceed free, since a transfer parks only
-            # when it needs more and every rise of free unparks at once.
-            deficit = sum(t.size for t in missing
-                          if t.pending_in and t.id in self._parked_ids)
-            if deficit:
-                self._lru_evict(deficit - self.free, cause="wait")
-            return False
-
+        for tensor in needed:
+            if tensor.loc is not GPU or tensor.pending_out:
+                self._fetch_missing(k, needed)
+                return False
         start = self.now
         stall = start - self.prev_end
-        self._resolve_block(cause)
+        if self.block_started is not None:
+            self._resolve_block(cause)
         self._tail = {}
         iteration = self.iter_index
         instance = iteration * len(self._needed) + k
@@ -822,20 +807,41 @@ class _Engine:
             tensor.last_use = instance
         self.running = _Running(k, self._touched[k])
         self.kernel_stats.append(KernelStat(
-            instance, iteration, k, self.program.kernels[k].name,
-            start, end, stall))
-        self._log(f"{self.now} kernel_start {k} iter {iteration}\n")
+            instance, iteration, k, self._names[k], start, end, stall))
+        self._pending.append(f"{start} kernel_start {k} iter {iteration}\n")
         if self.on_kernel_start is not None:
             self.on_kernel_start(self, iteration, k)
         self.pos += 1
-        self._push(end, _R_STREAM, self._end_kernel)
+        self._seq += 1
+        heappush(self.events, (end, _R_STREAM, self._seq, self._end_kernel, ()))
         return True
+
+    def _fetch_missing(self, k: int, needed) -> None:
+        """Note the block of kernel k and fetch what it lacks."""
+        self._note_block()
+        missing = [t for t in needed if t.loc is not GPU or t.pending_out]
+        for tensor in missing:
+            if tensor.pending_in or tensor.pending_out:
+                continue
+            if tensor.loc is None:
+                raise SimulationError(
+                    f"kernel {k} touches unallocated tensor {tensor.id}")
+            self.fault_log.append((self.iter_index, k, tensor.id))
+            self._pending.append(f"{self.now} fault t{tensor.id} kernel {k}\n")
+            self._enqueue_fetch(tensor, "fault")
+        # transfers stuck waiting for space block this kernel: make
+        # room. Their bytes exceed free, since a transfer parks only
+        # when it needs more and every rise of free unparks at once.
+        deficit = sum(t.size for t in missing
+                      if t.pending_in and t.id in self._parked_ids)
+        if deficit:
+            self._lru_evict(deficit - self.free, cause="wait")
 
     def _end_kernel(self) -> None:
         info = self.running
         self.running = None
         self.prev_end = self.now
-        self._log(f"{self.now} kernel_end {info.kernel}\n")
+        self._pending.append(f"{self.now} kernel_end {info.kernel}\n")
         for ins, iteration in info.defers:
             self._trigger(ins, iteration)
         self._advance("none")
@@ -849,7 +855,8 @@ class _Engine:
         mark, tape = self._mark, self._tape
         self._mark = self._tape = None
         tensors = self.tensors.values()
-        if (self.events or self.parked or self.block_started is not None
+        if (self.events or self._armed is not None or self.parked
+                or self.block_started is not None
                 or any(lane.current is not None or lane.queue
                        for lane in self.lanes)
                 or any(t.pending_in or t.pending_out
@@ -912,7 +919,7 @@ class _Engine:
         self.now += runs * period
         self.iter_index = self.iterations
         self.finished = True
-        self._log(f"{self.now} done\n")
+        self._pending.append(f"{self.now} done\n")
 
     # -- runtime hook surface -------------------------------------------------
 
@@ -928,14 +935,25 @@ class _Engine:
 
     def run(self) -> SimResult:
         self._arm_advance("none")
-        events = self.events
-        pop = heapq.heappop
-        while events:
-            t, _rank, _seq, fn, args = pop(events)
-            if t < self.now:
-                raise SimulationError("event time went backwards")
-            self.now = t
-            fn(*args)
+        events, pending = self.events, self._pending
+        while True:
+            armed = self._armed
+            if armed is not None and (not events or events[0] > armed):
+                # where the heap would pop it (module docstring)
+                self._armed = None
+                if self._idle_epoch != self._epoch:
+                    # otherwise the blocked step would change nothing
+                    self._advance(armed[3])
+            elif events:
+                t, _rank, _seq, fn, args = heappop(events)
+                if t < self.now:
+                    raise SimulationError("event time went backwards")
+                self.now = t
+                fn(*args)
+            else:
+                break
+            if len(pending) >= _HASH_BLOCK:
+                self._flush()
         if not self.finished:
             raise SimulationError("deadlock: event queue drained mid-program")
         self._flush()

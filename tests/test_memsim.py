@@ -11,7 +11,7 @@ from tensortier.config import DeviceConfig
 from tensortier.instrument import emit_program, parse_program
 from tensortier.policies import run_policy
 from tensortier.prefetch import plan_migrations
-from tensortier.simulate import (_HASH_BLOCK, KernelStat, _Engine,
+from tensortier.simulate import (_HASH_BLOCK, GPU, KernelStat, _Engine,
                                  ideal_run, perturb_durations, simulate,
                                  ssd_lifetime_years)
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
@@ -364,49 +364,145 @@ def test_quiet_chunk_landings_arm_no_advance_and_change_nothing(due):
             "4096", "22 xfer_start prefetch t4 ssd/to_device 28672", evict]
 
 
+def _equal_time_run(iterations, locations=()):
+    """At 30 the prefetch of t5 lands and arms a stream advance, then k1
+    ends and iteration 1 starts: k0 faults t0, whose fetch parks, and the
+    LRU eviction of t1 covers the deficit. The prefetch of t4, issued at
+    offset 0, pops next and takes GPU bytes; the advance, due at the same
+    instant but armed before that trigger was pushed, pops after it and
+    evicts t2 for the grown deficit."""
+    sizes = {0: 16_384, 1: 8_192, 2: 8_192, 3: 8_192, 4: 4_096, 5: 16_384}
+    trace = WorkloadTrace(
+        tensors={t: TensorDescriptor(t, s, TensorKind.GLOBAL)
+                 for t, s in sizes.items()},
+        kernels=(KernelRecord(0, "k0", 10, frozenset({0}), frozenset()),
+                 KernelRecord(1, "k1", 20, frozenset({3}), frozenset())))
+    program = parse_program(
+        "G10 prefetch 4 4096 @0\nKERNEL 0 k0 10\n"
+        "G10 pre_evict 0 16384 host @10\nG10 pre_evict 4 4096 ssd @12\n"
+        "G10 prefetch 5 16384 @21\nKERNEL 1 k1 20\n")
+    dev = make_device(gpu_mem_bytes=49_152, num_iterations=iterations)
+    starts = {0: "gpu", 1: "gpu", 2: "gpu", 3: "gpu", 4: "ssd", 5: "host",
+              **dict(locations)}
+    return simulate(trace, program, dev, keep_events=True,
+                    initial_locations=starts)
+
+
+# recorded before stream advances were kept off the event heap
+_EQUAL_TIME_EVENTS = [
+    "0 iteration 0", "0 kernel_start 0 iter 0",
+    "0 xfer_start prefetch t4 ssd/to_device 4096", "6 xfer_done prefetch t4",
+    "10 defer pre_evict t0", "10 kernel_end 0",
+    "10 xfer_start evict t0 host/from_device 16384", "10 kernel_start 1 iter 0",
+    "12 xfer_start evict t4 ssd/from_device 4096", "18 xfer_done evict t4",
+    "19 xfer_done evict t0", "21 xfer_start prefetch t5 host/to_device 16384",
+    "30 xfer_done prefetch t5", "30 kernel_end 1", "30 iteration 1",
+    "30 fault t0 kernel 0", "30 park fault t0", "30 lru_evict t1 cause wait",
+    "30 xfer_start evict t1 host/from_device 8192",
+    "30 xfer_start prefetch t4 ssd/to_device 4096",
+    "30 lru_evict t2 cause wait", "36 xfer_done prefetch t4",
+    "37 xfer_done evict t1", "37 park fault t0",
+    "37 xfer_start evict t2 host/from_device 8192", "40 skip pre_evict t0",
+    "42 xfer_start evict t4 ssd/from_device 4096", "44 xfer_done evict t2",
+    "44 xfer_start fault t0 host/to_device 16384", "48 xfer_done evict t4",
+    "51 skip prefetch t5", "98 xfer_done fault t0", "98 kernel_start 0 iter 1",
+    "108 kernel_end 0", "108 kernel_start 1 iter 1", "128 kernel_end 1"]
+_EQUAL_TIME_ITERATION_2 = [
+    "128 iteration 2", "128 kernel_start 0 iter 2",
+    "128 xfer_start prefetch t4 ssd/to_device 4096",
+    "134 xfer_done prefetch t4", "138 defer pre_evict t0", "138 kernel_end 0",
+    "138 xfer_start evict t0 host/from_device 16384",
+    "138 kernel_start 1 iter 2", "140 xfer_start evict t4 ssd/from_device 4096",
+    "146 xfer_done evict t4", "147 xfer_done evict t0", "149 skip prefetch t5",
+    "158 kernel_end 1"]
+
+
+def test_equal_time_events_keep_the_heap_order():
+    # a lane completion, a kernel end, a trigger at issue offset 0 and an
+    # armed stream advance, all at 30
+    result = _equal_time_run(2)
+    assert result.events == _EQUAL_TIME_EVENTS + ["128 done"]
+    assert (result.total_us, result.stall_breakdown) == (128, {"fault": 68})
+
+
+def test_steady_state_start_waits_for_an_armed_advance(monkeypatch):
+    # three iterations: iteration 1 starts with nothing in flight but the
+    # advance armed at 30, so it is no steady-state template
+    starts = []
+    fast_forward = _Engine._fast_forward
+
+    def spy(engine):
+        replayed = fast_forward(engine)
+        starts.append((engine.iter_index, replayed, engine._mark is not None))
+        return replayed
+
+    monkeypatch.setattr(_Engine, "_fast_forward", spy)
+    result = _equal_time_run(3)
+    assert starts == [(1, False, False), (2, False, False)]
+    assert result.events == (_EQUAL_TIME_EVENTS + _EQUAL_TIME_ITERATION_2
+                             + ["158 done"])
+    assert (result.total_us, result.stall_breakdown) == (158, {"fault": 68})
+
+
+def test_locations_built_at_run_time_replay_alike():
+    # the engine tests locations by identity, so it maps each given one
+    # to the module's own string
+    built = {0: "".join(["g", "pu"]), 4: "".join(["s", "sd"]),
+             5: "".join(["ho", "st"])}
+    assert all(loc is not GPU for loc in built.values())
+    assert _equal_time_run(3, built) == _equal_time_run(3)
+    with pytest.raises(ValueError, match="bad initial location 'tape'"):
+        _equal_time_run(2, {1: "tape"})
+
+
 def test_event_log_hashed_across_block_boundaries(monkeypatch):
     # base-uvm faults every tensor in page-sized chunks for 12 iterations:
     # 5,536 lines over several hash blocks. Noise-free, the run repeats
     # from iteration 1 on and the engine replays it from iteration 2; with
-    # noise it is simulated in full, and one run-ahead arrives when the
-    # pending list is one entry short of a flush.
+    # noise it is simulated in full. The digests do not depend on the
+    # block size: with blocks of 1 and 7 entries, a run-ahead longer than
+    # a block is hashed right after each full block of its boundaries, and
+    # its last landing in a later block.
     trace = synthesize_trace(4, (20_000, 60_000), (8_000, 24_000), (20, 80),
                              14)
     dev = make_device(gpu_mem_bytes=117_760, host_mem_bytes=10_000_000,
                       fault_chunk_bytes=1_024, fault_handling_us=0,
                       num_iterations=12)
-    arrivals = []
-    log_block = _Engine._log_block
+    flushed = []        # lines in the last pending entry at each flush
+    flush = _Engine._flush
 
-    def spy(engine, entries):
-        entries = list(entries)
-        arrivals.append((len(engine._pending), len(entries)))
-        log_block(engine, entries)
+    def spy(engine):
+        pending = engine._pending
+        flushed.append(pending[-1].count("\n") if pending else 0)
+        flush(engine)
 
-    monkeypatch.setattr(_Engine, "_log_block", spy)
+    monkeypatch.setattr(_Engine, "_flush", spy)
     replays = _watch_replays(monkeypatch)
-    kept = run_policy("base-uvm", trace, dev, keep_events=True)
-    assert replays == [2]
-    arrivals.clear()
-    noisy = run_policy("base-uvm", trace, dev, keep_events=True,
-                       noise_pct=0.1)
-    assert replays == [2] and len(noisy.events) == 5_536
-    assert any(pending == _HASH_BLOCK - 1 and n > 1
-               for pending, n in arrivals)
-    monkeypatch.undo()
-    plain = run_policy("base-uvm", trace, dev)
-    assert len(kept.events) == 5_536 > 4 * _HASH_BLOCK
-    assert kept.event_log_sha256 == plain.event_log_sha256
-    for run in (kept, noisy):
-        text = "".join(line + "\n" for line in run.events)
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            run.event_log_sha256)
-    # recorded before the event log was hashed in blocks (the noise-free
-    # run) and before steady iterations were replayed (the noisy one)
-    assert plain.event_log_sha256 == (
-        "da9524672709d3ec71a5402b26e76241ad233bd1c79c8745a4672192fda61e1c")
-    assert noisy.event_log_sha256 == (
-        "406a00794ab6fab8a17a10b8f6157086c6aebd5049d774318a1b0447b9374993")
+    for block in (_HASH_BLOCK, 1, 7):
+        monkeypatch.setattr("tensortier.simulate._HASH_BLOCK", block)
+        replays.clear()
+        flushed.clear()
+        kept = run_policy("base-uvm", trace, dev, keep_events=True)
+        noisy = run_policy("base-uvm", trace, dev, keep_events=True,
+                           noise_pct=0.1)
+        plain = run_policy("base-uvm", trace, dev)
+        assert replays == [2, 2]
+        assert len(kept.events) == len(noisy.events) == 5_536
+        assert len(kept.events) > 4 * _HASH_BLOCK
+        assert plain.events is None
+        for run in (kept, noisy):
+            text = "".join(line + "\n" for line in run.events)
+            assert hashlib.sha256(text.encode()).hexdigest() == (
+                run.event_log_sha256)
+        # recorded before the event log was hashed in blocks (the
+        # noise-free run) and before steady iterations were replayed (the
+        # noisy one)
+        assert kept.event_log_sha256 == plain.event_log_sha256 == (
+            "da9524672709d3ec71a5402b26e76241ad233bd1c79c8745a4672192fda61e1c")
+        assert noisy.event_log_sha256 == (
+            "406a00794ab6fab8a17a10b8f6157086c6aebd5049d774318a1b0447b9374993")
+        if block < _HASH_BLOCK:
+            assert 2 * block in flushed
 
 
 _REPLAYED = ("base-uvm", "deepum-like", "flashneuron-like", "g10",
