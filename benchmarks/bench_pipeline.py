@@ -110,7 +110,7 @@ def _stages(text: bytes, dev: DeviceConfig):
         return result
 
     def eager(result):
-        eager_reschedule(result, dev)
+        eager_reschedule(result)
         return result.plan
 
     def emit(plan):
@@ -118,9 +118,8 @@ def _stages(text: bytes, dev: DeviceConfig):
 
     def replay(program):
         context = ctx["context"]
-        return simulate(context.trace, program, dev, policy="g10",
-                        initial_locations=planned_placement(context, True),
-                        context=context)
+        return simulate(context, program, policy="g10",
+                        initial_locations=planned_placement(context, True))
 
     return (parse, build_context, schedule_evictions, latest_safe, eager,
             emit, replay)

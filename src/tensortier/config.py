@@ -2,23 +2,30 @@
 
 Bandwidths are stored as integer bytes per microsecond; config files give
 them in GB/s and they are floored on conversion (1 GB = 10^9 bytes). Byte
-quantities accept KB/MB/GB/TB suffixes as 10^3 multiples.
+quantities accept KB/MB/GB/TB suffixes as 10^3 multiples. Both are parsed
+as exact decimals; a value that is not a finite number is a ConfigError.
+
+The device has two off-GPU tiers (Destination), each linked to the GPU by
+two lanes, one per Direction. DeviceConfig.lane gives a lane's bandwidth
+and latency; the planner and the replay read no other lane constants.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields, replace
-from decimal import Decimal
+from decimal import Context, Decimal
 
 
 class ConfigError(ValueError):
     """Bad key, value, or file in a configuration."""
 
 
-class Channel(enum.Enum):
-    HOST = "host"
+class Destination(enum.Enum):
+    """An off-GPU tier: where an eviction goes and a prefetch comes from."""
+
     SSD = "ssd"
+    HOST = "host"
 
 
 class Direction(enum.Enum):
@@ -26,35 +33,30 @@ class Direction(enum.Enum):
     FROM_DEVICE = "from_device"
 
 
+def _scaled(text, scale: int) -> Decimal:
+    """The decimal number text (a string or a number) times scale, exactly;
+    a ConfigError unless that is a finite number."""
+    # exact for up to 100 significant digits; nothing traps, so a bad
+    # literal gives NaN and an overflow infinity
+    exact = Context(prec=100, traps=[])
+    value = exact.multiply(exact.create_decimal(str(text).strip()), scale)
+    if not value.is_finite():
+        raise ConfigError(f"{text!r} is not a finite number")
+    return value
+
+
 def gbps_to_bytes_per_us(gbps) -> int:
     """Floor GB/s (decimal, 1 GB = 10^9 B) to whole bytes per microsecond."""
-    value = Decimal(str(gbps))
+    value = _scaled(gbps, 1000)
     if value <= 0:
         raise ConfigError(f"bandwidth must be positive, got {gbps}")
-    return int(value * 1000)
+    return int(value)
 
 
 def transfer_us(nbytes: int, bw: int, latency_us: int) -> int:
     """Latency plus ceil(nbytes / bw), in whole microseconds: the one
     transfer-time rule the planner and the replay share."""
     return latency_us + -(-nbytes // bw)
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """One full-duplex link: independent lanes toward and away from the GPU."""
-
-    to_device_bw: int          # bytes/us
-    to_device_latency_us: int
-    from_device_bw: int
-    from_device_latency_us: int
-
-    def bw(self, direction: Direction) -> int:
-        return self.to_device_bw if direction is Direction.TO_DEVICE else self.from_device_bw
-
-    def latency(self, direction: Direction) -> int:
-        return (self.to_device_latency_us if direction is Direction.TO_DEVICE
-                else self.from_device_latency_us)
 
 
 @dataclass(frozen=True)
@@ -89,14 +91,16 @@ class DeviceConfig:
         if not 0.0 < self.hp_utilization_threshold <= 1.0:
             raise ConfigError("hp_utilization_threshold must be in (0, 1]")
 
-    def channel(self, channel: Channel) -> ChannelSpec:
-        if channel is Channel.HOST:
-            return ChannelSpec(self.host_bw, self.host_latency_us,
-                               self.host_bw, self.host_latency_us)
+    def lane(self, dest: Destination, direction: Direction) -> tuple[int, int]:
+        """(bytes/us, latency us) of the lane between the GPU and dest."""
+        if dest is Destination.HOST:
+            return self.host_bw, self.host_latency_us
         # the SSD path rides the same interconnect, so each direction is
         # capped by both the media and the link
-        return ChannelSpec(min(self.ssd_read_bw, self.host_bw), self.ssd_read_latency_us,
-                           min(self.ssd_write_bw, self.host_bw), self.ssd_write_latency_us)
+        if direction is Direction.TO_DEVICE:
+            return (min(self.ssd_read_bw, self.host_bw),
+                    self.ssd_read_latency_us)
+        return min(self.ssd_write_bw, self.host_bw), self.ssd_write_latency_us
 
     def padded(self, size_bytes: int) -> int:
         """Round a tensor size up to whole pages."""
@@ -139,11 +143,7 @@ def parse_bytes(text: str) -> int:
     text = text.strip()
     for suffix, mult in _SUFFIXES.items():
         if text.upper().endswith(suffix):
-            num = text[: -len(suffix)].strip()
-            try:
-                value = float(num) * mult
-            except ValueError:
-                raise ConfigError(f"bad byte quantity {text!r}") from None
+            value = _scaled(text[: -len(suffix)], mult)
             if value != int(value):
                 raise ConfigError(f"{text!r} is not a whole number of bytes")
             return int(value)
@@ -167,9 +167,9 @@ _DEVICE_KEYS = {
     "gpu_mem_bytes": ("gpu_mem_bytes", parse_bytes),
     "host_mem_bytes": ("host_mem_bytes", parse_bytes),
     "ssd_capacity_bytes": ("ssd_capacity_bytes", parse_bytes),
-    "ssd_read_bw_gbps": ("ssd_read_bw", lambda s: gbps_to_bytes_per_us(float(s))),
-    "ssd_write_bw_gbps": ("ssd_write_bw", lambda s: gbps_to_bytes_per_us(float(s))),
-    "host_bw_gbps": ("host_bw", lambda s: gbps_to_bytes_per_us(float(s))),
+    "ssd_read_bw_gbps": ("ssd_read_bw", gbps_to_bytes_per_us),
+    "ssd_write_bw_gbps": ("ssd_write_bw", gbps_to_bytes_per_us),
+    "host_bw_gbps": ("host_bw", gbps_to_bytes_per_us),
     "ssd_read_latency_us": ("ssd_read_latency_us", int),
     "ssd_write_latency_us": ("ssd_write_latency_us", int),
     "host_latency_us": ("host_latency_us", int),

@@ -2,14 +2,16 @@
 
 Each round weighs the remaining inactive periods, picks the route (period
 and destination) with the best benefit/cost ratio, and books its eviction
-and prefetch windows on the channel lanes. Benefit is the
+and prefetch windows on the lanes of its destination. Benefit is the
 pressure-above-capacity area the freed interval removes; cost is the two
 transfer times. Iteration stops once the pressure curve fits GPU memory,
 no candidate helps, or periods run out. A planned migration is a PlanItem
 from scoring to the emitted program, and SchedulingResult.book is the one
 way to book one. The planner reads a simulate.ReplayContext's padded
 sizes, initial pressure curve (each plan books on a copy) and transfer
-times, and never writes them.
+times, and never writes them. A SchedulerState is built from a context and
+carries its device, so every planner function takes the state (or the
+result holding it) and no DeviceConfig beside it.
 
 Times on the unrolled axis: a wrapping period's prefetch lands in the next
 iteration's prefix (window values >= total_us map into [0, total) mod total).
@@ -63,8 +65,8 @@ about and the order they run in does not matter:
 - relieved (a benefit moved): the window meets the pieces where the pick
   lowered the pressure from above capacity to below capacity plus the
   largest size.
-- booked (a slot moved): a slot of a route on the pick's channel meets
-  the pick's booking on its lane.
+- booked (a slot moved): a slot of a route to the pick's destination
+  meets the pick's booking on its lane.
 - ssd_booked (the SSD busy time grew): after an SSD pick, the period meets
   the pick's bookings.
 - crowded (a passed host check can fail): after a host pick that leaves
@@ -77,11 +79,11 @@ about and the order they run in does not matter:
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, field
 
-from tensortier.config import Channel, DeviceConfig, Direction, transfer_us
+from tensortier.config import (Destination, DeviceConfig, Direction,
+                               transfer_us)
 from tensortier.curve import (StepCurve, wrap_add, wrap_max, wrap_pieces,
                               wrap_window_overflow_area)
 from tensortier.reservations import LaneReservations
@@ -90,15 +92,6 @@ from tensortier.vitality import InactivePeriod
 
 class CapacityViolationError(RuntimeError):
     """Internal guard: booking an item would break a state invariant."""
-
-
-class Destination(enum.Enum):
-    SSD = "ssd"
-    HOST = "host"
-
-    @property
-    def channel(self) -> Channel:
-        return Channel.SSD if self is Destination.SSD else Channel.HOST
 
 
 @dataclass
@@ -131,31 +124,34 @@ class MigrationPlan:
 
 @dataclass
 class SchedulerState:
-    """Planner bookkeeping shared by the eviction and prefetch stages."""
+    """Planner bookkeeping shared by the eviction and prefetch stages, on
+    the device it was built for."""
 
     total_us: int
+    config: DeviceConfig
     sizes: dict[int, int]          # tensor id -> page-padded size
     times: dict                    # route_times
     pressure: StepCurve
-    lanes: dict[tuple[Channel, Direction], LaneReservations]  # all four
+    lanes: dict[tuple[Destination, Direction], LaneReservations]  # all four
     host_occupancy: StepCurve
     ssd_occupancy: int = 0
 
     @classmethod
     def initial(cls, context) -> SchedulerState:
         """Nothing booked yet: a copy of the unplanned trace's pressure,
-        with the sizes and times of context (a simulate.ReplayContext)."""
+        with the device, sizes, times and lanes of context (a
+        simulate.ReplayContext)."""
         total = context.analysis.timeline.total_us
-        return cls(total, context.sizes, context.times,
+        return cls(total, context.config, context.sizes, context.times,
                    context.pressure.copy(),
-                   {(ch, d): LaneReservations()
-                    for ch in Channel for d in Direction}, StepCurve(total))
+                   {key: LaneReservations() for key in context.lanes},
+                   StepCurve(total))
 
     def copy(self) -> SchedulerState:
-        """A state to book on apart from this one; sizes and times are
-        never written."""
-        return SchedulerState(self.total_us, self.sizes, self.times,
-                              self.pressure.copy(),
+        """A state to book on apart from this one; the device, sizes and
+        times are never written."""
+        return SchedulerState(self.total_us, self.config, self.sizes,
+                              self.times, self.pressure.copy(),
                               {k: v.copy() for k, v in self.lanes.items()},
                               self.host_occupancy.copy(), self.ssd_occupancy)
 
@@ -171,9 +167,9 @@ class SchedulingResult:
         state = SchedulerState.initial(context)
         return cls(plan=MigrationPlan(total_us=state.total_us), state=state)
 
-    def book(self, item: PlanItem, config: DeviceConfig) -> None:
+    def book(self, item: PlanItem) -> None:
         """Book item's windows on the state, then add it to the plan."""
-        apply_candidate(item, self.state, config)
+        apply_candidate(item, self.state)
         self.plan.items.append(item)
 
 
@@ -202,8 +198,8 @@ def route_times(context):
     from the lane constants the replay reads (context.lanes)."""
     times = {}
     for dest in Destination:
-        out = context.lanes[dest.channel, Direction.FROM_DEVICE]
-        back = context.lanes[dest.channel, Direction.TO_DEVICE]
+        out = context.lanes[dest, Direction.FROM_DEVICE]
+        back = context.lanes[dest, Direction.TO_DEVICE]
         for size in set(context.sizes.values()):
             times[dest, size] = (transfer_us(size, out.bw, out.latency),
                                  transfer_us(size, back.bw, back.latency))
@@ -220,10 +216,10 @@ class _Memo:
     __slots__ = ("pressure", "host", "cap", "_slots", "_host_max",
                  "_benefits")
 
-    def __init__(self, state: SchedulerState, config: DeviceConfig):
+    def __init__(self, state: SchedulerState):
         self.pressure = state.pressure
         self.host = state.host_occupancy
-        self.cap = config.gpu_mem_bytes
+        self.cap = state.config.gpu_mem_bytes
         self._slots = {}       # (lane, duration, bounds) -> slot start
         self._host_max = {}    # (e1, p0) -> host occupancy maximum
         self._benefits = {}    # (padded size, e1, p0) -> benefit
@@ -289,8 +285,8 @@ class _Route:
         self.dest = dest
         self.size = state.sizes[period.tensor_id]
         self.e_dur, self.p_dur = state.times[dest, self.size]
-        self.from_lane = state.lanes[dest.channel, Direction.FROM_DEVICE]
-        self.to_lane = state.lanes[dest.channel, Direction.TO_DEVICE]
+        self.from_lane = state.lanes[dest, Direction.FROM_DEVICE]
+        self.to_lane = state.lanes[dest, Direction.TO_DEVICE]
         self.cost_us = self.e_dur + self.p_dur
         self.total = state.total_us
         self.e_lo = period.start_us
@@ -330,8 +326,7 @@ class _Route:
         self.span = wrap_pieces(e1, p0, self.total)
         return self.win
 
-    def candidate(self, state: SchedulerState, config: DeviceConfig,
-                  ask: _Memo) -> bool:
+    def candidate(self, state: SchedulerState, ask: _Memo) -> bool:
         """Can the period be evicted this way now? If so, benefit holds the
         overflow the window removes. ask answers the state queries."""
         window = self.window(ask)
@@ -340,10 +335,11 @@ class _Route:
         if self.dest is Destination.HOST:
             if self.host_ok is None:
                 self.host_ok = (ask.host_max(window[1], window[2]) + self.size
-                                <= config.host_mem_bytes)
+                                <= state.config.host_mem_bytes)
             if not self.host_ok:
                 return False
-        elif state.ssd_occupancy + self.size > config.ssd_capacity_bytes:
+        elif (state.ssd_occupancy + self.size
+              > state.config.ssd_capacity_bytes):
             return False
         if self.benefit is None:
             self.benefit = ask.benefit(self.size, window[1], window[2])
@@ -358,7 +354,7 @@ class _Route:
                         p0 + self.p_dur, self.benefit, self.cost_us)
 
     def booked(self, evict, prefetch) -> bool:
-        """Forget the slots that a pick on this route's channel took; True
+        """Forget the slots that a pick to this route's destination took; True
         if one was. evict and prefetch are its (start, end) bookings in
         lane time."""
         e0, p0 = self.e0, self.p0
@@ -401,7 +397,7 @@ class _Route:
 
 
 def score_candidate(period: InactivePeriod, dest: Destination,
-                    state: SchedulerState, config: DeviceConfig):
+                    state: SchedulerState):
     """The PlanItem for evicting this period to dest: windows, benefit and
     cost, from a fresh route.
 
@@ -409,28 +405,26 @@ def score_candidate(period: InactivePeriod, dest: Destination,
     capacity bound already rules the destination out).
     """
     route = _Route(period, dest, state)
-    return (route.item() if route.candidate(state, config,
-                                            _Memo(state, config))
-            else None)
+    return route.item() if route.candidate(state, _Memo(state)) else None
 
 
-def _ssd_utilization_high(period: InactivePeriod, state: SchedulerState,
-                          config: DeviceConfig) -> bool:
+def _ssd_utilization_high(period: InactivePeriod,
+                          state: SchedulerState) -> bool:
     """Is either SSD lane busier than the threshold inside the period?"""
     window = period.end_us - period.start_us
     if window <= 0:
         return False
     pieces = wrap_pieces(period.start_us, period.end_us, state.total_us)
     for direction in Direction:
-        lane = state.lanes[Channel.SSD, direction]
+        lane = state.lanes[Destination.SSD, direction]
         busy = sum(lane.busy_within(a, b) for a, b in pieces)
-        if busy > config.hp_utilization_threshold * window:
+        if busy > state.config.hp_utilization_threshold * window:
             return True
     return False
 
 
 def choose_destination(period: InactivePeriod, state: SchedulerState,
-                       config: DeviceConfig, allow_host: bool = True):
+                       allow_host: bool = True):
     """SSD first; fall back to host when the SSD route is under pressure.
 
     High pressure means: no feasible SSD windows, a freed interval that no
@@ -438,12 +432,12 @@ def choose_destination(period: InactivePeriod, state: SchedulerState,
     the period beyond the threshold. Returns None when the period cannot be
     scheduled anywhere (drop).
     """
-    ssd = score_candidate(period, Destination.SSD, state, config)
+    ssd = score_candidate(period, Destination.SSD, state)
     high_pressure = (ssd is None or ssd.benefit == 0
-                     or _ssd_utilization_high(period, state, config))
+                     or _ssd_utilization_high(period, state))
     if not high_pressure or not allow_host:
         return ssd
-    host = score_candidate(period, Destination.HOST, state, config)
+    host = score_candidate(period, Destination.HOST, state)
     return host if host is not None else ssd
 
 
@@ -461,17 +455,15 @@ def _better(a, b) -> bool:
     return a.tensor_id < b.tensor_id
 
 
-def apply_candidate(item: PlanItem, state: SchedulerState,
-                    config: DeviceConfig) -> None:
+def apply_candidate(item: PlanItem, state: SchedulerState) -> None:
     """Book the windows and update pressure and occupancy."""
-    total = state.total_us
+    total, config = state.total_us, state.config
     owner = item.owner()
     size = state.sizes[item.tensor_id]
-    chan = item.dest.channel
-    state.lanes[chan, Direction.FROM_DEVICE].reserve(
+    state.lanes[item.dest, Direction.FROM_DEVICE].reserve(
         item.evict_start, item.evict_end, owner)
     shift = total if item.prefetch_start >= total else 0
-    state.lanes[chan, Direction.TO_DEVICE].reserve(
+    state.lanes[item.dest, Direction.TO_DEVICE].reserve(
         item.prefetch_start - shift, item.prefetch_end - shift, owner)
     freed = wrap_pieces(item.evict_end, item.prefetch_start, total)
     for a, b in freed:
@@ -500,7 +492,7 @@ class _Entry:
     __slots__ = ("period", "pieces", "ssd", "host", "busy_out", "busy_in",
                  "busy_limit", "choice")
 
-    def __init__(self, period, state, config):
+    def __init__(self, period, state):
         self.period = period
         self.pieces = wrap_pieces(period.start_us, period.end_us,
                                   state.total_us)
@@ -508,7 +500,7 @@ class _Entry:
         self.host = _Route(period, Destination.HOST, state)
         # the cache is built before any booking, so the SSD lanes are empty
         self.busy_out = self.busy_in = 0
-        self.busy_limit = (config.hp_utilization_threshold
+        self.busy_limit = (state.config.hp_utilization_threshold
                            * (period.end_us - period.start_us))
         self.choice = _STALE
 
@@ -538,15 +530,13 @@ class _RouteCache:
     once, and each check forgets only what it is about (round,
     invalidation and memo rules: module docstring)."""
 
-    def __init__(self, periods, state: SchedulerState, config: DeviceConfig,
-                 allow_host: bool):
+    def __init__(self, periods, state: SchedulerState, allow_host: bool):
         self._state = state
-        self._config = config
         self._allow_host = allow_host
-        self._memo = _Memo(state, config)
-        assert not any(state.lanes[Channel.SSD, d].intervals()
+        self._memo = _Memo(state)
+        assert not any(state.lanes[Destination.SSD, d].intervals()
                        for d in Direction), "built after a booking"
-        self._entries = {(p.tensor_id, p.start_us): _Entry(p, state, config)
+        self._entries = {(p.tensor_id, p.start_us): _Entry(p, state)
                          for p in sorted(periods, key=lambda p: (
                              p.start_us, p.tensor_id, p.end_us))}
         # the largest clamp of any benefit query
@@ -554,11 +544,11 @@ class _RouteCache:
                               for entry in self._entries.values()), default=0)
 
     def _choose(self, entry: _Entry):
-        state, config, memo = self._state, self._config, self._memo
-        route = entry.ssd if entry.ssd.candidate(state, config, memo) else None
+        state, memo = self._state, self._memo
+        route = entry.ssd if entry.ssd.candidate(state, memo) else None
         if self._allow_host and (route is None or route.benefit == 0
                                  or entry.ssd_busy()):
-            if entry.host.candidate(state, config, memo):
+            if entry.host.candidate(state, memo):
                 route = entry.host
         return route
 
@@ -583,8 +573,8 @@ class _RouteCache:
         booked)."""
         self._memo.clear()
         del self._entries[best.owner()]
-        state, config = self._state, self._config
-        total = state.total_us
+        state = self._state
+        config, total = state.config, state.total_us
         size = state.sizes[best.tensor_id]
         evict = (best.evict_start, best.evict_end)
         shift = total if best.prefetch_start >= total else 0
@@ -629,7 +619,7 @@ def schedule_evictions(context, *,
     result = SchedulingResult.initial(context)
     state, plan = result.state, result.plan
 
-    routes = _RouteCache(context.analysis.periods, state, config, allow_host)
+    routes = _RouteCache(context.analysis.periods, state, allow_host)
 
     # a round over no periods selects nothing, which ends the loop
     while state.pressure.max_value() > config.gpu_mem_bytes:
@@ -639,7 +629,7 @@ def schedule_evictions(context, *,
         if best is None:
             break
         item = best.item()
-        result.book(item, config)
+        result.book(item)
         routes.picked(item)
 
     plan.residual_overflow = state.pressure.overflow_area(config.gpu_mem_bytes)

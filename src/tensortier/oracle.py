@@ -53,33 +53,30 @@ def _canonical_periods(analysis: VitalityAnalysis):
     return sorted(analysis.periods, key=lambda p: (p.start_us, p.tensor_id))
 
 
-def _booked(booked: SchedulingResult, periods, allow_host: bool,
-            config: DeviceConfig, combo=()):
+def _booked(booked: SchedulingResult, periods, allow_host: bool, combo=()):
     """(combo, booked plan) for every bookable combo extending combo."""
     if len(combo) == len(periods):
         leaf = SchedulingResult(MigrationPlan(
             booked.plan.total_us, list(map(copy.copy, booked.plan.items))),
             booked.state.copy())
         assign_latest_safe(leaf)
-        eager_reschedule(leaf, config)
+        eager_reschedule(leaf)
         yield combo, leaf
         return
     for dest in (None, Destination.SSD, Destination.HOST)[:2 + allow_host]:
         child = booked
         if dest is not None:
-            item = score_candidate(periods[len(combo)], dest, booked.state,
-                                   config)
+            item = score_candidate(periods[len(combo)], dest, booked.state)
             if item is None:
                 continue
             child = SchedulingResult(MigrationPlan(
                 booked.plan.total_us, booked.plan.items[:]),
                 booked.state.copy())
             try:
-                child.book(item, config)
+                child.book(item)
             except CapacityViolationError:
                 continue
-        yield from _booked(child, periods, allow_host, config,
-                           combo + (dest,))
+        yield from _booked(child, periods, allow_host, combo + (dest,))
 
 
 def _fingerprint(plan: MigrationPlan):
@@ -108,7 +105,7 @@ def best_assignment(analysis: VitalityAnalysis, config: DeviceConfig, *,
     combo_assign = None
     seen: dict = {_fingerprint(greedy): greedy_total}
     start = SchedulingResult.initial(context)
-    for combo, booked in _booked(start, periods, allow_host, config):
+    for combo, booked in _booked(start, periods, allow_host):
         key = _fingerprint(booked.plan)
         if key in seen:
             total = seen[key]

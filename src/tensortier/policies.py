@@ -17,11 +17,14 @@ g10                vitality-driven greedy planning with eager prefetch and
 g10-ssd-only       the same planner forbidden from touching host memory
 
 Every stage of a run reads one simulate.ReplayContext, built from the
-trace's analysis on the device: the planners its padded sizes, initial
-pressure curve and transfer times, the placements its sizes, and the
-emitter and the replay its skeleton and stream. replay_plan decides how a
-policy replays a plan (initial placement, host fallback, deepum-like hook);
-run_policy and the oracle plan and replay through it and one context.
+trace's analysis on the device, and takes the trace and the device from it
+alone: the planners its padded sizes, initial pressure curve and transfer
+times (through the SchedulerState built from it, which carries the
+device), the placements its sizes, and the emitter and the replay
+(simulate(context, program)) its skeleton and stream. replay_plan decides
+how a policy replays a plan (initial placement, host fallback, deepum-like
+hook); run_policy and the oracle plan and replay through it and one
+context.
 """
 
 from __future__ import annotations
@@ -91,9 +94,9 @@ def flashneuron_plan(context) -> SchedulingResult:
     for period in periods:
         if state.pressure.max_value() <= config.gpu_mem_bytes:
             break
-        item = score_candidate(period, Destination.SSD, state, config)
+        item = score_candidate(period, Destination.SSD, state)
         if item is not None:
-            result.book(item, config)
+            result.book(item)
     plan.residual_overflow = state.pressure.overflow_area(config.gpu_mem_bytes)
     assign_latest_safe(result)
     return result
@@ -154,11 +157,10 @@ def replay_plan(name: str, context, plan: MigrationPlan, *, durations=None,
             hook = _correlation_hook()
     else:
         locations = planned_placement(context, allow_host)
-    return simulate(context.trace, emit_program(context, plan),
-                    context.config, policy=name, durations=durations,
-                    initial_locations=locations,
+    return simulate(context, emit_program(context, plan), policy=name,
+                    durations=durations, initial_locations=locations,
                     allow_host_fallback=allow_host, on_kernel_start=hook,
-                    keep_events=keep_events, context=context)
+                    keep_events=keep_events)
 
 
 def run_policy(name: str, trace: WorkloadTrace, config: DeviceConfig, *,

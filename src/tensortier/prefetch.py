@@ -10,7 +10,7 @@ metadata on the plan item.
 
 from __future__ import annotations
 
-from tensortier.config import DeviceConfig, Direction
+from tensortier.config import Direction
 from tensortier.curve import wrap_add
 from tensortier.eviction import (Destination, SchedulingResult,
                                  schedule_evictions)
@@ -27,7 +27,7 @@ def assign_latest_safe(result: SchedulingResult) -> None:
         item.latest_safe_us = item.scheduled_us = item.prefetch_start
 
 
-def eager_reschedule(result: SchedulingResult, config: DeviceConfig) -> None:
+def eager_reschedule(result: SchedulingResult) -> None:
     """Pull prefetches earlier where capacity allows.
 
     For each item (ascending start, then tensor id) the earliest viable
@@ -37,12 +37,12 @@ def eager_reschedule(result: SchedulingResult, config: DeviceConfig) -> None:
     Idempotent: a second pass finds no headroom left.
     """
     state = result.state
-    total = state.total_us
+    total, gpu = state.total_us, state.config.gpu_mem_bytes
     order = sorted(result.plan.items,
                    key=lambda it: (it.scheduled_us, it.tensor_id))
     for item in order:
         size = state.sizes[item.tensor_id]
-        cap = config.gpu_mem_bytes - size
+        cap = gpu - size
         t_i = item.scheduled_us
         if item.wraps:
             m = state.pressure.earliest_below(cap, 0, t_i - total) + total
@@ -50,7 +50,7 @@ def eager_reschedule(result: SchedulingResult, config: DeviceConfig) -> None:
             m = state.pressure.earliest_below(cap, item.evict_end, t_i)
         if m >= t_i:
             continue
-        lane = state.lanes[item.dest.channel, Direction.TO_DEVICE]
+        lane = state.lanes[item.dest, Direction.TO_DEVICE]
         dur = item.prefetch_end - item.prefetch_start
         lane.release(item.owner())
         if item.wraps:
@@ -77,5 +77,5 @@ def plan_migrations(context, *, allow_host: bool = True,
     result = schedule_evictions(context, allow_host=allow_host)
     assign_latest_safe(result)
     if eager:
-        eager_reschedule(result, context.config)
+        eager_reschedule(result)
     return result

@@ -1,8 +1,8 @@
-"""Channel-lane reservations on the single-iteration time axis.
+"""Lane reservations on the single-iteration time axis.
 
-Each (channel, direction) pair is an independent lane holding disjoint busy
-intervals. The planner books eviction and prefetch windows here; slot search
-is what turns "earliest/latest feasible transfer" into concrete times.
+Each (destination, direction) pair is an independent lane holding disjoint
+busy intervals. The planner books eviction and prefetch windows here; slot
+search is what turns "earliest/latest feasible transfer" into concrete times.
 """
 
 from __future__ import annotations

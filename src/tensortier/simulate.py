@@ -3,7 +3,7 @@
 One compute stream walks the program: allocations and frees run at their
 stream position, kernels run when every tensor they touch is on device.
 Migration directives are armed when their iteration begins and fire at
-their planned absolute times (never earlier), joining the per-channel,
+their planned absolute times (never earlier), joining the per-tier,
 per-direction transfer lanes. A kernel that needs a tensor with a transfer
 already pending simply waits for it; a kernel that needs a tensor nobody is
 moving takes a demand fault, serviced in pinned-memory-sized chunks with a
@@ -14,15 +14,19 @@ outbound transfer finishes, mirroring the planner's accounting. All engine
 arithmetic uses page-padded sizes.
 
 A ReplayContext, built from a trace's analysis on a device, holds what
-every stage reads of them: the padded sizes (the one place they are
-padded), each kernel's tensors and their bytes, the four lanes' constants,
+every stage reads of them: the trace and the device, the padded sizes (the
+one place they are padded), each kernel's tensors and their bytes, the four
+lanes' constants (DeviceConfig.lane, keyed by destination and direction),
 and, built on first use so that a stage builds only what it reads,
 instrument's skeleton (a Program of no directives), its stream and each
 kernel's sorted ids, the initial pressure curve and the planner's transfer
-times. The planner modules read its attributes and never import it. A
-replay, not its construction, raises the first working set over capacity. A
-program emitted from it replays from that stream unchecked (exact:
-instrument's docstring); any other program is checked and flattened.
+times. The planner modules read its attributes and never import it.
+simulate(context, program) replays on the context's trace and device, and
+takes them from nowhere else. A replay, not the context's construction,
+raises the first working set over capacity. A program emitted from the
+context replays from its stream unchecked (exact: instrument's docstring);
+any other program, one emitted from another context included, is checked
+against the trace and flattened.
 
 Every event appends its log lines to a pending list, each built whole
 (time stamp and newline included) by one f-string at the event; a
@@ -117,12 +121,12 @@ from heapq import heapify, heappop, heappush
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from tensortier.config import Channel, DeviceConfig, Direction, transfer_us
-from tensortier.eviction import Destination, route_times
+from tensortier.config import (Destination, DeviceConfig, Direction,
+                               transfer_us)
+from tensortier.eviction import route_times
 from tensortier.instrument import Op, Program, program_skeleton
 from tensortier.trace import WorkloadTrace
-from tensortier.vitality import (VitalityAnalysis, analyze,
-                                 initial_pressure_curve)
+from tensortier.vitality import VitalityAnalysis, initial_pressure_curve
 
 
 class SimulationError(RuntimeError):
@@ -279,12 +283,11 @@ class ReplayContext:
              f"in GPU memory"
              for kernel, need in zip(trace.kernels, self.working_sets)
              if need > config.gpu_mem_bytes), None)
-        self.lanes = {
-            (ch, d): LaneSpec(f"{ch.value}/{d.value}",
-                              d is Direction.TO_DEVICE,
-                              config.channel(ch).bw(d),
-                              config.channel(ch).latency(d))
-            for ch in (Channel.HOST, Channel.SSD) for d in Direction}
+        self.lanes = {(dest, d): LaneSpec(f"{dest.value}/{d.value}",
+                                          d is Direction.TO_DEVICE,
+                                          *config.lane(dest, d))
+                      for dest in (Destination.HOST, Destination.SSD)
+                      for d in Direction}
 
     @cached_property
     def skeleton(self):
@@ -310,21 +313,16 @@ class ReplayContext:
 
 
 class _Engine:
-    def __init__(self, trace: WorkloadTrace, program: Program,
-                 config: DeviceConfig, *, policy: str,
-                 durations=None, initial_locations=None,
-                 allow_host_fallback: bool = True, context=None,
-                 on_kernel_start=None, keep_events: bool = False):
-        emitted = context is not None and program.origin is context
+    def __init__(self, context: ReplayContext, program: Program, *,
+                 policy: str, durations=None, initial_locations=None,
+                 allow_host_fallback: bool = True, on_kernel_start=None,
+                 keep_events: bool = False):
+        emitted = program.origin is context
         if not emitted:
-            _check_program(trace, program)
-            context = context or ReplayContext(analyze(trace), config)
-        if context.trace is not trace or context.config != config:
-            raise ValueError("replay context of another trace or config")
+            _check_program(context.trace, program)
         if context.unfit:
             raise SimulationError(context.unfit)
-        self.program = program
-        self.config = config
+        self.config = config = context.config
         self.policy = policy
         self.allow_host_fallback = allow_host_fallback
         self.on_kernel_start = on_kernel_start
@@ -1001,16 +999,15 @@ def _check_program(trace: WorkloadTrace, program: Program) -> None:
                 f"directive names unknown tensor {ins.tensor_id}")
 
 
-def simulate(trace: WorkloadTrace, program: Program, config: DeviceConfig, *,
+def simulate(context: ReplayContext, program: Program, *,
              policy: str = "g10", durations=None, initial_locations=None,
              allow_host_fallback: bool = True, on_kernel_start=None,
-             keep_events: bool = False, context=None) -> SimResult:
-    """Replay program; context: a ReplayContext of trace on config, or None."""
-    engine = _Engine(trace, program, config, policy=policy,
-                     durations=durations, initial_locations=initial_locations,
+             keep_events: bool = False) -> SimResult:
+    """Replay program on context's trace and device (module docstring)."""
+    engine = _Engine(context, program, policy=policy, durations=durations,
+                     initial_locations=initial_locations,
                      allow_host_fallback=allow_host_fallback,
-                     on_kernel_start=on_kernel_start, keep_events=keep_events,
-                     context=context)
+                     on_kernel_start=on_kernel_start, keep_events=keep_events)
     return engine.run()
 
 

@@ -36,7 +36,7 @@ def schedule_evictions_fresh(context, *, allow_host=True):
     while remaining and state.pressure.max_value() > config.gpu_mem_bytes:
         candidates = []
         for key, period in list(remaining.items()):
-            item = choose_destination(period, state, config, allow_host)
+            item = choose_destination(period, state, allow_host)
             if item is None:
                 del remaining[key]
                 plan.unschedulable.append((period.tensor_id, period.start_us,
@@ -46,7 +46,7 @@ def schedule_evictions_fresh(context, *, allow_host=True):
         if not candidates:
             break
         best = select_best(candidates)
-        result.book(best, config)
+        result.book(best)
         del remaining[best.owner()]
     plan.residual_overflow = state.pressure.overflow_area(config.gpu_mem_bytes)
     return result
@@ -56,7 +56,7 @@ def latest_safe_prefetch_time(item, state) -> int:
     """Latest feasible start for this item's prefetch, ignoring its own
     booking: release it, search the inbound lane for the latest slot that
     meets the period's deadline, and book it again where it was."""
-    lane = state.lanes[item.dest.channel, Direction.TO_DEVICE]
+    lane = state.lanes[item.dest, Direction.TO_DEVICE]
     dur = item.prefetch_end - item.prefetch_start
     lane.release(item.owner())
     try:
@@ -79,18 +79,17 @@ def book_combo(context, periods, dests):
     """The oracle's booked plan for one assignment of periods (canonical
     order) to destinations (None skips), booked from a fresh state; None
     when it cannot be booked."""
-    config = context.config
     result = SchedulingResult.initial(context)
     for period, dest in zip(periods, dests):
         if dest is None:
             continue
-        item = score_candidate(period, dest, result.state, config)
+        item = score_candidate(period, dest, result.state)
         if item is None:
             return None
         try:
-            result.book(item, config)
+            result.book(item)
         except CapacityViolationError:
             return None
     assign_latest_safe(result)
-    eager_reschedule(result, config)
+    eager_reschedule(result)
     return result

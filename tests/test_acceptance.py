@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_context, make_device, make_s1
 from tensortier.cli import main
-from tensortier.config import Channel, Direction, gbps_to_bytes_per_us
+from tensortier.config import Destination, Direction, gbps_to_bytes_per_us
 from tensortier.eviction import (CapacityViolationError, SchedulerState,
                                  apply_candidate, choose_destination,
                                  plan_to_json)
@@ -120,7 +120,7 @@ def test_c04_greedy_tracks_exhaustive_optimum():
         first = plan.items[0]
         state = SchedulerState.initial(context)
         for period in analysis.periods:
-            cand = choose_destination(period, state, dev)
+            cand = choose_destination(period, state)
             if cand is not None:
                 assert (first.benefit * cand.cost_us
                         >= cand.benefit * first.cost_us), seed
@@ -245,12 +245,12 @@ def _prop_pressure_monotone_under_apply(case):
                          key=lambda p: (p.start_us, p.tensor_id)):
         if applied >= 4:
             break
-        cand = choose_destination(period, state, dev)
+        cand = choose_destination(period, state)
         if cand is None:
             continue
         before = state.pressure.copy()
         try:
-            apply_candidate(cand, state, dev)
+            apply_candidate(cand, state)
         except CapacityViolationError:
             continue
         applied += 1
@@ -263,9 +263,9 @@ def _prop_pressure_monotone_under_apply(case):
 def _prop_reservations_disjoint(case):
     trace, dev = case
     result = plan_migrations(make_context(trace, dev))
-    for ch in Channel:
+    for dest in Destination:
         for d in Direction:
-            ivals = sorted(result.state.lanes[ch, d].intervals())
+            ivals = sorted(result.state.lanes[dest, d].intervals())
             for (_, e0, _), (s1, _, _) in zip(ivals, ivals[1:]):
                 assert e0 <= s1
 

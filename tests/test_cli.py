@@ -124,9 +124,9 @@ def test_plan_writes_what_simulate_replays(tmp_path, monkeypatch, policy,
         replayed.append(plan_to_json(plan))
         return emit(context, plan)
 
-    def watching_simulate(trace, program, *args, **kwargs):
+    def watching_simulate(context, program, **kwargs):
         replayed.append(serialize_program(program))
-        return simulate(trace, program, *args, **kwargs)
+        return simulate(context, program, **kwargs)
 
     monkeypatch.setattr(policies, "emit_program", watching_emit)
     monkeypatch.setattr(policies, "simulate", watching_simulate)
@@ -292,6 +292,18 @@ def test_config_errors_carry_line_numbers(tmp_path, capsys):
     assert main(["analyze", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err and "warp_factor" in err
+
+
+@pytest.mark.parametrize("line", [
+    "gpu_mem_bytes = infKB", "host_bw_gbps = inf", "host_bw_gbps = nan",
+    "sweep.ssd_bw_gbps = 3.2, inf"])
+def test_non_finite_values_are_input_errors(tmp_path, capsys, line):
+    cfg = write_setup(tmp_path, extra=line + "\n")
+    command = "sweep" if line.startswith("sweep.") else "simulate"
+    assert main([command, "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a finite number" in err
 
 
 def test_missing_config_file_is_an_io_error(tmp_path, capsys):

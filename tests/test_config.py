@@ -1,9 +1,13 @@
+from decimal import Decimal
+
 import pytest
 
-from tensortier.config import (Channel, ConfigError, DeviceConfig,
-                               ExperimentConfig, gbps_to_bytes_per_us,
-                               parse_bytes, parse_config, serialize_config,
-                               with_device)
+from conftest import make_context
+from tensortier.config import (ConfigError, Destination, DeviceConfig,
+                               Direction, ExperimentConfig,
+                               gbps_to_bytes_per_us, parse_bytes, parse_config,
+                               serialize_config, with_device)
+from tensortier.trace import synthesize_trace
 
 
 def test_bandwidth_conversion_is_exact():
@@ -33,12 +37,23 @@ def test_default_device_figures():
 
 def test_ssd_channel_capped_by_interconnect():
     dev = DeviceConfig()
-    ssd = dev.channel(Channel.SSD)
     # media is slower than the link here, so the media rate wins
-    assert ssd.to_device_bw == 3200
-    assert ssd.from_device_bw == 3000
+    assert dev.lane(Destination.SSD, Direction.TO_DEVICE) == (3200, 20)
+    assert dev.lane(Destination.SSD, Direction.FROM_DEVICE) == (3000, 16)
     fast = DeviceConfig(ssd_read_bw=99999, ssd_write_bw=99999)
-    assert fast.channel(Channel.SSD).to_device_bw == fast.host_bw
+    assert fast.lane(Destination.SSD, Direction.TO_DEVICE)[0] == fast.host_bw
+    assert fast.lane(Destination.SSD, Direction.FROM_DEVICE)[0] == fast.host_bw
+    assert fast.lane(Destination.HOST, Direction.TO_DEVICE) == (15754, 3)
+    # the replay's lanes are those constants, host then SSD, to-device
+    # then from-device
+    lanes = make_context(synthesize_trace(2, 4096, 4096, 10, 0), fast).lanes
+    assert [spec.label for spec in lanes.values()] == [
+        "host/to_device", "host/from_device", "ssd/to_device",
+        "ssd/from_device"]
+    for (dest, direction), spec in lanes.items():
+        assert (spec.bw, spec.latency) == fast.lane(dest, direction)
+        assert spec.to_device == (direction is Direction.TO_DEVICE)
+    assert lanes[Destination.SSD, Direction.TO_DEVICE].bw == fast.host_bw
 
 
 def test_padding():
@@ -56,6 +71,36 @@ def test_parse_bytes_suffixes():
     assert parse_bytes("3.2TB") == 3200 * 10**9
     with pytest.raises(ConfigError):
         parse_bytes("fast")
+
+
+def test_parse_bytes_takes_every_exact_decimal():
+    # 1.07GB was refused once: float arithmetic made it 1069999999.9999999
+    assert parse_bytes("1.07GB") == 1_070_000_000
+    refused = 0
+    for suffix, mult in (("KB", 10**3), ("MB", 10**6), ("GB", 10**9),
+                         ("TB", 10**12)):
+        for places, step in ((3, 7), (4, 61)):
+            for n in range(1, 50 * 10**places, step):
+                text = f"{n // 10**places}.{n % 10**places:0{places}d}"
+                exact = Decimal(text) * mult
+                if exact == int(exact):
+                    assert parse_bytes(text + suffix) == exact, text + suffix
+                else:
+                    refused += 1
+                    with pytest.raises(ConfigError,
+                                       match="not a whole number"):
+                        parse_bytes(text + suffix)
+    assert refused
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "infinity", "NaN"])
+def test_non_finite_values_are_config_errors(text):
+    with pytest.raises(ConfigError, match="not a finite number"):
+        parse_bytes(text + "KB")
+    with pytest.raises(ConfigError, match="not a finite number"):
+        gbps_to_bytes_per_us(text)
+    with pytest.raises(ConfigError, match="not a finite number"):
+        gbps_to_bytes_per_us(float(text))
 
 
 def test_device_validation():

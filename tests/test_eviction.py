@@ -223,9 +223,9 @@ def test_memo_answers_as_fresh_queries(adds, bookings, queries):
             lanes[second].reserve(start, start + length, None)
         except ReservationOverlapError:
             pass
-    state = SchedulerState(total, {}, {}, pressure, {}, host)
-    dev = make_device(gpu_mem_bytes=10)
-    memo = eviction._Memo(state, dev)
+    state = SchedulerState(total, make_device(gpu_mem_bytes=10), {}, {},
+                           pressure, {}, host)
+    memo = eviction._Memo(state)
     for second, dur, lo, span, size in queries * 2:
         lane = lanes[second]
         hi = lo + span
@@ -339,11 +339,11 @@ def test_booking_a_period_twice_is_a_capacity_violation(device):
     result = SchedulingResult.initial(context)
     period = next(p for p in context.analysis.periods
                   if not p.wraps_iteration)
-    item = score_candidate(period, Destination.SSD, result.state, device)
-    result.book(item, device)
+    item = score_candidate(period, Destination.SSD, result.state)
+    result.book(item)
     with pytest.raises(CapacityViolationError,
                        match="^negative pressure after apply$"):
-        result.book(dataclasses.replace(item, dest=Destination.HOST), device)
+        result.book(dataclasses.replace(item, dest=Destination.HOST))
 
 
 def test_booking_on_a_copy_leaves_the_original_unchanged(s1r_trace, device):
@@ -361,8 +361,8 @@ def test_booking_on_a_copy_leaves_the_original_unchanged(s1r_trace, device):
                         key=lambda p: state.sizes[p.tensor_id])
     # one booking to each tier touches every part of the state
     for period, dest in ((big, Destination.SSD), (small, Destination.HOST)):
-        item = score_candidate(period, dest, booked, device)
-        eviction.apply_candidate(item, booked, device)
+        item = score_candidate(period, dest, booked)
+        eviction.apply_candidate(item, booked)
     after = parts(booked)
     assert parts(state) == before
     assert all(a != b for a, b in zip(after, before))

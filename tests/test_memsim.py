@@ -153,7 +153,7 @@ def test_program_must_match_trace(s1_trace, s1r_trace, device):
     from tensortier.simulate import ProgramInconsistentError
     program = _planned(s1r_trace, device)
     with pytest.raises(ProgramInconsistentError):
-        simulate(s1_trace, program, device)
+        simulate(make_context(s1_trace, device), program)
 
 
 def test_empty_program_faults_for_missing_globals(s1_trace, device):
@@ -287,7 +287,7 @@ def test_run_ahead_waits_for_a_stale_stream_step():
                             "KERNEL 1 k1 20\nKERNEL 2 k2 10\n")
     dev = make_device(gpu_mem_bytes=137_216, fault_chunk_bytes=4_096,
                       fault_handling_us=0)
-    result = simulate(trace, program, dev, policy="base-uvm",
+    result = simulate(make_context(trace, dev), program, policy="base-uvm",
                       keep_events=True,
                       initial_locations={0: "gpu", 1: "gpu", 2: "host",
                                          3: "ssd", 4: "ssd"})
@@ -344,7 +344,7 @@ def test_quiet_chunk_landings_arm_no_advance_and_change_nothing(due):
                             "KERNEL 0 k0 10\nKERNEL 1 k1 20\nKERNEL 2 k2 10\n")
     dev = make_device(gpu_mem_bytes=137_216, fault_chunk_bytes=4_096,
                       fault_handling_us=0)
-    engines = [engine(trace, program, dev, policy="base-uvm",
+    engines = [engine(make_context(trace, dev), program, policy="base-uvm",
                       keep_events=True,
                       initial_locations={0: "gpu", 1: "gpu", 2: "host",
                                          3: "ssd", 4: "ssd"})
@@ -384,7 +384,7 @@ def _equal_time_run(iterations, locations=()):
     dev = make_device(gpu_mem_bytes=49_152, num_iterations=iterations)
     starts = {0: "gpu", 1: "gpu", 2: "gpu", 3: "gpu", 4: "ssd", 5: "host",
               **dict(locations)}
-    return simulate(trace, program, dev, keep_events=True,
+    return simulate(make_context(trace, dev), program, keep_events=True,
                     initial_locations=starts)
 
 
@@ -568,10 +568,11 @@ def test_no_steady_state_replay_with_a_transfer_in_flight(monkeypatch):
     dev = make_device(num_iterations=6)
     starts = {0: "gpu", 1: "gpu"}
     replays = _watch_replays(monkeypatch)
-    fast = simulate(trace, program, dev, keep_events=True,
+    context = make_context(trace, dev)
+    fast = simulate(context, program, keep_events=True,
                     initial_locations=starts)
     monkeypatch.setattr(_Engine, "_fast_forward", lambda engine: False)
-    full = simulate(trace, program, dev, keep_events=True,
+    full = simulate(context, program, keep_events=True,
                     initial_locations=starts)
     assert replays == []
     assert fast == full
@@ -599,10 +600,11 @@ def test_steady_state_waits_for_the_same_gap_after_the_last_kernel(
     dev = make_device(num_iterations=5, fault_handling_us=1)
     starts = {0: "host"}
     replays = _watch_replays(monkeypatch)
-    fast = simulate(trace, program, dev, policy="base-uvm", keep_events=True,
+    context = make_context(trace, dev)
+    fast = simulate(context, program, policy="base-uvm", keep_events=True,
                     initial_locations=starts)
     monkeypatch.setattr(_Engine, "_fast_forward", lambda engine: False)
-    full = simulate(trace, program, dev, policy="base-uvm", keep_events=True,
+    full = simulate(context, program, policy="base-uvm", keep_events=True,
                     initial_locations=starts)
     assert replays == [3]
     assert fast == full

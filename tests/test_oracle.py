@@ -150,7 +150,6 @@ def _assert_walk_books_as_reference(context, allow_host):
     """The depth-first walk yields exactly the combos that book from a
     fresh state, in itertools.product order, each booked the same way.
     Returns the walk's (combo, booked plan) pairs and the combo count."""
-    dev = context.config
     periods = _canonical_periods(context.analysis)
     options = (None, Destination.SSD, Destination.HOST)[:2 + allow_host]
     combos = list(itertools.product(options, repeat=len(periods)))
@@ -159,7 +158,7 @@ def _assert_walk_books_as_reference(context, allow_host):
     reference = [(combo, booked) for combo, booked in reference
                  if booked is not None]
     walked = list(_booked(SchedulingResult.initial(context), periods,
-                          allow_host, dev))
+                          allow_host))
     assert [combo for combo, _ in walked] == [c for c, _ in reference]
     for (combo, got), (_, want) in zip(walked, reference):
         assert _booked_state(got) == _booked_state(want), combo

@@ -44,8 +44,8 @@ def _assert_latest_safe(result):
                                                                 result.state)
 
 
-def _assert_eager_keeps_slack(result, config):
-    eager_reschedule(result, config)
+def _assert_eager_keeps_slack(result):
+    eager_reschedule(result)
     for item in result.plan.items:
         assert item.scheduled_us <= item.latest_safe_us
 
@@ -72,7 +72,7 @@ def test_latest_safe_matches_booked_slot(s1r_trace, device, monkeypatch):
     result = plan_migrations(make_context(s1r_trace, device), eager=False)
     assert result.plan.items
     _assert_latest_safe(result)
-    _assert_eager_keeps_slack(result, device)
+    _assert_eager_keeps_slack(result)
 
     items = {"greedy": 0, "flashneuron": 0}
     for seed in range(12):
@@ -82,18 +82,18 @@ def test_latest_safe_matches_booked_slot(s1r_trace, device, monkeypatch):
                                      eager=False)
             items["greedy"] += len(result.plan.items)
             _assert_latest_safe(result)
-            _assert_eager_keeps_slack(result, dev)
+            _assert_eager_keeps_slack(result)
         result = flashneuron_plan(context)
         items["flashneuron"] += len(result.plan.items)
         _assert_latest_safe(result)
-        _assert_eager_keeps_slack(result, dev)
+        _assert_eager_keeps_slack(result)
     assert all(items.values()), items
 
     real_eager = oracle.eager_reschedule
 
-    def checked_eager(result, config):
+    def checked_eager(result):
         _assert_latest_safe(result)
-        real_eager(result, config)
+        real_eager(result)
 
     monkeypatch.setattr(oracle, "eager_reschedule", checked_eager)
     booked = 0
@@ -104,7 +104,7 @@ def test_latest_safe_matches_booked_slot(s1r_trace, device, monkeypatch):
         context = make_context(trace, dev)
         periods = oracle._canonical_periods(context.analysis)
         start = SchedulingResult.initial(context)
-        for _, result in oracle._booked(start, periods, True, dev):
+        for _, result in oracle._booked(start, periods, True):
             booked += bool(result.plan.items)
             for item in result.plan.items:
                 assert item.scheduled_us <= item.latest_safe_us

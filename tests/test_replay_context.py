@@ -2,7 +2,7 @@
 
 Every plan of `golden/plan_corpus.json` replays through `replay_plan`, as
 its policy replays it, from the context's stream; the reference replays the
-parsed program text with no context, so it is checked and flattened, under
+parsed program text, so it is checked and flattened, under
 the placement, host fallback and hook the policy's description in
 `policies` gives. Program bytes and whole SimResults, event logs included,
 must match. c08-style generated cases replay every policy through one
@@ -10,7 +10,8 @@ context per (trace, device) and match both that reference and `run_policy`,
 which builds its own context. Planning, and an oracle search through the
 context it builds, leave the context as built.
 A program not emitted from the context replays from its own alloc/free
-stream, and a context of another trace or device is refused.
+stream: one emitted from the same trace on another device replays as its
+parsed text does, and one emitted from another trace is refused.
 """
 
 import dataclasses
@@ -33,7 +34,8 @@ from tensortier.policies import (_correlation_hook, faulting_placement,
                                  planned_placement, policy_plan, replay_plan,
                                  run_policy)
 from tensortier.prefetch import plan_migrations
-from tensortier.simulate import ReplayContext, SimulationError, simulate
+from tensortier.simulate import (ProgramInconsistentError, ReplayContext,
+                                 SimulationError, simulate)
 from tensortier.trace import synthesize_trace
 
 PLAN_CORPUS = pathlib.Path(__file__).parent / "golden" / "plan_corpus.json"
@@ -54,7 +56,7 @@ def _outcome(fn):
 
 def _from_text(policy, context, plan):
     """(program text, replay) of plan as policy, replayed from its parsed
-    text with no context: the fault-driven policies start from the faulting
+    text: the fault-driven policies start from the faulting
     placement (deepum-like with a fresh correlation hook), the others from
     the planned one; only flashneuron-like and g10-ssd-only keep off host
     memory."""
@@ -66,9 +68,9 @@ def _from_text(policy, context, plan):
     hook = _correlation_hook() if policy == "deepum-like" else None
     text = serialize_program(emit_program(context, plan))
     return text, _outcome(lambda: simulate(
-        context.trace, parse_program(text), context.config, policy=policy,
-        keep_events=True, allow_host_fallback=allow_host,
-        initial_locations=locations, on_kernel_start=hook))
+        context, parse_program(text), policy=policy, keep_events=True,
+        allow_host_fallback=allow_host, initial_locations=locations,
+        on_kernel_start=hook))
 
 
 def _corpus_plans():
@@ -165,23 +167,34 @@ def test_program_with_its_own_placement_replays_from_its_own_stream():
     assert frees
     moved = parse_program("\n".join(
         [line for line in lines if line not in frees] + frees) + "\n")
-    shared = simulate(trace, moved, dev, keep_events=True, context=context)
-    assert shared == simulate(trace, moved, dev, keep_events=True)
-    assert shared != simulate(trace, emitted, dev, keep_events=True,
-                              context=context)
+    shared = simulate(context, moved, keep_events=True)
+    assert shared == simulate(make_context(trace, dev), moved,
+                              keep_events=True)
+    assert shared != simulate(context, emitted, keep_events=True)
     tail = shared.events[-len(frees) - 1:-1]
     assert [e.split()[1] for e in tail] == ["free"] * len(frees)
 
 
-def test_context_of_another_trace_or_device_is_refused():
-    trace = synthesize_trace(2, 20_480, 20_480, 100, 0)
-    other = synthesize_trace(2, 20_480, 20_480, 100, 0)
-    dev = make_device(gpu_mem_bytes=1 << 20)
+def test_program_of_another_context_is_checked_and_flattened():
+    trace = synthesize_trace(3, (20_480, 28_672), (20_480, 28_672),
+                             (100, 200), 0)
+    dev = make_device(gpu_mem_bytes=131_072)
     context = make_context(trace, dev)
-    program = emit_program(context,
-                           MigrationPlan(context.analysis.timeline.total_us))
-    with pytest.raises(ValueError, match="another trace or config"):
-        simulate(other, program, dev, context=context)
-    with pytest.raises(ValueError, match="another trace or config"):
-        simulate(trace, program, make_device(gpu_mem_bytes=2 << 20),
-                 context=context)
+    program = emit_program(context, policy_plan("g10", context))
+    assert any(ins.op.value == "pre_evict" for ins in program.instructions())
+    # another trace: its kernels differ, so the program is refused
+    other = make_context(synthesize_trace(3, (20_480, 28_672),
+                                          (20_480, 28_672), (100, 200), 1),
+                         dev)
+    with pytest.raises(ProgramInconsistentError):
+        simulate(other, program)
+    # the same trace on another device: replayed as its parsed text is
+    roomier = make_context(trace, make_device(gpu_mem_bytes=262_144))
+    parsed = parse_program(serialize_program(program))
+    for locations in (None, planned_placement(roomier, True)):
+        got = simulate(roomier, program, keep_events=True,
+                       initial_locations=locations)
+        assert got == simulate(roomier, parsed, keep_events=True,
+                               initial_locations=locations)
+    assert got != simulate(context, program, keep_events=True,
+                           initial_locations=planned_placement(context, True))

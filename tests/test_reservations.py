@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_context
-from tensortier.config import Channel, Direction
+from tensortier.config import Destination, Direction
 from tensortier.eviction import SchedulerState
 from tensortier.reservations import LaneReservations, ReservationOverlapError
 
@@ -60,10 +60,12 @@ def test_busy_within():
 
 def test_channel_reservations_are_independent(s1_trace, device):
     lanes = SchedulerState.initial(make_context(s1_trace, device)).lanes
-    assert set(lanes) == {(ch, d) for ch in Channel for d in Direction}
-    lanes[Channel.SSD, Direction.TO_DEVICE].reserve(0, 10, "x")
-    assert lanes[Channel.SSD, Direction.FROM_DEVICE].earliest_slot(10, 0) == 0
-    assert lanes[Channel.HOST, Direction.TO_DEVICE].earliest_slot(10, 0) == 0
+    assert set(lanes) == {(dest, d) for dest in Destination for d in Direction}
+    lanes[Destination.SSD, Direction.TO_DEVICE].reserve(0, 10, "x")
+    assert (lanes[Destination.SSD, Direction.FROM_DEVICE].earliest_slot(10, 0)
+            == 0)
+    assert (lanes[Destination.HOST, Direction.TO_DEVICE].earliest_slot(10, 0)
+            == 0)
 
 
 def _no_overlap(lane, start, end):

@@ -1,5 +1,5 @@
 from conftest import make_context
-from tensortier.config import Channel, DeviceConfig, Direction, transfer_us
+from tensortier.config import DeviceConfig, Direction, transfer_us
 from tensortier.eviction import Destination
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace)
@@ -94,7 +94,7 @@ def test_transfer_time_examples():
     assert context.times[Destination.SSD, 4096] == (16 + 2, 22)
     assert context.times[Destination.HOST, 4096][1] == 3 + 1
     # exact multiples do not round up
-    lane = context.lanes[Channel.SSD, Direction.TO_DEVICE]
+    lane = context.lanes[Destination.SSD, Direction.TO_DEVICE]
     assert transfer_us(6400, lane.bw, lane.latency) == 22
     assert transfer_us(6401, lane.bw, lane.latency) == 23
 
