@@ -105,13 +105,13 @@ def _stages(text: bytes, dev: DeviceConfig):
         ctx["context"] = ReplayContext(analyze(trace), dev)
         return ctx["context"]
 
-    def latest_safe(result):
-        assign_latest_safe(result)
-        return result
+    def latest_safe(state):
+        assign_latest_safe(state)
+        return state
 
-    def eager(result):
-        eager_reschedule(result)
-        return result.plan
+    def eager(state):
+        eager_reschedule(state)
+        return state.plan
 
     def emit(plan):
         return emit_program(ctx["context"], plan)

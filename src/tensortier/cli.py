@@ -30,7 +30,7 @@ from tensortier.simulate import (ProgramInconsistentError, ReplayContext,
                                  SimulationError)
 from tensortier.trace import (TraceError, parse_trace, serialize_trace,
                               synthesize_trace)
-from tensortier.vitality import analyze, characterize
+from tensortier.vitality import analyze
 
 _INPUT_ERRORS = (TraceError, ConfigError, InconsistentPlanError,
                  ProgramParseError, ProgramInconsistentError, SimulationError,
@@ -113,9 +113,8 @@ def _load_trace(cfg: ExperimentConfig, base_dir: str):
 
 def _cmd_analyze(args) -> int:
     cfg, base = _load(args)
-    trace = _load_trace(cfg, base)
-    report = characterize(ReplayContext(analyze(trace), cfg.device))
-    write_tables(characterization_tables(report, trace), args.out)
+    context = ReplayContext(analyze(_load_trace(cfg, base)), cfg.device)
+    write_tables(characterization_tables(context), args.out)
     return 0
 
 
@@ -135,9 +134,8 @@ def _cmd_simulate(args) -> int:
     trace = _load_trace(cfg, base)
     result = run_policy(cfg.policy, trace, cfg.device, seed=cfg.seed,
                         noise_pct=cfg.noise_pct, eager=cfg.eager)
-    # every policy replays the same durations, so their sum is the ideal run
-    tables = simulation_tables(result, result.compute_us)
-    tables["result.json"] = result_json(result, result.compute_us)
+    tables = simulation_tables(result)
+    tables["result.json"] = result_json(result)
     write_tables(tables, args.out)
     return 0
 

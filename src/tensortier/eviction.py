@@ -6,12 +6,12 @@ and prefetch windows on the lanes of its destination. Benefit is the
 pressure-above-capacity area the freed interval removes; cost is the two
 transfer times. Iteration stops once the pressure curve fits GPU memory,
 no candidate helps, or periods run out. A planned migration is a PlanItem
-from scoring to the emitted program, and SchedulingResult.book is the one
-way to book one. The planner reads a simulate.ReplayContext's padded
-sizes, initial pressure curve (each plan books on a copy) and transfer
-times, and never writes them. A SchedulerState is built from a context and
-carries its device, so every planner function takes the state (or the
-result holding it) and no DeviceConfig beside it.
+from scoring to the emitted program, and SchedulerState.book is the one
+way to book one. A SchedulerState holds its plan and its context (a
+simulate.ReplayContext), and the planner functions take the state and no
+DeviceConfig beside it. They read the context's device, padded sizes,
+period order (by_start), initial pressure curve (each plan books on a
+copy) and transfer times, and never write them.
 
 Times on the unrolled axis: a wrapping period's prefetch lands in the next
 iteration's prefix (window values >= total_us map into [0, total) mod total).
@@ -54,7 +54,7 @@ onto the same windows. The round's memo (_Memo) answers each distinct slot
 search (lane, duration, bounds), host-occupancy maximum (e1, p0) and
 benefit (padded size, e1, p0) once, asking the lane or curve on a miss.
 That is exact: a round only reads the planner state, and every write to it
-is SchedulingResult.book between round and picked, which clears the memo
+is SchedulerState.book between round and picked, which clears the memo
 first. score_candidate asks through a fresh memo, so its callers (the
 oracle, FlashNeuron and the reference planner) share no answers.
 
@@ -82,8 +82,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from tensortier.config import (Destination, DeviceConfig, Direction,
-                               transfer_us)
+from tensortier.config import Destination, Direction, transfer_us
 from tensortier.curve import (StepCurve, wrap_add, wrap_max, wrap_pieces,
                               wrap_window_overflow_area)
 from tensortier.reservations import LaneReservations
@@ -124,13 +123,12 @@ class MigrationPlan:
 
 @dataclass
 class SchedulerState:
-    """Planner bookkeeping shared by the eviction and prefetch stages, on
-    the device it was built for."""
+    """A plan and the planner bookkeeping it is booked on, over the tables
+    of context (a simulate.ReplayContext), which it reads and never
+    writes."""
 
-    total_us: int
-    config: DeviceConfig
-    sizes: dict[int, int]          # tensor id -> page-padded size
-    times: dict                    # route_times
+    context: object
+    plan: MigrationPlan
     pressure: StepCurve
     lanes: dict[tuple[Destination, Direction], LaneReservations]  # all four
     host_occupancy: StepCurve
@@ -138,39 +136,32 @@ class SchedulerState:
 
     @classmethod
     def initial(cls, context) -> SchedulerState:
-        """Nothing booked yet: a copy of the unplanned trace's pressure,
-        with the device, sizes, times and lanes of context (a
-        simulate.ReplayContext)."""
+        """An empty plan over a copy of the unplanned trace's pressure,
+        with an empty lane for each of the context's lane keys."""
         total = context.analysis.timeline.total_us
-        return cls(total, context.config, context.sizes, context.times,
-                   context.pressure.copy(),
+        return cls(context, MigrationPlan(total), context.pressure.copy(),
                    {key: LaneReservations() for key in context.lanes},
                    StepCurve(total))
 
     def copy(self) -> SchedulerState:
-        """A state to book on apart from this one; the device, sizes and
-        times are never written."""
-        return SchedulerState(self.total_us, self.config, self.sizes,
-                              self.times, self.pressure.copy(),
-                              {k: v.copy() for k, v in self.lanes.items()},
-                              self.host_occupancy.copy(), self.ssd_occupancy)
-
-
-@dataclass
-class SchedulingResult:
-    plan: MigrationPlan
-    state: SchedulerState
-
-    @classmethod
-    def initial(cls, context) -> SchedulingResult:
-        """An empty plan over the unplanned trace's state."""
-        state = SchedulerState.initial(context)
-        return cls(plan=MigrationPlan(total_us=state.total_us), state=state)
+        """A state to book on apart from this one. Its plan lists the same
+        items, which are not copied."""
+        plan = self.plan
+        return SchedulerState(self.context, MigrationPlan(
+            plan.total_us, plan.items[:], plan.residual_overflow,
+            plan.unschedulable[:]), self.pressure.copy(),
+            {k: v.copy() for k, v in self.lanes.items()},
+            self.host_occupancy.copy(), self.ssd_occupancy)
 
     def book(self, item: PlanItem) -> None:
         """Book item's windows on the state, then add it to the plan."""
-        apply_candidate(item, self.state)
+        apply_candidate(item, self)
         self.plan.items.append(item)
+
+    def residual(self) -> int:
+        """The pressure's overflow area above GPU memory: the one place a
+        plan's residual_overflow is computed."""
+        return self.pressure.overflow_area(self.context.config.gpu_mem_bytes)
 
 
 _STALE = object()  # not computed since something it depends on changed
@@ -219,7 +210,7 @@ class _Memo:
     def __init__(self, state: SchedulerState):
         self.pressure = state.pressure
         self.host = state.host_occupancy
-        self.cap = state.config.gpu_mem_bytes
+        self.cap = state.context.config.gpu_mem_bytes
         self._slots = {}       # (lane, duration, bounds) -> slot start
         self._host_max = {}    # (e1, p0) -> host occupancy maximum
         self._benefits = {}    # (padded size, e1, p0) -> benefit
@@ -262,7 +253,7 @@ class _Memo:
 class _Route:
     """Scoring inputs for evicting one period to one destination.
 
-    Size, lanes and transfer times (from the state's route_times) never
+    Size, lanes and transfer times (the context's route_times) never
     change. The slot starts are kept between rounds: e0 on the outbound
     lane and p0 on the inbound lane (in lane time, before the wrap shift);
     win is the window they make and span its pieces in the iteration. A
@@ -283,19 +274,19 @@ class _Route:
         self.period = period
         self.tensor_id, self.period_start = period.tensor_id, period.start_us
         self.dest = dest
-        self.size = state.sizes[period.tensor_id]
-        self.e_dur, self.p_dur = state.times[dest, self.size]
+        self.size = state.context.sizes[period.tensor_id]
+        self.e_dur, self.p_dur = state.context.times[dest, self.size]
         self.from_lane = state.lanes[dest, Direction.FROM_DEVICE]
         self.to_lane = state.lanes[dest, Direction.TO_DEVICE]
         self.cost_us = self.e_dur + self.p_dur
-        self.total = state.total_us
+        self.total = total = state.plan.total_us
         self.e_lo = period.start_us
         if period.wraps_iteration:
             # eviction completes inside this iteration, prefetch lands
             # entirely in the next iteration's prefix
-            self.e_hi = state.total_us
-            self.p_hi = period.end_us - state.total_us
-            self.shift = state.total_us
+            self.e_hi = total
+            self.p_hi = period.end_us - total
+            self.shift = total
         else:
             self.e_hi = None
             self.p_hi = period.end_us
@@ -332,14 +323,14 @@ class _Route:
         window = self.window(ask)
         if window is None:
             return False
+        config = state.context.config
         if self.dest is Destination.HOST:
             if self.host_ok is None:
                 self.host_ok = (ask.host_max(window[1], window[2]) + self.size
-                                <= state.config.host_mem_bytes)
+                                <= config.host_mem_bytes)
             if not self.host_ok:
                 return False
-        elif (state.ssd_occupancy + self.size
-              > state.config.ssd_capacity_bytes):
+        elif state.ssd_occupancy + self.size > config.ssd_capacity_bytes:
             return False
         if self.benefit is None:
             self.benefit = ask.benefit(self.size, window[1], window[2])
@@ -414,11 +405,11 @@ def _ssd_utilization_high(period: InactivePeriod,
     window = period.end_us - period.start_us
     if window <= 0:
         return False
-    pieces = wrap_pieces(period.start_us, period.end_us, state.total_us)
+    pieces = wrap_pieces(period.start_us, period.end_us, state.plan.total_us)
     for direction in Direction:
         lane = state.lanes[Destination.SSD, direction]
         busy = sum(lane.busy_within(a, b) for a, b in pieces)
-        if busy > state.config.hp_utilization_threshold * window:
+        if busy > state.context.config.hp_utilization_threshold * window:
             return True
     return False
 
@@ -457,9 +448,9 @@ def _better(a, b) -> bool:
 
 def apply_candidate(item: PlanItem, state: SchedulerState) -> None:
     """Book the windows and update pressure and occupancy."""
-    total, config = state.total_us, state.config
+    total, config = state.plan.total_us, state.context.config
     owner = item.owner()
-    size = state.sizes[item.tensor_id]
+    size = state.context.sizes[item.tensor_id]
     state.lanes[item.dest, Direction.FROM_DEVICE].reserve(
         item.evict_start, item.evict_end, owner)
     shift = total if item.prefetch_start >= total else 0
@@ -495,12 +486,12 @@ class _Entry:
     def __init__(self, period, state):
         self.period = period
         self.pieces = wrap_pieces(period.start_us, period.end_us,
-                                  state.total_us)
+                                  state.plan.total_us)
         self.ssd = _Route(period, Destination.SSD, state)
         self.host = _Route(period, Destination.HOST, state)
         # the cache is built before any booking, so the SSD lanes are empty
         self.busy_out = self.busy_in = 0
-        self.busy_limit = (state.config.hp_utilization_threshold
+        self.busy_limit = (state.context.config.hp_utilization_threshold
                            * (period.end_us - period.start_us))
         self.choice = _STALE
 
@@ -530,15 +521,14 @@ class _RouteCache:
     once, and each check forgets only what it is about (round,
     invalidation and memo rules: module docstring)."""
 
-    def __init__(self, periods, state: SchedulerState, allow_host: bool):
+    def __init__(self, state: SchedulerState, allow_host: bool):
         self._state = state
         self._allow_host = allow_host
         self._memo = _Memo(state)
         assert not any(state.lanes[Destination.SSD, d].intervals()
                        for d in Direction), "built after a booking"
         self._entries = {(p.tensor_id, p.start_us): _Entry(p, state)
-                         for p in sorted(periods, key=lambda p: (
-                             p.start_us, p.tensor_id, p.end_us))}
+                         for p in state.context.by_start}
         # the largest clamp of any benefit query
         self._max_size = max((entry.ssd.size
                               for entry in self._entries.values()), default=0)
@@ -574,8 +564,8 @@ class _RouteCache:
         self._memo.clear()
         del self._entries[best.owner()]
         state = self._state
-        config, total = state.config, state.total_us
-        size = state.sizes[best.tensor_id]
+        config, total = state.context.config, state.plan.total_us
+        size = state.context.sizes[best.tensor_id]
         evict = (best.evict_start, best.evict_end)
         shift = total if best.prefetch_start >= total else 0
         prefetch = (best.prefetch_start - shift, best.prefetch_end - shift)
@@ -612,28 +602,27 @@ class _RouteCache:
 
 
 def schedule_evictions(context, *,
-                       allow_host: bool = True) -> SchedulingResult:
+                       allow_host: bool = True) -> SchedulerState:
     """Iterative greedy selection over all inactive periods of context (a
     simulate.ReplayContext)."""
-    config = context.config
-    result = SchedulingResult.initial(context)
-    state, plan = result.state, result.plan
-
-    routes = _RouteCache(context.analysis.periods, state, allow_host)
+    gpu = context.config.gpu_mem_bytes
+    state = SchedulerState.initial(context)
+    plan = state.plan
+    routes = _RouteCache(state, allow_host)
 
     # a round over no periods selects nothing, which ends the loop
-    while state.pressure.max_value() > config.gpu_mem_bytes:
+    while state.pressure.max_value() > gpu:
         best, dropped = routes.round()
         plan.unschedulable.extend((p.tensor_id, p.start_us, p.end_us)
                                   for p in dropped)
         if best is None:
             break
         item = best.item()
-        result.book(item)
+        state.book(item)
         routes.picked(item)
 
-    plan.residual_overflow = state.pressure.overflow_area(config.gpu_mem_bytes)
-    return result
+    plan.residual_overflow = state.residual()
+    return state
 
 
 def plan_to_json(plan: MigrationPlan) -> str:

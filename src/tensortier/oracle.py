@@ -1,24 +1,25 @@
 """Exhaustive reference for the greedy scheduler on small instances.
 
 Enumerates every assignment of inactive periods to {skip, ssd, host},
-books each in canonical period order through the same scoring and
-reservation mechanics the greedy pass uses, then runs each booked plan
-through the simulator and keeps the lowest run time (combos tie on transfer
-cost, then go to the first). _booked books each shared prefix once: depth
-first, options in the order skip, ssd, host, a skip passing the parent's
-state down and a booking scoring on it and booking on a copy. Scoring only
-reads the state, so each leaf is booked as from a fresh state, an
-unbookable period prunes exactly the combos with its prefix, and leaves
-come in itertools.product order. The greedy plan is simulated and admitted
-to the pool and run-time ties go to it, so the reported optimum is never
-worse than greedy, the ratio is always >= 1, and a greedy plan that matches
-the enumerated best is reported as the optimal assignment it is.
+books each in canonical period order (the context's by_start) through the
+same scoring and reservation mechanics the greedy pass uses, then runs each
+booked plan through the simulator and keeps the lowest run time (combos tie
+on transfer cost, then go to the first). _booked books each shared prefix
+once: depth first, options in the order skip, ssd, host, a skip passing the
+parent's SchedulerState down and a booking scoring on it and booking on a
+copy. Scoring only reads the state, so each leaf is booked as from a fresh
+state, an unbookable period prunes exactly the combos with its prefix, and
+leaves come in itertools.product order. Each leaf's plan carries its
+residual_overflow, as a greedy plan does. The greedy plan is simulated and
+admitted to the pool and run-time ties go to it, so the reported optimum is
+never worse than greedy, the ratio is always >= 1, and a greedy plan that
+matches the enumerated best is reported as the optimal assignment it is.
 
 Every plan, greedy's included, replays through policies.replay_plan as g10
 (g10-ssd-only: no host) does. A search builds one simulate.ReplayContext,
 and the greedy plan, the booking walk and every replay read its tables
-(padded sizes, initial pressure curve, transfer times, skeleton). Leaf
-items are shallow copies (plain data).
+(padded sizes, period order, initial pressure curve, transfer times,
+skeleton). Leaf items are shallow copies (plain data).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 from tensortier.config import DeviceConfig
 from tensortier.eviction import (CapacityViolationError, Destination,
-                                 MigrationPlan, SchedulingResult,
+                                 MigrationPlan, SchedulerState,
                                  score_candidate)
 from tensortier.policies import policy_plan, replay_plan
 from tensortier.prefetch import assign_latest_safe, eager_reschedule
@@ -49,16 +50,12 @@ class OracleOutcome:
         return self.greedy_total_us / self.best_total_us
 
 
-def _canonical_periods(analysis: VitalityAnalysis):
-    return sorted(analysis.periods, key=lambda p: (p.start_us, p.tensor_id))
-
-
-def _booked(booked: SchedulingResult, periods, allow_host: bool, combo=()):
-    """(combo, booked plan) for every bookable combo extending combo."""
+def _booked(booked: SchedulerState, periods, allow_host: bool, combo=()):
+    """(combo, booked state) for every bookable combo extending combo."""
     if len(combo) == len(periods):
-        leaf = SchedulingResult(MigrationPlan(
-            booked.plan.total_us, list(map(copy.copy, booked.plan.items))),
-            booked.state.copy())
+        leaf = booked.copy()
+        leaf.plan.items = list(map(copy.copy, leaf.plan.items))
+        leaf.plan.residual_overflow = leaf.residual()
         assign_latest_safe(leaf)
         eager_reschedule(leaf)
         yield combo, leaf
@@ -66,12 +63,10 @@ def _booked(booked: SchedulingResult, periods, allow_host: bool, combo=()):
     for dest in (None, Destination.SSD, Destination.HOST)[:2 + allow_host]:
         child = booked
         if dest is not None:
-            item = score_candidate(periods[len(combo)], dest, booked.state)
+            item = score_candidate(periods[len(combo)], dest, booked)
             if item is None:
                 continue
-            child = SchedulingResult(MigrationPlan(
-                booked.plan.total_us, booked.plan.items[:]),
-                booked.state.copy())
+            child = booked.copy()
             try:
                 child.book(item)
             except CapacityViolationError:
@@ -88,12 +83,12 @@ def _fingerprint(plan: MigrationPlan):
 
 def best_assignment(analysis: VitalityAnalysis, config: DeviceConfig, *,
                     allow_host: bool = True) -> OracleOutcome:
-    periods = _canonical_periods(analysis)
-    if len(periods) > MAX_PERIODS:
-        raise ValueError(
-            f"{len(periods)} periods is past the exhaustive search limit")
+    if len(analysis.periods) > MAX_PERIODS:
+        raise ValueError(f"{len(analysis.periods)} periods is past the "
+                         f"exhaustive search limit")
     policy = "g10" if allow_host else "g10-ssd-only"
     context = ReplayContext(analysis, config)
+    periods = context.by_start
     greedy = policy_plan(policy, context)
 
     def run(plan: MigrationPlan) -> int:
@@ -104,7 +99,7 @@ def best_assignment(analysis: VitalityAnalysis, config: DeviceConfig, *,
     combo_best = None
     combo_assign = None
     seen: dict = {_fingerprint(greedy): greedy_total}
-    start = SchedulingResult.initial(context)
+    start = SchedulerState.initial(context)
     for combo, booked in _booked(start, periods, allow_host):
         key = _fingerprint(booked.plan)
         if key in seen:

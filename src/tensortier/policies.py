@@ -18,9 +18,9 @@ g10-ssd-only       the same planner forbidden from touching host memory
 
 Every stage of a run reads one simulate.ReplayContext, built from the
 trace's analysis on the device, and takes the trace and the device from it
-alone: the planners its padded sizes, initial pressure curve and transfer
-times (through the SchedulerState built from it, which carries the
-device), the placements its sizes, and the emitter and the replay
+alone: the planners its padded sizes, period order, initial pressure curve
+and transfer times (through the SchedulerState that holds it and the
+plan), the placements its sizes, and the emitter and the replay
 (simulate(context, program)) its skeleton and stream. replay_plan decides
 how a policy replays a plan (initial placement, host fallback, deepum-like
 hook); run_policy and the oracle plan and replay through it and one
@@ -30,7 +30,7 @@ context.
 from __future__ import annotations
 
 from tensortier.config import POLICY_NAMES, DeviceConfig
-from tensortier.eviction import (Destination, MigrationPlan, SchedulingResult,
+from tensortier.eviction import (Destination, MigrationPlan, SchedulerState,
                                  score_candidate)
 from tensortier.instrument import emit_program
 from tensortier.prefetch import assign_latest_safe, plan_migrations
@@ -81,25 +81,22 @@ def faulting_placement(context) -> dict[int, str]:
     return _spill(context, 0, True)
 
 
-def flashneuron_plan(context) -> SchedulingResult:
+def flashneuron_plan(context) -> SchedulerState:
     """Offload intermediates in birth order until the curve fits. Pressure
     left above capacity shows as residual_overflow > 0."""
-    analysis, config = context.analysis, context.config
-    result = SchedulingResult.initial(context)
-    state, plan = result.state, result.plan
-    periods = sorted(
-        (p for p in analysis.periods
-         if not analysis.lifetimes[p.tensor_id].is_global),
-        key=lambda p: (p.start_us, p.tensor_id))
-    for period in periods:
-        if state.pressure.max_value() <= config.gpu_mem_bytes:
+    lifetimes, gpu = context.analysis.lifetimes, context.config.gpu_mem_bytes
+    state = SchedulerState.initial(context)
+    for period in context.by_start:
+        if lifetimes[period.tensor_id].is_global:
+            continue
+        if state.pressure.max_value() <= gpu:
             break
         item = score_candidate(period, Destination.SSD, state)
         if item is not None:
-            result.book(item)
-    plan.residual_overflow = state.pressure.overflow_area(config.gpu_mem_bytes)
-    assign_latest_safe(result)
-    return result
+            state.book(item)
+    state.plan.residual_overflow = state.residual()
+    assign_latest_safe(state)
+    return state
 
 
 def _correlation_hook():

@@ -5,29 +5,29 @@ meets its deadline. That placement is fragile: any upstream delay at run
 time turns directly into a stall. The eager pass walks the planned
 prefetches in start order and pulls each one as early as GPU headroom and
 its lane allow, keeping the original latest feasible start as slack
-metadata on the plan item.
+metadata on the plan item. Both passes take the plan's SchedulerState.
 """
 
 from __future__ import annotations
 
 from tensortier.config import Direction
 from tensortier.curve import wrap_add
-from tensortier.eviction import (Destination, SchedulingResult,
+from tensortier.eviction import (Destination, SchedulerState,
                                  schedule_evictions)
 
 
-def assign_latest_safe(result: SchedulingResult) -> None:
+def assign_latest_safe(state: SchedulerState) -> None:
     """Record each booked prefetch start as its latest safe start.
 
     Booking took the latest slot on the inbound lane that meets the
     period's deadline, and later bookings only take lane time, so no later
     start has become free since: the booked start is the latest safe one.
     """
-    for item in result.plan.items:
+    for item in state.plan.items:
         item.latest_safe_us = item.scheduled_us = item.prefetch_start
 
 
-def eager_reschedule(result: SchedulingResult) -> None:
+def eager_reschedule(state: SchedulerState) -> None:
     """Pull prefetches earlier where capacity allows.
 
     For each item (ascending start, then tensor id) the earliest viable
@@ -36,12 +36,12 @@ def eager_reschedule(result: SchedulingResult) -> None:
     lane. Wrapping prefetches stay inside the next iteration's prefix.
     Idempotent: a second pass finds no headroom left.
     """
-    state = result.state
-    total, gpu = state.total_us, state.config.gpu_mem_bytes
-    order = sorted(result.plan.items,
+    total, gpu = state.plan.total_us, state.context.config.gpu_mem_bytes
+    sizes = state.context.sizes
+    order = sorted(state.plan.items,
                    key=lambda it: (it.scheduled_us, it.tensor_id))
     for item in order:
-        size = state.sizes[item.tensor_id]
+        size = sizes[item.tensor_id]
         cap = gpu - size
         t_i = item.scheduled_us
         if item.wraps:
@@ -70,12 +70,12 @@ def eager_reschedule(result: SchedulingResult) -> None:
 
 
 def plan_migrations(context, *, allow_host: bool = True,
-                    eager: bool = True) -> SchedulingResult:
+                    eager: bool = True) -> SchedulerState:
     """Full planning pipeline over context (a simulate.ReplayContext):
     greedy eviction booking, slack annotation, then the optional eager
     pass."""
-    result = schedule_evictions(context, allow_host=allow_host)
-    assign_latest_safe(result)
+    state = schedule_evictions(context, allow_host=allow_host)
+    assign_latest_safe(state)
     if eager:
-        eager_reschedule(result)
-    return result
+        eager_reschedule(state)
+    return state

@@ -4,6 +4,10 @@ Every table is built as text so it can go to a file in a result directory
 or be streamed to stdout as sections separated by `# <name>` comment lines.
 render_csv quotes fields as the csv module does; kernels.csv, all numbers,
 is written one f-string per row, in the bytes render_csv would write.
+
+The analyze tables are written from a simulate.ReplayContext. A run's
+ideal_us is its compute_us: every policy replays the same durations, so
+their sum is the ideal run.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ import json
 import os
 
 from tensortier.simulate import SimResult
-from tensortier.trace import WorkloadTrace
-from tensortier.vitality import CharacterizationReport
 
 
 def render_csv(header: list[str], rows: list[list]) -> str:
@@ -29,12 +31,17 @@ def render_csv(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def characterization_tables(report: CharacterizationReport,
-                            trace: WorkloadTrace) -> dict[str, str]:
-    occupancy_rows = [[o.kernel_index, o.name, o.active_bytes, o.total_bytes]
-                      for o in report.occupancy]
+def characterization_tables(context) -> dict[str, str]:
+    """Each kernel's working set against everything live while it runs
+    (the initial pressure's maximum over it), and the inactive periods."""
+    trace, analysis = context.trace, context.analysis
+    occupancy_rows = [[k.index, k.name, active,
+                       context.pressure.max_over(start, end)]
+                      for k, active, start, end in zip(
+                          trace.kernels, context.working_sets,
+                          analysis.timeline.starts, analysis.timeline.ends)]
 
-    lengths = sorted(p.length_us() for p in report.periods)
+    lengths = sorted(p.length_us() for p in analysis.periods)
     cdf_rows = []
     n = len(lengths)
     for i, length in enumerate(lengths):
@@ -43,7 +50,7 @@ def characterization_tables(report: CharacterizationReport,
         cdf_rows.append([length, (i + 1) / n])
 
     scatter_rows = [[p.tensor_id, trace.tensors[p.tensor_id].size_bytes,
-                     p.length_us()] for p in report.periods]
+                     p.length_us()] for p in analysis.periods]
 
     return {
         "active_vs_total.csv": render_csv(
@@ -55,13 +62,13 @@ def characterization_tables(report: CharacterizationReport,
     }
 
 
-def simulation_tables(result: SimResult, ideal_us: int) -> dict[str, str]:
+def simulation_tables(result: SimResult) -> dict[str, str]:
     # a row with no stall has slowdown d / d, exactly 1.0
     kernel_rows = [f"{i},{start},{end},{stall},"
                    f"{(stall + end - start) / (end - start):.6f}\n" if stall
                    else f"{i},{start},{end},0,1.000000\n"
                    for i, _, _, _, start, end, stall in result.kernels]
-    summary_rows = [[result.policy, result.total_us, ideal_us,
+    summary_rows = [[result.policy, result.total_us, result.compute_us,
                      result.compute_us, result.overlap_us, result.stall_us,
                      result.faults]]
     t = result.traffic
@@ -77,11 +84,11 @@ def simulation_tables(result: SimResult, ideal_us: int) -> dict[str, str]:
     }
 
 
-def result_json(result: SimResult, ideal_us: int) -> str:
+def result_json(result: SimResult) -> str:
     doc = {
         "policy": result.policy,
         "total_us": result.total_us,
-        "ideal_us": ideal_us,
+        "ideal_us": result.compute_us,
         "compute_us": result.compute_us,
         "overlap_us": result.overlap_us,
         "stall_us": result.stall_us,

@@ -19,8 +19,10 @@ one place they are padded), each kernel's tensors and their bytes, the four
 lanes' constants (DeviceConfig.lane, keyed by destination and direction),
 and, built on first use so that a stage builds only what it reads,
 instrument's skeleton (a Program of no directives), its stream and each
-kernel's sorted ids, the initial pressure curve and the planner's transfer
-times. The planner modules read its attributes and never import it.
+kernel's sorted ids, the periods in canonical order (by_start), the initial
+pressure curve and the planner's transfer times. The planners (through the
+SchedulerState that holds it) and the analyze tables read its attributes
+and never import it.
 simulate(context, program) replays on the context's trace and device, and
 takes them from nowhere else. A replay, not the context's construction,
 raises the first working set over capacity. A program emitted from the
@@ -300,6 +302,15 @@ class ReplayContext:
     @cached_property
     def ids(self):
         return tuple(tuple(sorted(ids)) for ids in self.touched)
+
+    @cached_property
+    def by_start(self):
+        """The inactive periods by start, then tensor id: the order the
+        planners walk and the oracle assigns in. A tensor's periods start
+        at the ends of distinct uses and do not overlap, so no two share a
+        start and no third key is needed."""
+        return tuple(sorted(self.analysis.periods,
+                            key=lambda p: (p.start_us, p.tensor_id)))
 
     @cached_property
     def pressure(self):
@@ -583,9 +594,9 @@ class _Engine:
             lane.queue.append(xfer)
         self._kick(lane)
 
-    def _fallback_dest(self, tensor: _Tensor) -> str:
-        if (self.allow_host_fallback
-                and self.host_used + tensor.size <= self.config.host_mem_bytes):
+    def _dest(self, tensor: _Tensor, host: bool) -> str:
+        """Host memory if host is set and has room for tensor, else flash."""
+        if host and self.host_used + tensor.size <= self.config.host_mem_bytes:
             return HOST
         if self.ssd_used + tensor.size > self.config.ssd_capacity_bytes:
             raise SimulationError("no tier can hold the evicted tensor")
@@ -637,8 +648,9 @@ class _Engine:
             else:
                 self._pending.append(
                     f"{self.now} lru_evict t{tid} cause {cause}\n")
-                self._enqueue_evict(victim, self._fallback_dest(victim),
-                                    front=True)
+                self._enqueue_evict(
+                    victim, self._dest(victim, self.allow_host_fallback),
+                    front=True)
                 outgoing += victim.size
         for entry in held:
             heappush(heap, entry)
@@ -666,14 +678,8 @@ class _Engine:
                 self._pending.append(
                     f"{self.now} defer pre_evict t{tensor.id}\n")
                 return
-            dest = HOST if ins.dest is Destination.HOST else SSD
-            if dest is HOST and (self.host_used + tensor.size
-                                 > self.config.host_mem_bytes):
-                dest = SSD
-            if (dest is SSD and self.ssd_used + tensor.size
-                    > self.config.ssd_capacity_bytes):
-                raise SimulationError("planned eviction has no room")
-            self._enqueue_evict(tensor, dest)
+            self._enqueue_evict(
+                tensor, self._dest(tensor, ins.dest is Destination.HOST))
         else:
             # an eviction still in flight (or parked behind the running
             # kernel) is this prefetch's partner: hold and re-fire once it

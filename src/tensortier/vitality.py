@@ -5,7 +5,9 @@ and which are born and die inside it, then derives per-tensor lifetimes,
 inactive periods, and the GPU memory pressure curve the planner works
 against. All times are integer microseconds on the single-iteration axis;
 global tensors additionally get a wrapping period whose end lies in the next
-replay (end_us > total_us).
+replay (end_us > total_us). The analysis is characterised once per device by
+a simulate.ReplayContext, which the planners, the emitter, the replay and
+the analyze tables (reporting.characterization_tables) all read.
 """
 
 from __future__ import annotations
@@ -159,29 +161,3 @@ def initial_pressure_curve(analysis: VitalityAnalysis,
             curve.add(timeline.starts[life.birth_kernel],
                       timeline.ends[life.death_kernel], size)
     return curve
-
-
-@dataclass(frozen=True)
-class KernelOccupancy:
-    kernel_index: int
-    name: str
-    active_bytes: int     # inputs + outputs of the kernel itself
-    total_bytes: int      # everything live while it runs
-
-
-@dataclass(frozen=True)
-class CharacterizationReport:
-    occupancy: tuple[KernelOccupancy, ...]
-    periods: tuple[InactivePeriod, ...]
-
-
-def characterize(context) -> CharacterizationReport:
-    """Active-vs-total bytes per kernel plus the period population, from a
-    simulate.ReplayContext's working sets and initial pressure curve."""
-    analysis, curve = context.analysis, context.pressure
-    rows = []
-    for k, active in zip(analysis.trace.kernels, context.working_sets):
-        total = curve.max_over(analysis.timeline.starts[k.index],
-                               analysis.timeline.ends[k.index])
-        rows.append(KernelOccupancy(k.index, k.name, active, total))
-    return CharacterizationReport(tuple(rows), analysis.periods)

@@ -5,7 +5,7 @@ tests can require the two to agree exactly.
 """
 
 from tensortier.config import Direction
-from tensortier.eviction import (CapacityViolationError, SchedulingResult,
+from tensortier.eviction import (CapacityViolationError, SchedulerState,
                                  _better, choose_destination, score_candidate)
 from tensortier.prefetch import assign_latest_safe, eager_reschedule
 
@@ -26,8 +26,8 @@ def schedule_evictions_fresh(context, *, allow_host=True):
     """schedule_evictions with no kept state: every round calls
     choose_destination afresh for every remaining period."""
     config = context.config
-    result = SchedulingResult.initial(context)
-    state, plan = result.state, result.plan
+    state = SchedulerState.initial(context)
+    plan = state.plan
     remaining = {
         (p.tensor_id, p.start_us): p
         for p in sorted(context.analysis.periods,
@@ -46,10 +46,10 @@ def schedule_evictions_fresh(context, *, allow_host=True):
         if not candidates:
             break
         best = select_best(candidates)
-        result.book(best)
+        state.book(best)
         del remaining[best.owner()]
     plan.residual_overflow = state.pressure.overflow_area(config.gpu_mem_bytes)
-    return result
+    return state
 
 
 def latest_safe_prefetch_time(item, state) -> int:
@@ -61,14 +61,15 @@ def latest_safe_prefetch_time(item, state) -> int:
     lane.release(item.owner())
     try:
         if item.wraps:
-            rel = lane.latest_slot(dur, item.period_end - state.total_us)
-            start = None if rel is None else rel + state.total_us
+            total = state.plan.total_us
+            rel = lane.latest_slot(dur, item.period_end - total)
+            start = None if rel is None else rel + total
         else:
             start = lane.latest_slot(dur, item.period_end)
     finally:
         stored = item.prefetch_start
         if item.wraps:
-            stored -= state.total_us
+            stored -= state.plan.total_us
         lane.reserve(stored, stored + dur, item.owner())
     if start is None or start < item.prefetch_start:
         raise RuntimeError("booked prefetch window is no longer feasible")
@@ -79,17 +80,17 @@ def book_combo(context, periods, dests):
     """The oracle's booked plan for one assignment of periods (canonical
     order) to destinations (None skips), booked from a fresh state; None
     when it cannot be booked."""
-    result = SchedulingResult.initial(context)
+    state = SchedulerState.initial(context)
     for period, dest in zip(periods, dests):
         if dest is None:
             continue
-        item = score_candidate(period, dest, result.state)
+        item = score_candidate(period, dest, state)
         if item is None:
             return None
         try:
-            result.book(item)
+            state.book(item)
         except CapacityViolationError:
             return None
-    assign_latest_safe(result)
-    eager_reschedule(result)
-    return result
+    assign_latest_safe(state)
+    eager_reschedule(state)
+    return state

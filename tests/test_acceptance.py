@@ -241,8 +241,7 @@ def _prop_pressure_monotone_under_apply(case):
     context = make_context(trace, dev)
     state = SchedulerState.initial(context)
     applied = 0
-    for period in sorted(context.analysis.periods,
-                         key=lambda p: (p.start_us, p.tensor_id)):
+    for period in context.by_start:
         if applied >= 4:
             break
         cand = choose_destination(period, state)
@@ -265,7 +264,7 @@ def _prop_reservations_disjoint(case):
     result = plan_migrations(make_context(trace, dev))
     for dest in Destination:
         for d in Direction:
-            ivals = sorted(result.state.lanes[dest, d].intervals())
+            ivals = sorted(result.lanes[dest, d].intervals())
             for (_, e0, _), (s1, _, _) in zip(ivals, ivals[1:]):
                 assert e0 <= s1
 

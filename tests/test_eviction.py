@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,7 @@ from tensortier import eviction
 from tensortier.config import DeviceConfig
 from tensortier.curve import StepCurve, wrap_max, wrap_window_overflow_area
 from tensortier.eviction import (CapacityViolationError, Destination,
-                                 PlanItem, SchedulerState, SchedulingResult,
+                                 MigrationPlan, PlanItem, SchedulerState,
                                  plan_from_json, plan_to_json,
                                  schedule_evictions, score_candidate)
 from tensortier.reservations import LaneReservations, ReservationOverlapError
@@ -223,8 +224,9 @@ def test_memo_answers_as_fresh_queries(adds, bookings, queries):
             lanes[second].reserve(start, start + length, None)
         except ReservationOverlapError:
             pass
-    state = SchedulerState(total, make_device(gpu_mem_bytes=10), {}, {},
-                           pressure, {}, host)
+    # the memo reads the state's curves and its context's GPU memory only
+    context = types.SimpleNamespace(config=make_device(gpu_mem_bytes=10))
+    state = SchedulerState(context, MigrationPlan(total), pressure, {}, host)
     memo = eviction._Memo(state)
     for second, dur, lo, span, size in queries * 2:
         lane = lanes[second]
@@ -336,33 +338,34 @@ def test_booking_a_period_twice_is_a_capacity_violation(device):
         KernelRecord(2, "c", 10, frozenset({0}), frozenset()),
     )
     context = make_context(WorkloadTrace(tensors, kernels), device)
-    result = SchedulingResult.initial(context)
+    state = SchedulerState.initial(context)
     period = next(p for p in context.analysis.periods
                   if not p.wraps_iteration)
-    item = score_candidate(period, Destination.SSD, result.state)
-    result.book(item)
+    item = score_candidate(period, Destination.SSD, state)
+    state.book(item)
     with pytest.raises(CapacityViolationError,
                        match="^negative pressure after apply$"):
-        result.book(dataclasses.replace(item, dest=Destination.HOST))
+        state.book(dataclasses.replace(item, dest=Destination.HOST))
 
 
 def test_booking_on_a_copy_leaves_the_original_unchanged(s1r_trace, device):
     def parts(state):
         return (state.pressure.breakpoints(),
                 {key: lane.intervals() for key, lane in state.lanes.items()},
-                state.host_occupancy.breakpoints(), state.ssd_occupancy)
+                state.host_occupancy.breakpoints(), state.ssd_occupancy,
+                list(state.plan.items))
 
     context = make_context(s1r_trace, device)
     state = SchedulerState.initial(context)
     before = parts(state)
     booked = state.copy()
-    assert parts(booked) == before and booked.sizes is state.sizes
+    assert parts(booked) == before and booked.context is state.context
     small, big = sorted(context.analysis.periods,
-                        key=lambda p: state.sizes[p.tensor_id])
+                        key=lambda p: context.sizes[p.tensor_id])
     # one booking to each tier touches every part of the state
     for period, dest in ((big, Destination.SSD), (small, Destination.HOST)):
         item = score_candidate(period, dest, booked)
-        eviction.apply_candidate(item, booked)
+        booked.book(item)
     after = parts(booked)
     assert parts(state) == before
     assert all(a != b for a, b in zip(after, before))

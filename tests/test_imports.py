@@ -1,15 +1,15 @@
 """Every import binds a name its module uses.
 
-Each module under src/ and tests/ is parsed with `ast`. A name bound by an
-import must be read somewhere in the module, or be listed in its `__all__`
-when it is there to be re-exported.
+Each module under src/, tests/ and benchmarks/ is parsed with `ast`. A name
+bound by an import must be read somewhere in the module, or be listed in its
+`__all__` when it is there to be re-exported.
 """
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted(path for top in ("src", "tests")
+MODULES = sorted(path for top in ("src", "tests", "benchmarks")
                  for path in (ROOT / top).rglob("*.py"))
 
 

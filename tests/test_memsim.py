@@ -11,8 +11,9 @@ from tensortier.config import DeviceConfig
 from tensortier.instrument import emit_program, parse_program
 from tensortier.policies import run_policy
 from tensortier.prefetch import plan_migrations
-from tensortier.simulate import (_HASH_BLOCK, GPU, KernelStat, _Engine,
-                                 ideal_run, perturb_durations, simulate,
+from tensortier.simulate import (_HASH_BLOCK, GPU, KernelStat,
+                                 SimulationError, _Engine, ideal_run,
+                                 perturb_durations, simulate,
                                  ssd_lifetime_years)
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace, synthesize_trace)
@@ -579,6 +580,34 @@ def test_no_steady_state_replay_with_a_transfer_in_flight(monkeypatch):
     assert "20 iteration 1" in fast.events
     assert "26 xfer_done prefetch t0" in fast.events
     assert "50 xfer_done prefetch t0" in fast.events
+
+
+def test_planned_host_eviction_falls_back_to_flash_then_fails():
+    # w0's planned host eviction goes to host memory while it has room, to
+    # flash once w2 fills host memory, and nowhere once w3 fills flash too
+    tensors = {t: TensorDescriptor(t, 8_192, TensorKind.GLOBAL)
+               for t in range(4)}
+    kernels = (KernelRecord(0, "k0", 10, frozenset({0}), frozenset()),
+               KernelRecord(1, "k1", 10, frozenset({1}), frozenset()))
+    trace = WorkloadTrace(tensors=tensors, kernels=kernels)
+    program = parse_program("G10 pre_evict 0 8192 host @12\nKERNEL 0 k0 10\n"
+                            "G10 prefetch 0 8192 @18\nKERNEL 1 k1 10\n")
+    starts = {0: "gpu", 1: "gpu", 2: "host", 3: "ssd"}
+
+    def evictions(**device):
+        result = simulate(make_context(trace, make_device(**device)),
+                          program, keep_events=True, initial_locations=starts)
+        t = result.traffic
+        return ([line for line in result.events if "xfer_start evict" in line],
+                (t.ssd_write, t.host_out))
+
+    assert evictions() == (["12 xfer_start evict t0 host/from_device 8192"],
+                           (0, 8_192))
+    assert evictions(host_mem_bytes=8_192) == (
+        ["12 xfer_start evict t0 ssd/from_device 8192"], (8_192, 0))
+    with pytest.raises(SimulationError,
+                       match="^no tier can hold the evicted tensor$"):
+        evictions(host_mem_bytes=8_192, ssd_capacity_bytes=8_192)
 
 
 def test_steady_state_waits_for_the_same_gap_after_the_last_kernel(

@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 
 from conftest import make_context, make_device
 from reference_planner import book_combo
-from tensortier.eviction import Destination, SchedulingResult
-from tensortier.oracle import (MAX_PERIODS, _booked, _canonical_periods,
-                               best_assignment)
+from tensortier.eviction import Destination, SchedulerState
+from tensortier.oracle import MAX_PERIODS, _booked, best_assignment
 from tensortier.policies import run_policy
 from tensortier.trace import synthesize_trace
 from tensortier.vitality import analyze
@@ -138,10 +137,9 @@ def test_ssd_only_greedy_total_is_the_g10_ssd_only_replay(seed, gpu_kib):
         out.greedy_total_us)
 
 
-def _booked_state(result):
+def _booked_state(state):
     """A booked plan's items and every part of its final state."""
-    state = result.state
-    return (result.plan.items, state.pressure.breakpoints(),
+    return (state.plan.items, state.pressure.breakpoints(),
             {key: lane.intervals() for key, lane in state.lanes.items()},
             state.host_occupancy.breakpoints(), state.ssd_occupancy)
 
@@ -149,15 +147,15 @@ def _booked_state(result):
 def _assert_walk_books_as_reference(context, allow_host):
     """The depth-first walk yields exactly the combos that book from a
     fresh state, in itertools.product order, each booked the same way.
-    Returns the walk's (combo, booked plan) pairs and the combo count."""
-    periods = _canonical_periods(context.analysis)
+    Returns the walk's (combo, booked state) pairs and the combo count."""
+    periods = context.by_start
     options = (None, Destination.SSD, Destination.HOST)[:2 + allow_host]
     combos = list(itertools.product(options, repeat=len(periods)))
     reference = [(combo, book_combo(context, periods, combo))
                  for combo in combos]
     reference = [(combo, booked) for combo, booked in reference
                  if booked is not None]
-    walked = list(_booked(SchedulingResult.initial(context), periods,
+    walked = list(_booked(SchedulerState.initial(context), periods,
                           allow_host))
     assert [combo for combo, _ in walked] == [c for c, _ in reference]
     for (combo, got), (_, want) in zip(walked, reference):
@@ -191,6 +189,21 @@ def test_walk_books_c04_traces_as_reference(layers, seed, gpu_kib, host_kib,
                       ssd_write_bw=bw, host_bw=bw)
     _assert_walk_books_as_reference(make_context(_c04_style(layers, seed),
                                                  dev), allow_host)
+
+
+@pytest.mark.parametrize("allow_host", [True, False])
+def test_walk_leaves_carry_their_residual(allow_host):
+    # c04's device is too small for c04's traces, so the leaves that book
+    # too little leave overflow behind
+    dev = make_device(gpu_mem_bytes=131_072)
+    context = make_context(_c04_trace(0), dev)
+    residuals = []
+    for _, leaf in _booked(SchedulerState.initial(context), context.by_start,
+                           allow_host):
+        assert leaf.plan.residual_overflow == leaf.pressure.overflow_area(
+            dev.gpu_mem_bytes)
+        residuals.append(leaf.plan.residual_overflow)
+    assert max(residuals) > 0
 
 
 def test_walk_prunes_and_reschedules():

@@ -5,7 +5,7 @@ from conftest import make_context, make_device
 from reference_planner import latest_safe_prefetch_time
 from tensortier import oracle
 from tensortier.config import DeviceConfig
-from tensortier.eviction import SchedulingResult, plan_to_json
+from tensortier.eviction import SchedulerState, plan_to_json
 from tensortier.policies import flashneuron_plan
 from tensortier.prefetch import eager_reschedule, plan_migrations
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
@@ -40,8 +40,7 @@ def _assert_latest_safe(result):
     for item in result.plan.items:
         assert item.latest_safe_us == item.prefetch_start
         assert item.scheduled_us == item.latest_safe_us
-        assert item.latest_safe_us == latest_safe_prefetch_time(item,
-                                                                result.state)
+        assert item.latest_safe_us == latest_safe_prefetch_time(item, result)
 
 
 def _assert_eager_keeps_slack(result):
@@ -102,9 +101,8 @@ def test_latest_safe_matches_booked_slot(s1r_trace, device, monkeypatch):
                                  (100, 200), seed)
         dev = make_device(gpu_mem_bytes=131_072)
         context = make_context(trace, dev)
-        periods = oracle._canonical_periods(context.analysis)
-        start = SchedulingResult.initial(context)
-        for _, result in oracle._booked(start, periods, True):
+        start = SchedulerState.initial(context)
+        for _, result in oracle._booked(start, context.by_start, True):
             booked += bool(result.plan.items)
             for item in result.plan.items:
                 assert item.scheduled_us <= item.latest_safe_us
@@ -187,7 +185,7 @@ def test_plan_invariants_on_synthetic_traces(layers, seed, eager):
         else:
             assert item.period_end <= total
     # the planner never leaves pressure above its starting maximum
-    assert result.state.pressure.max_value() >= 0
+    assert result.pressure.max_value() >= 0
     # a kernel's tensors have no inactive period while it runs, so neither
     # planner can bring an oversized working set under capacity
     if max(sum(device.padded(trace.tensors[t].size_bytes)

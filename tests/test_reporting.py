@@ -10,7 +10,6 @@ from tensortier.reporting import (characterization_tables, render_csv,
                                   write_tables)
 from tensortier.simulate import (KernelStat, SimResult, SimulationError,
                                  Traffic, ideal_run)
-from tensortier.vitality import characterize
 
 REPLAYED = ("base-uvm", "deepum-like", "flashneuron-like", "g10",
             "g10-ssd-only")
@@ -36,8 +35,7 @@ def test_render_csv_mixed_rows_are_byte_stable():
 
 
 def test_characterization_tables(s1r_trace, device):
-    report = characterize(make_context(s1r_trace, device))
-    tables = characterization_tables(report, s1r_trace)
+    tables = characterization_tables(make_context(s1r_trace, device))
     assert set(tables) == {"active_vs_total.csv", "period_cdf.csv",
                            "period_scatter.csv"}
     assert tables["active_vs_total.csv"].splitlines() == [
@@ -61,8 +59,9 @@ def test_characterization_tables(s1r_trace, device):
 
 def test_simulation_tables(s1r_trace, device):
     result = run_policy("g10", s1r_trace, device)
-    ideal = ideal_run(s1r_trace, device)
-    tables = simulation_tables(result, ideal.total_us)
+    # the ideal_us column is the compute time, which is the ideal run's
+    assert ideal_run(s1r_trace, device).total_us == result.compute_us
+    tables = simulation_tables(result)
     assert tables["summary.csv"].splitlines() == [
         "policy,total_us,ideal_us,compute_us,overlap_us,stall_us,faults",
         "g10,130,100,100,10,30,0",
@@ -93,7 +92,7 @@ def test_kernels_csv_matches_render_csv_on_s1r(s1r_trace, device):
         for noise in (0.0, 0.2):
             result = run_policy(name, s1r_trace, device, seed=3,
                                 noise_pct=noise)
-            assert (simulation_tables(result, 100)["kernels.csv"]
+            assert (simulation_tables(result)["kernels.csv"]
                     == _render_csv_kernels(result)), (name, noise)
 
 
@@ -108,7 +107,7 @@ def test_kernels_csv_matches_render_csv_on_generated_cases(case):
                                     noise_pct=noise)
             except SimulationError:
                 continue
-            assert (simulation_tables(result, 0)["kernels.csv"]
+            assert (simulation_tables(result)["kernels.csv"]
                     == _render_csv_kernels(result)), (name, noise)
 
 
@@ -126,7 +125,7 @@ def test_kernels_csv_rounds_slowdowns_as_render_csv():
         now = start + duration
     result = SimResult("g10", now, now, 0, 0, 0, Traffic(), kernels, {}, [],
                        "")
-    text = simulation_tables(result, now)["kernels.csv"]
+    text = simulation_tables(result)["kernels.csv"]
     assert text == _render_csv_kernels(result)
     assert text.splitlines()[1:3] == ["0,1,129,1,1.007812",
                                       "1,132,260,3,1.023438"]
@@ -134,7 +133,7 @@ def test_kernels_csv_rounds_slowdowns_as_render_csv():
 
 def test_result_json_round_trips(s1r_trace, device):
     result = run_policy("g10", s1r_trace, device)
-    doc = json.loads(result_json(result, 100))
+    doc = json.loads(result_json(result))
     assert doc["policy"] == "g10"
     assert doc["total_us"] == 130
     assert doc["ideal_us"] == 100

@@ -1,12 +1,12 @@
-"""A stage takes the context, or the state or result built from it, and no
-device beside it.
+"""A stage takes the context, or the state built from it, and no device
+beside it.
 
-A ReplayContext carries its trace's device, and a SchedulerState (and so
-a SchedulingResult) the device of the context it was built from. A
-function that also took a `config` could be handed a device other than
-the one its context or state holds. Each module under src/tensortier is
-parsed with `ast`, and no function may take a `config` parameter together
-with a `context`, `state` or `result` parameter.
+A ReplayContext carries its trace's device, and a SchedulerState holds the
+context it was built from. A function that also took a `config` could be
+handed a device other than the one its context or state holds. Each module
+under src/tensortier is parsed with `ast`, and no function may take a
+`config` parameter together with a `context`, `state` or `result`
+parameter.
 """
 
 import ast

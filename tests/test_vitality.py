@@ -3,8 +3,7 @@ from tensortier.config import DeviceConfig, Direction, transfer_us
 from tensortier.eviction import Destination
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace)
-from tensortier.vitality import (Timeline, analyze, characterize,
-                                 classify_tensors)
+from tensortier.vitality import Timeline, analyze, classify_tensors
 
 
 def test_timeline(s1_trace):
@@ -98,15 +97,3 @@ def test_transfer_time_examples():
     assert transfer_us(6400, lane.bw, lane.latency) == 22
     assert transfer_us(6401, lane.bw, lane.latency) == 23
 
-
-def test_characterize(s1r_trace, device):
-    report = characterize(make_context(s1r_trace, device))
-    rows = [(o.kernel_index, o.active_bytes, o.total_bytes)
-            for o in report.occupancy]
-    assert rows == [
-        (0, 61_440, 61_440),
-        (1, 81_920, 143_360),
-        (2, 81_920, 143_360),
-        (3, 92_160, 92_160),
-    ]
-    assert len(report.periods) == 2
