@@ -20,21 +20,16 @@ from tensortier.config import (POLICY_NAMES, ConfigError, ExperimentConfig,
                                gbps_to_bytes_per_us, parse_bytes, parse_config,
                                with_device)
 from tensortier.eviction import plan_to_json
-from tensortier.instrument import (InconsistentPlanError, ProgramParseError,
-                                   emit_program, serialize_program)
+from tensortier.instrument import emit_program, serialize_program
 from tensortier.oracle import best_assignment
 from tensortier.policies import policy_plan, run_policy
 from tensortier.reporting import (characterization_tables, render_csv,
                                   result_json, simulation_tables, write_tables)
-from tensortier.simulate import (ProgramInconsistentError, ReplayContext,
-                                 SimulationError)
-from tensortier.trace import (TraceError, parse_trace, serialize_trace,
-                              synthesize_trace)
+from tensortier.simulate import ReplayContext, SimulationError
+from tensortier.trace import parse_trace, serialize_trace, synthesize_trace
 from tensortier.vitality import analyze
 
-_INPUT_ERRORS = (TraceError, ConfigError, InconsistentPlanError,
-                 ProgramParseError, ProgramInconsistentError, SimulationError,
-                 ValueError)
+_INPUT_ERRORS = (SimulationError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):

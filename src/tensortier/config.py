@@ -13,7 +13,7 @@ and latency; the planner and the replay read no other lane constants.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from decimal import Context, Decimal
 
 
@@ -236,36 +236,6 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     return ExperimentConfig(device=DeviceConfig(**device_kwargs), sweep=sweep, **exp_kwargs)
-
-
-def _gbps_text(bytes_per_us: int) -> str:
-    """Exact decimal GB/s for an integer bytes/us figure (15754 -> '15.754')."""
-    text = f"{bytes_per_us // 1000}.{bytes_per_us % 1000:03d}".rstrip("0").rstrip(".")
-    return text or "0"
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse(serialize(parse(s))) == parse(s)."""
-    gbps_fields = {"ssd_read_bw": "ssd_read_bw_gbps",
-                   "ssd_write_bw": "ssd_write_bw_gbps",
-                   "host_bw": "host_bw_gbps"}
-    inverse = {name: key for key, (name, _) in _DEVICE_KEYS.items()
-               if not key.endswith("_gbps")}
-    lines = []
-    for f in fields(DeviceConfig):
-        value = getattr(cfg.device, f.name)
-        if f.name in gbps_fields:
-            lines.append(f"{gbps_fields[f.name]} = {_gbps_text(value)}")
-        else:
-            lines.append(f"{inverse[f.name]} = {value}")
-    for key, (name, _) in _EXPERIMENT_KEYS.items():
-        value = getattr(cfg, name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key} = {value}")
-    for axis in cfg.sweep:
-        lines.append(f"sweep.{axis} = {', '.join(str(v) for v in cfg.sweep[axis])}")
-    return "\n".join(lines) + "\n"
 
 
 def with_device(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:

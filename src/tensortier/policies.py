@@ -142,8 +142,8 @@ def policy_plan(name: str, context, *, eager: bool = True) -> MigrationPlan:
     return plan_migrations(context, allow_host=allow_host, eager=eager).plan
 
 
-def replay_plan(name: str, context, plan: MigrationPlan, *, durations=None,
-                keep_events: bool = False) -> SimResult:
+def replay_plan(name: str, context, plan: MigrationPlan, *,
+                durations=None) -> SimResult:
     """Replay plan as policy name does, emitted from and replayed through
     context."""
     kind, allow_host = _PLANS[name]
@@ -156,13 +156,12 @@ def replay_plan(name: str, context, plan: MigrationPlan, *, durations=None,
         locations = planned_placement(context, allow_host)
     return simulate(context, emit_program(context, plan), policy=name,
                     durations=durations, initial_locations=locations,
-                    allow_host_fallback=allow_host, on_kernel_start=hook,
-                    keep_events=keep_events)
+                    allow_host_fallback=allow_host, on_kernel_start=hook)
 
 
 def run_policy(name: str, trace: WorkloadTrace, config: DeviceConfig, *,
-               seed: int = 0, noise_pct: float = 0.0, eager: bool = True,
-               keep_events: bool = False) -> SimResult:
+               seed: int = 0, noise_pct: float = 0.0,
+               eager: bool = True) -> SimResult:
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}")
     durations = _durations(trace, config, noise_pct, seed)
@@ -171,4 +170,4 @@ def run_policy(name: str, trace: WorkloadTrace, config: DeviceConfig, *,
 
     context = ReplayContext(analyze(trace), config)
     return replay_plan(name, context, policy_plan(name, context, eager=eager),
-                       durations=durations, keep_events=keep_events)
+                       durations=durations)

@@ -15,7 +15,7 @@ arithmetic uses page-padded sizes.
 
 A ReplayContext, built from a trace's analysis on a device, holds what
 every stage reads of them: the trace and the device, the padded sizes (the
-one place they are padded), each kernel's tensors and their bytes, the four
+one place they are padded), each kernel's working-set bytes, the four
 lanes' constants (DeviceConfig.lane, keyed by destination and direction),
 and, built on first use so that a stage builds only what it reads,
 instrument's skeleton (a Program of no directives), its stream and each
@@ -30,15 +30,13 @@ context replays from its stream unchecked (exact: instrument's docstring);
 any other program, one emitted from another context included, is checked
 against the trace and flattened.
 
-Every event appends its log lines to a pending list, each built whole
-(time stamp and newline included) by one f-string at the event; a
-run-ahead (below) appends one entry per block of `_HASH_BLOCK` chunk
-boundaries, joined at C level. `run` hashes the pending list after any
-event that leaves `_HASH_BLOCK` entries or more in it, `_run_train` after
-each full block, and `run` once more when the run ends; a steady-state
-replay (below) hashes each copied iteration at once. The digest is the
-sha256 of the joined lines, wherever the flushes fall, and `keep_events`
-gets the same lines.
+A replay keeps one event log, a list of text entries. Every event appends
+its lines to it, each built whole (time stamp and newline included) by one
+f-string at the event; a run-ahead (below) appends all its skipped
+boundaries as one entry, joined at C level, and a steady-state replay
+(below) one entry per copied iteration. `run` joins the log once, hashes
+it once and returns the text as `SimResult.log`, with its sha256 as
+`event_log_sha256`.
 
 Work per event is kept to what changed, under five rules that leave every
 event log and figure as a full re-evaluation would:
@@ -158,9 +156,6 @@ _R_COMPLETE = 0
 _R_TRIGGER = 1
 _R_STREAM = 2
 
-# event-log entries hashed in one update (module docstring, event log)
-_HASH_BLOCK = 1024
-
 
 @dataclass
 class Traffic:
@@ -193,14 +188,14 @@ class SimResult:
     stall_breakdown: dict[str, int]
     fault_log: list[tuple[int, int, int]]   # (iteration, kernel, tensor)
     event_log_sha256: str
-    events: list[str] | None = None
+    log: str                             # the event log (module docstring)
 
 
 class _Mark(NamedTuple):
     """An iteration start kept as the template of a steady-state replay."""
     key: tuple
     now: int
-    pending: int         # log entries already pending there
+    logged: int          # log entries before it
     stats: int           # kernel stats before it
     faults: int          # fault-log entries before it
     overlap_us: int
@@ -262,7 +257,7 @@ class _Running:
 
     __slots__ = ("kernel", "tensors", "defers")
 
-    def __init__(self, kernel: int, tensors: frozenset):
+    def __init__(self, kernel: int, tensors: tuple[int, ...]):
         self.kernel = kernel
         self.tensors = tensors
         self.defers: list = []
@@ -277,9 +272,9 @@ class ReplayContext:
         self.analysis, self.trace, self.config = analysis, trace, config
         self.sizes = {tid: config.padded(t.size_bytes)
                       for tid, t in trace.tensors.items()}
-        self.touched = tuple(kernel.tensors() for kernel in trace.kernels)
-        self.working_sets = tuple(sum(map(self.sizes.__getitem__, ids))
-                                  for ids in self.touched)
+        self.working_sets = tuple(
+            sum(map(self.sizes.__getitem__, kernel.tensors()))
+            for kernel in trace.kernels)
         self.unfit = next(
             (f"kernel {kernel.index} working set ({need} bytes) cannot fit "
              f"in GPU memory"
@@ -301,7 +296,8 @@ class ReplayContext:
 
     @cached_property
     def ids(self):
-        return tuple(tuple(sorted(ids)) for ids in self.touched)
+        return tuple(tuple(sorted(kernel.tensors()))
+                     for kernel in self.trace.kernels)
 
     @cached_property
     def by_start(self):
@@ -326,8 +322,7 @@ class ReplayContext:
 class _Engine:
     def __init__(self, context: ReplayContext, program: Program, *,
                  policy: str, durations=None, initial_locations=None,
-                 allow_host_fallback: bool = True, on_kernel_start=None,
-                 keep_events: bool = False):
+                 allow_host_fallback: bool = True, on_kernel_start=None):
         emitted = program.origin is context
         if not emitted:
             _check_program(context.trace, program)
@@ -356,11 +351,11 @@ class _Engine:
         self._steady_from = (steady if steady < self.iterations - 1
                              else self.iterations)
         self._mark: _Mark | None = None
-        self._tape: list[str] | None = None  # entries flushed since _mark
 
-        sizes, ids, self._touched = context.sizes, context.ids, context.touched
+        sizes, self._ids = context.sizes, context.ids
         self.tensors = {tid: _Tensor(tid, size) for tid, size in sizes.items()}
-        self._needed = [tuple(map(self.tensors.__getitem__, k)) for k in ids]
+        self._needed = [tuple(map(self.tensors.__getitem__, k))
+                        for k in self._ids]
         self._names = [kernel.name for kernel in program.kernels]
         self.free = config.gpu_mem_bytes
         self.host_used = 0
@@ -387,7 +382,6 @@ class _Engine:
         self._fetch_lane = {HOST: host_in, SSD: ssd_in}    # by source tier
         self._evict_lane = {HOST: host_out, SSD: ssd_out}  # by destination
         self.parked: list[_Xfer] = []
-        self._parked_ids: set[int] = set()
         self._outgoing = 0               # bytes of evictions queued or moving
         self._chunk = config.fault_chunk_bytes
 
@@ -416,20 +410,9 @@ class _Engine:
         self.stall_breakdown: dict[str, int] = {}
         # of it, waits since a kernel start: the last ones delay no kernel
         self._tail: dict[str, int] = {}
-        self._hash = hashlib.sha256()
-        self._pending: list[str] = []    # log entries not yet hashed
-        self._event_lines: list[str] | None = [] if keep_events else None
+        self._log: list[str] = []        # event log entries (module docstring)
 
     # -- event plumbing -----------------------------------------------------
-
-    def _flush(self) -> None:
-        text = "".join(self._pending)
-        if self._tape is not None:
-            self._tape += self._pending
-        self._pending.clear()
-        self._hash.update(text.encode())
-        if self._event_lines is not None:
-            self._event_lines.extend(text.splitlines())
 
     def _arm_advance(self, cause: str) -> None:
         if self._armed is None and not self.finished:
@@ -448,8 +431,7 @@ class _Engine:
                     if head.evict_for_space:
                         self._lru_evict(head.need - self.free, cause="prefetch")
                     self.parked.append(head)
-                    self._parked_ids.add(head.tensor.id)
-                    self._pending.append(
+                    self._log.append(
                         f"{self.now} park {head.kind} t{head.tensor.id}\n")
                     continue
                 self.free -= head.need
@@ -459,7 +441,7 @@ class _Engine:
     def _start(self, lane: _Lane, xfer: _Xfer) -> None:
         lane.current = xfer
         now = lane.started_at = self.now
-        self._pending.append(f"{now} xfer_start {xfer.kind} t{xfer.tensor.id} "
+        self._log.append(f"{now} xfer_start {xfer.kind} t{xfer.tensor.id} "
                              f"{lane.label} {xfer.nbytes}\n")
         self._seq += 1
         heappush(self.events, (
@@ -477,7 +459,7 @@ class _Engine:
             return
         lane.moved += xfer.nbytes
         self._add_overlap(lane.started_at, self.now)
-        self._pending.append(f"{self.now} xfer_done {xfer.kind} t{tensor.id}\n")
+        self._log.append(f"{self.now} xfer_done {xfer.kind} t{tensor.id}\n")
 
         lane.current = None
         if lane.to_device:
@@ -525,15 +507,11 @@ class _Engine:
         done = f" xfer_done {xfer.kind} t{xfer.tensor.id}\n"
         restart = (f" xfer_start {xfer.kind} t{xfer.tensor.id} "
                    f"{lane.label} {chunk}\n")
-        # one pending entry per block of boundaries, hashed once full
-        pending, span = self._pending, _HASH_BLOCK * step
-        for lo in range(start, end, span):
-            stamps = list(map(str, range(lo, min(end, lo + span), step)))
-            pending.append("".join(chain.from_iterable(
+        if ahead:
+            stamps = list(map(str, range(start, end, step)))
+            self._log.append("".join(chain.from_iterable(
                 zip(stamps, repeat(done), stamps, repeat(restart)))))
-            if len(stamps) == _HASH_BLOCK:
-                self._flush()
-        pending.append(f"{end}{done}")
+        self._log.append(f"{end}{done}")
         lane.moved += xfer.nbytes + ahead * chunk
         self._add_overlap(lane.started_at, end)
         self.now = end
@@ -545,7 +523,6 @@ class _Engine:
 
     def _unpark(self) -> None:
         waiting, self.parked = self.parked, []
-        self._parked_ids.clear()
         by_lane: dict[_Lane, list[_Xfer]] = {}
         for xfer in waiting:
             by_lane.setdefault(xfer.lane, []).append(xfer)
@@ -627,11 +604,11 @@ class _Engine:
         outgoing = self._outgoing
         if outgoing >= deficit:
             return
-        pinned = self.running.tensors if self.running is not None else frozenset()
+        pinned = self.running.tensors if self.running is not None else ()
         if self.pos < len(self.stream):
             kind, k = self.stream[self.pos]
             if kind == "kernel":
-                pinned = pinned | self._touched[k]
+                pinned += self._ids[k]
         heap = self._lru
         tensors = self.tensors
         held = []
@@ -646,7 +623,7 @@ class _Engine:
             elif tid in pinned:
                 held.append(entry)
             else:
-                self._pending.append(
+                self._log.append(
                     f"{self.now} lru_evict t{tid} cause {cause}\n")
                 self._enqueue_evict(
                     victim, self._dest(victim, self.allow_host_fallback),
@@ -670,12 +647,12 @@ class _Engine:
         running = self.running
         if ins.op is _PRE_EVICT:
             if tensor.loc is not GPU or tensor.pending_in or tensor.pending_out:
-                self._pending.append(
+                self._log.append(
                     f"{self.now} skip pre_evict t{tensor.id}\n")
                 return
             if running is not None and tensor.id in running.tensors:
                 running.defers.append((ins, iteration))
-                self._pending.append(
+                self._log.append(
                     f"{self.now} defer pre_evict t{tensor.id}\n")
                 return
             self._enqueue_evict(
@@ -689,12 +666,12 @@ class _Engine:
                 for d, _ in running.defers)
             if tensor.pending_out or deferred_evict:
                 tensor.retry_fetch = (ins, iteration)
-                self._pending.append(f"{self.now} hold prefetch t{tensor.id}\n")
+                self._log.append(f"{self.now} hold prefetch t{tensor.id}\n")
                 return
             # loc None: replay slipped behind the plan and the tensor has
             # not been (re)born this iteration, so there is nothing to move
             if tensor.loc in (GPU, None) or tensor.pending_in:
-                self._pending.append(f"{self.now} skip prefetch t{tensor.id}\n")
+                self._log.append(f"{self.now} skip prefetch t{tensor.id}\n")
                 return
             self._enqueue_fetch(tensor, "prefetch")
 
@@ -712,14 +689,14 @@ class _Engine:
                         and self._fast_forward()):
                     return
                 self.iter_started = True
-                self._pending.append(
+                self._log.append(
                     f"{self.now} iteration {self.iter_index}\n")
                 self._arm_iteration(self.iter_index)
             if pos >= len(stream):
                 self.iter_index += 1
                 if self.iter_index >= self.iterations:
                     self.finished = True
-                    self._pending.append(f"{self.now} done\n")
+                    self._log.append(f"{self.now} done\n")
                     return
                 self.pos = 0
                 self.iter_started = False
@@ -767,7 +744,7 @@ class _Engine:
         self.free -= tensor.size
         tensor.loc = GPU
         self._lru_add(tensor)
-        self._pending.append(f"{self.now} alloc t{tensor.id}\n")
+        self._log.append(f"{self.now} alloc t{tensor.id}\n")
         return True
 
     def _do_free(self, tensor: _Tensor) -> bool:
@@ -781,7 +758,7 @@ class _Engine:
         tensor.last_use = -1
         # log before _unpark so a transfer funded by this free appears
         # after the free that paid for it
-        self._pending.append(f"{self.now} free t{tensor.id}\n")
+        self._log.append(f"{self.now} free t{tensor.id}\n")
         if loc is GPU:
             self.free += tensor.size
             if self.parked:
@@ -809,10 +786,10 @@ class _Engine:
         end = start + self.durations[iteration][k]
         for tensor in needed:
             tensor.last_use = instance
-        self.running = _Running(k, self._touched[k])
+        self.running = _Running(k, self._ids[k])
         self.kernel_stats.append(KernelStat(
             instance, iteration, k, self._names[k], start, end, stall))
-        self._pending.append(f"{start} kernel_start {k} iter {iteration}\n")
+        self._log.append(f"{start} kernel_start {k} iter {iteration}\n")
         if self.on_kernel_start is not None:
             self.on_kernel_start(self, iteration, k)
         self.pos += 1
@@ -831,13 +808,13 @@ class _Engine:
                 raise SimulationError(
                     f"kernel {k} touches unallocated tensor {tensor.id}")
             self.fault_log.append((self.iter_index, k, tensor.id))
-            self._pending.append(f"{self.now} fault t{tensor.id} kernel {k}\n")
+            self._log.append(f"{self.now} fault t{tensor.id} kernel {k}\n")
             self._enqueue_fetch(tensor, "fault")
         # transfers stuck waiting for space block this kernel: make
         # room. Their bytes exceed free, since a transfer parks only
         # when it needs more and every rise of free unparks at once.
-        deficit = sum(t.size for t in missing
-                      if t.pending_in and t.id in self._parked_ids)
+        deficit = sum(xfer.tensor.size for xfer in self.parked
+                      if xfer.tensor in missing)
         if deficit:
             self._lru_evict(deficit - self.free, cause="wait")
 
@@ -845,7 +822,7 @@ class _Engine:
         info = self.running
         self.running = None
         self.prev_end = self.now
-        self._pending.append(f"{self.now} kernel_end {info.kernel}\n")
+        self._log.append(f"{self.now} kernel_end {info.kernel}\n")
         for ins, iteration in info.defers:
             self._trigger(ins, iteration)
         self._advance("none")
@@ -856,8 +833,7 @@ class _Engine:
         """At an iteration start, replay the previous iteration to the end
         of the run if this start repeats its state (module docstring,
         steady state); otherwise keep this start as the next template."""
-        mark, tape = self._mark, self._tape
-        self._mark = self._tape = None
+        mark, self._mark = self._mark, None
         tensors = self.tensors.values()
         if (self.events or self._armed is not None or self.parked
                 or self.block_started is not None
@@ -872,42 +848,36 @@ class _Engine:
                tuple(t.last_use - base if t.last_use >= 0 else None
                      for t in tensors))
         if mark is not None and mark.key == key:
-            self._replay(mark, tape)
+            self._replay(mark)
             return True
         if self.iter_index < self.iterations - 1:
-            self._mark = _Mark(key, self.now, len(self._pending),
+            self._mark = _Mark(key, self.now, len(self._log),
                                len(self.kernel_stats), len(self.fault_log),
                                self.overlap_us, dict(self.stall_breakdown),
                                tuple(lane.moved for lane in self.lanes))
-            self._tape = []
         return False
 
-    def _replay(self, mark: _Mark, tape: list[str]) -> None:
+    def _replay(self, mark: _Mark) -> None:
         """Finish the run with copies of the iteration since mark, each
-        shifted by its length; tape holds the entries flushed since."""
+        shifted by its length."""
         first = self.iter_index - 1      # the template iteration
         runs = self.iterations - 1 - first
         period = self.now - mark.now
         n = len(self._needed)
-        text = "".join((tape + self._pending)[mark.pending:])
-        self._flush()
-        # the template as a bytes %-format: its times become %d fields and
-        # its iteration numbers a NUL (no log line holds either character)
-        lines = [line.partition(" ") for line in text.splitlines()]
+        # the template as a %-format: its times become %d fields and its
+        # iteration numbers a NUL (no log line holds either character)
+        lines = [line.partition(" ") for line in
+                 "".join(self._log[mark.logged:]).splitlines()]
         times = [int(t) for t, _, _ in lines]
         fmt = "%d " + "\n%d ".join([rest for _, _, rest in lines]) + "\n"
         fmt = fmt.replace(f"%d iteration {first}\n", "%d iteration \0\n")
-        fmt = fmt.replace(f" iter {first}\n", " iter \0\n").encode()
+        fmt = fmt.replace(f" iter {first}\n", " iter \0\n")
         stats = self.kernel_stats[mark.stats:]
         faults = self.fault_log[mark.faults:]
         for r in range(1, runs + 1):
             shift = r * period
-            data = (fmt.replace(b"\0", b"%d" % (first + r))
-                    % tuple(map(shift.__add__, times)))
-            # hashed and kept as _flush would
-            self._hash.update(data)
-            if self._event_lines is not None:
-                self._event_lines.extend(data.decode().splitlines())
+            self._log.append(fmt.replace("\0", str(first + r))
+                             % tuple(map(shift.__add__, times)))
             self.kernel_stats.extend(
                 KernelStat(s.instance + r * n, s.iteration + r,
                            s.kernel_index, s.name, s.start_us + shift,
@@ -923,7 +893,7 @@ class _Engine:
         self.now += runs * period
         self.iter_index = self.iterations
         self.finished = True
-        self._pending.append(f"{self.now} done\n")
+        self._log.append(f"{self.now} done\n")
 
     # -- runtime hook surface -------------------------------------------------
 
@@ -939,7 +909,7 @@ class _Engine:
 
     def run(self) -> SimResult:
         self._arm_advance("none")
-        events, pending = self.events, self._pending
+        events = self.events
         while True:
             armed = self._armed
             if armed is not None and (not events or events[0] > armed):
@@ -956,11 +926,9 @@ class _Engine:
                 fn(*args)
             else:
                 break
-            if len(pending) >= _HASH_BLOCK:
-                self._flush()
         if not self.finished:
             raise SimulationError("deadlock: event queue drained mid-program")
-        self._flush()
+        log = "".join(self._log)
         host_in, host_out, ssd_in, ssd_out = self.lanes
         return SimResult(
             policy=self.policy,
@@ -975,8 +943,8 @@ class _Engine:
             stall_breakdown={c: us - self._tail.get(c, 0) for c, us in sorted(
                 self.stall_breakdown.items()) if us > self._tail.get(c, 0)},
             fault_log=self.fault_log,
-            event_log_sha256=self._hash.hexdigest(),
-            events=self._event_lines,
+            event_log_sha256=hashlib.sha256(log.encode()).hexdigest(),
+            log=log,
         )
 
 
@@ -1007,13 +975,13 @@ def _check_program(trace: WorkloadTrace, program: Program) -> None:
 
 def simulate(context: ReplayContext, program: Program, *,
              policy: str = "g10", durations=None, initial_locations=None,
-             allow_host_fallback: bool = True, on_kernel_start=None,
-             keep_events: bool = False) -> SimResult:
+             allow_host_fallback: bool = True,
+             on_kernel_start=None) -> SimResult:
     """Replay program on context's trace and device (module docstring)."""
     engine = _Engine(context, program, policy=policy, durations=durations,
                      initial_locations=initial_locations,
                      allow_host_fallback=allow_host_fallback,
-                     on_kernel_start=on_kernel_start, keep_events=keep_events)
+                     on_kernel_start=on_kernel_start)
     return engine.run()
 
 
@@ -1034,13 +1002,12 @@ def ideal_run(trace: WorkloadTrace, config: DeviceConfig,
                                     clock, end, 0))
             lines.append(f"{clock} kernel {k}\n")
             clock = end
-    total = clock
-    digest = hashlib.sha256("".join(lines).encode())
+    log = "".join(lines)
     return SimResult(
-        policy="ideal", total_us=total, compute_us=total, stall_us=0,
+        policy="ideal", total_us=clock, compute_us=clock, stall_us=0,
         overlap_us=0, faults=0, traffic=Traffic(), kernels=stats,
         stall_breakdown={}, fault_log=[],
-        event_log_sha256=digest.hexdigest(), events=None)
+        event_log_sha256=hashlib.sha256(log.encode()).hexdigest(), log=log)
 
 
 def perturb_durations(trace: WorkloadTrace, noise_pct: float, seed: int,

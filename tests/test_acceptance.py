@@ -273,8 +273,8 @@ def _prop_reservations_disjoint(case):
 @given(_cases(), _POLICIES)
 def _prop_residency_bounded(case, policy):
     trace, dev = case
-    res = run_policy(policy, trace, dev, keep_events=True)
-    peak, _, _ = _replay(res.events, _padded_sizes(trace, dev))
+    res = run_policy(policy, trace, dev)
+    peak, _, _ = _replay(res.log.splitlines(), _padded_sizes(trace, dev))
     assert peak <= dev.gpu_mem_bytes
     # every wait in the breakdown delays a kernel
     assert sum(res.stall_breakdown.values()) == res.stall_us
@@ -284,8 +284,8 @@ def _prop_residency_bounded(case, policy):
 @given(_cases(), _POLICIES)
 def _prop_traffic_conserved(case, policy):
     trace, dev = case
-    res = run_policy(policy, trace, dev, keep_events=True)
-    _, lanes, dirs = _replay(res.events, _padded_sizes(trace, dev))
+    res = run_policy(policy, trace, dev)
+    _, lanes, dirs = _replay(res.log.splitlines(), _padded_sizes(trace, dev))
     assert lanes["ssd/to_device"] == res.traffic.ssd_read
     assert lanes["ssd/from_device"] == res.traffic.ssd_write
     assert lanes["host/to_device"] == res.traffic.host_in

@@ -11,9 +11,8 @@ from tensortier.config import DeviceConfig
 from tensortier.instrument import emit_program, parse_program
 from tensortier.policies import run_policy
 from tensortier.prefetch import plan_migrations
-from tensortier.simulate import (_HASH_BLOCK, GPU, KernelStat,
-                                 SimulationError, _Engine, ideal_run,
-                                 perturb_durations, simulate,
+from tensortier.simulate import (GPU, KernelStat, SimulationError, _Engine,
+                                 ideal_run, perturb_durations, simulate,
                                  ssd_lifetime_years)
 from tensortier.trace import (KernelRecord, TensorDescriptor, TensorKind,
                               WorkloadTrace, synthesize_trace)
@@ -136,6 +135,7 @@ def test_ideal_run_digest_is_unchanged():
     assert (result.total_us, len(result.kernels)) == (846, 18)
     text = "".join(f"{ks.start_us} kernel {ks.kernel_index}\n"
                    for ks in result.kernels)
+    assert result.log == text
     assert hashlib.sha256(text.encode()).hexdigest() == result.event_log_sha256
     # recorded before ideal_run hashed its lines in one update
     assert result.event_log_sha256 == (
@@ -190,11 +190,10 @@ def test_ssd_lifetime_matches_endurance_model():
 
 
 def test_event_log_hash_covers_order(s1r_trace, device):
-    a = run_policy("g10", s1r_trace, device, keep_events=True)
-    assert a.events  # kept when asked
-    b = run_policy("g10", s1r_trace, device)
-    assert b.events is None
-    assert a.event_log_sha256 == b.event_log_sha256
+    a = run_policy("g10", s1r_trace, device)
+    assert a.log.splitlines()
+    assert hashlib.sha256(a.log.encode()).hexdigest() == a.event_log_sha256
+    assert a == run_policy("g10", s1r_trace, device)
 
 
 def test_fault_train_with_reparked_fetch_keeps_event_log():
@@ -207,13 +206,12 @@ def test_fault_train_with_reparked_fetch_keeps_event_log():
                              950777)
     dev = make_device(gpu_mem_bytes=49_152, host_mem_bytes=25_600,
                       fault_chunk_bytes=4_096, fault_handling_us=0)
-    result = run_policy("base-uvm", trace, dev, keep_events=True)
+    events = run_policy("base-uvm", trace, dev).log.splitlines()
     golden = pathlib.Path(__file__).parent / "golden"
-    assert result.events == (
+    assert events == (
         golden / "fault_train_repark_events.txt").read_text().splitlines()
-    window = result.events[result.events.index("308 fault t3 kernel 5"):
-                           result.events.index("322 xfer_start fault t3 "
-                                               "ssd/to_device 4096")]
+    window = events[events.index("308 fault t3 kernel 5"):
+                    events.index("322 xfer_start fault t3 ssd/to_device 4096")]
     assert window.count("308 park fault t3") == 1
     assert "315 park fault t3" in window
     assert "314 xfer_start fault t0 host/to_device 4096" in window
@@ -231,11 +229,10 @@ def test_fault_train_run_ahead_keeps_event_log():
                              744323)
     dev = make_device(gpu_mem_bytes=84_992, host_mem_bytes=60_000,
                       fault_chunk_bytes=3_072, fault_handling_us=0)
-    result = run_policy("g10", trace, dev, keep_events=True)
+    events = run_policy("g10", trace, dev).log.splitlines()
     golden = pathlib.Path(__file__).parent / "golden"
-    assert result.events == (
+    assert events == (
         golden / "fault_train_run_ahead_events.txt").read_text().splitlines()
-    events = result.events
     train = events[events.index("100 fault t4 kernel 1"):
                    events.index("148 xfer_done fault t4") + 1]
     chunks = [line.split()[-1] for line in train
@@ -250,25 +247,57 @@ def test_fault_train_run_ahead_keeps_event_log():
     assert "111 xfer_start evict t5 ssd/from_device 32768" in train
 
 
-def test_keep_events_agrees_on_fault_trains():
-    # page-sized chunks: every fault is a train of hundreds of chunks, long
-    # enough that a run-ahead formats its lines in more than one block
+def test_event_log_agrees_on_fault_trains():
+    # page-sized chunks: every fault is a train of hundreds of chunks
     trace = synthesize_trace(3, (300_000, 600_000), (100_000, 300_000),
                              (20, 80), 5)
     dev = make_device(gpu_mem_bytes=1_400_000, host_mem_bytes=10_000_000,
                       fault_chunk_bytes=1_024, fault_handling_us=1)
-    kept = run_policy("base-uvm", trace, dev, keep_events=True)
-    plain = run_policy("base-uvm", trace, dev)
-    assert kept.faults and plain.events is None
-    faulted = [line.split()[3] for line in kept.events
+    result = run_policy("base-uvm", trace, dev)
+    assert result.faults
+    faulted = [line.split()[3] for line in result.log.splitlines()
                if " xfer_start fault " in line]
     assert max(len(list(run)) for _, run in itertools.groupby(faulted)) > 512
-    assert kept.event_log_sha256 == plain.event_log_sha256
-    text = "".join(line + "\n" for line in kept.events)
-    assert hashlib.sha256(text.encode()).hexdigest() == kept.event_log_sha256
+    assert hashlib.sha256(result.log.encode()).hexdigest() == (
+        result.event_log_sha256)
     # recorded before fault-chunk trains ran ahead in closed form
-    assert plain.event_log_sha256 == (
+    assert result.event_log_sha256 == (
         "bbf964c2f09e4d61f5ce2a705210edb28c2c3899b091b0747075c793d2ce8ff2")
+
+
+def test_long_fault_train_runs_ahead_to_the_next_event():
+    # t0 (3 MiB, on the host) faults in 3,072 chunks of 1 KiB, one every
+    # 6 us. Nothing else is due before t1's prefetch at 15,000, so the
+    # first landing runs ahead over 2,499 boundaries in one step; the
+    # chunk that lands at 15,000 restarts the train before the prefetch
+    # starts, and the rest of the train runs ahead around its landing.
+    tensors = {0: TensorDescriptor(0, 3 * 2**20, TensorKind.GLOBAL),
+               1: TensorDescriptor(1, 8_192, TensorKind.GLOBAL)}
+    kernels = (KernelRecord(0, "k0", 10, frozenset({0}), frozenset()),
+               KernelRecord(1, "k1", 10, frozenset({1}), frozenset()))
+    trace = WorkloadTrace(tensors=tensors, kernels=kernels)
+    program = parse_program("G10 prefetch 1 8192 @15000\nKERNEL 0 k0 10\n"
+                            "KERNEL 1 k1 10\n")
+    dev = make_device(gpu_mem_bytes=4_000_000, fault_chunk_bytes=1_024,
+                      fault_handling_us=0)
+    result = simulate(make_context(trace, dev), program, policy="base-uvm",
+                      initial_locations={0: "host", 1: "ssd"})
+    events = result.log.splitlines()
+    train = [f"{t} xfer_{step}" for t in range(6, 15_001, 6)
+             for step in ("done fault t0",
+                          "start fault t0 host/to_device 1024")]
+    assert events[:3 + len(train) + 1] == [
+        "0 iteration 0", "0 fault t0 kernel 0",
+        "0 xfer_start fault t0 host/to_device 1024", *train,
+        "15000 xfer_start prefetch t1 ssd/to_device 8192"]
+    assert sum(" xfer_start fault t0 " in line for line in events) == 3_072
+    assert (result.total_us, result.faults, result.stall_us) == (
+        18_452, 1, 18_432)
+    assert events[-2:] == ["18452 kernel_end 1", "18452 done"]
+    # recorded before the event log was one list, hashed once
+    assert len(events) == 6_153
+    assert result.event_log_sha256 == (
+        "f260f1227a512eda2d727e30c8d51aa85ea8f3818d565a99d24c275a74284218")
 
 
 def test_run_ahead_waits_for_a_stale_stream_step():
@@ -289,11 +318,10 @@ def test_run_ahead_waits_for_a_stale_stream_step():
     dev = make_device(gpu_mem_bytes=137_216, fault_chunk_bytes=4_096,
                       fault_handling_us=0)
     result = simulate(make_context(trace, dev), program, policy="base-uvm",
-                      keep_events=True,
                       initial_locations={0: "gpu", 1: "gpu", 2: "host",
                                          3: "ssd", 4: "ssd"})
     # recorded before fault-chunk trains ran ahead in closed form
-    assert result.events[:19] == [
+    assert result.log.splitlines()[:19] == [
         "0 iteration 0",
         "0 kernel_start 0 iter 0",
         "10 kernel_end 0",
@@ -346,7 +374,6 @@ def test_quiet_chunk_landings_arm_no_advance_and_change_nothing(due):
     dev = make_device(gpu_mem_bytes=137_216, fault_chunk_bytes=4_096,
                       fault_handling_us=0)
     engines = [engine(make_context(trace, dev), program, policy="base-uvm",
-                      keep_events=True,
                       initial_locations={0: "gpu", 1: "gpu", 2: "host",
                                          3: "ssd", 4: "ssd"})
                for engine in (_Engine, _ArmEveryLanding)]
@@ -354,7 +381,7 @@ def test_quiet_chunk_landings_arm_no_advance_and_change_nothing(due):
     assert runs[0] == runs[1]
     # the quiet landings pushed no advance
     assert engines[0]._seq < engines[1]._seq
-    events = runs[0].events
+    events = runs[0].log.splitlines()
     start = events.index(f"{due} xfer_start prefetch t4 ssd/to_device 28672")
     # at the first chunk landing at or after the prefetch (16, 22, 28)
     evict = next(line for line in events if " lru_evict t1 " in line)
@@ -385,7 +412,7 @@ def _equal_time_run(iterations, locations=()):
     dev = make_device(gpu_mem_bytes=49_152, num_iterations=iterations)
     starts = {0: "gpu", 1: "gpu", 2: "gpu", 3: "gpu", 4: "ssd", 5: "host",
               **dict(locations)}
-    return simulate(make_context(trace, dev), program, keep_events=True,
+    return simulate(make_context(trace, dev), program,
                     initial_locations=starts)
 
 
@@ -422,7 +449,7 @@ def test_equal_time_events_keep_the_heap_order():
     # a lane completion, a kernel end, a trigger at issue offset 0 and an
     # armed stream advance, all at 30
     result = _equal_time_run(2)
-    assert result.events == _EQUAL_TIME_EVENTS + ["128 done"]
+    assert result.log.splitlines() == _EQUAL_TIME_EVENTS + ["128 done"]
     assert (result.total_us, result.stall_breakdown) == (128, {"fault": 68})
 
 
@@ -440,8 +467,8 @@ def test_steady_state_start_waits_for_an_armed_advance(monkeypatch):
     monkeypatch.setattr(_Engine, "_fast_forward", spy)
     result = _equal_time_run(3)
     assert starts == [(1, False, False), (2, False, False)]
-    assert result.events == (_EQUAL_TIME_EVENTS + _EQUAL_TIME_ITERATION_2
-                             + ["158 done"])
+    assert result.log.splitlines() == (
+        _EQUAL_TIME_EVENTS + _EQUAL_TIME_ITERATION_2 + ["158 done"])
     assert (result.total_us, result.stall_breakdown) == (158, {"fault": 68})
 
 
@@ -458,52 +485,28 @@ def test_locations_built_at_run_time_replay_alike():
 
 def test_event_log_hashed_across_block_boundaries(monkeypatch):
     # base-uvm faults every tensor in page-sized chunks for 12 iterations:
-    # 5,536 lines over several hash blocks. Noise-free, the run repeats
-    # from iteration 1 on and the engine replays it from iteration 2; with
-    # noise it is simulated in full. The digests do not depend on the
-    # block size: with blocks of 1 and 7 entries, a run-ahead longer than
-    # a block is hashed right after each full block of its boundaries, and
-    # its last landing in a later block.
+    # 5,536 lines, once hashed in blocks of 1,024. Noise-free, the run
+    # repeats from iteration 1 on and the engine replays it from iteration
+    # 2; with noise it is simulated in full.
     trace = synthesize_trace(4, (20_000, 60_000), (8_000, 24_000), (20, 80),
                              14)
     dev = make_device(gpu_mem_bytes=117_760, host_mem_bytes=10_000_000,
                       fault_chunk_bytes=1_024, fault_handling_us=0,
                       num_iterations=12)
-    flushed = []        # lines in the last pending entry at each flush
-    flush = _Engine._flush
-
-    def spy(engine):
-        pending = engine._pending
-        flushed.append(pending[-1].count("\n") if pending else 0)
-        flush(engine)
-
-    monkeypatch.setattr(_Engine, "_flush", spy)
     replays = _watch_replays(monkeypatch)
-    for block in (_HASH_BLOCK, 1, 7):
-        monkeypatch.setattr("tensortier.simulate._HASH_BLOCK", block)
-        replays.clear()
-        flushed.clear()
-        kept = run_policy("base-uvm", trace, dev, keep_events=True)
-        noisy = run_policy("base-uvm", trace, dev, keep_events=True,
-                           noise_pct=0.1)
-        plain = run_policy("base-uvm", trace, dev)
-        assert replays == [2, 2]
-        assert len(kept.events) == len(noisy.events) == 5_536
-        assert len(kept.events) > 4 * _HASH_BLOCK
-        assert plain.events is None
-        for run in (kept, noisy):
-            text = "".join(line + "\n" for line in run.events)
-            assert hashlib.sha256(text.encode()).hexdigest() == (
-                run.event_log_sha256)
-        # recorded before the event log was hashed in blocks (the
-        # noise-free run) and before steady iterations were replayed (the
-        # noisy one)
-        assert kept.event_log_sha256 == plain.event_log_sha256 == (
-            "da9524672709d3ec71a5402b26e76241ad233bd1c79c8745a4672192fda61e1c")
-        assert noisy.event_log_sha256 == (
-            "406a00794ab6fab8a17a10b8f6157086c6aebd5049d774318a1b0447b9374993")
-        if block < _HASH_BLOCK:
-            assert 2 * block in flushed
+    steady = run_policy("base-uvm", trace, dev)
+    noisy = run_policy("base-uvm", trace, dev, noise_pct=0.1)
+    assert replays == [2]
+    for run in (steady, noisy):
+        assert len(run.log.splitlines()) == 5_536
+        assert hashlib.sha256(run.log.encode()).hexdigest() == (
+            run.event_log_sha256)
+    # recorded before the event log was hashed in blocks (the noise-free
+    # run) and before steady iterations were replayed (the noisy one)
+    assert steady.event_log_sha256 == (
+        "da9524672709d3ec71a5402b26e76241ad233bd1c79c8745a4672192fda61e1c")
+    assert noisy.event_log_sha256 == (
+        "406a00794ab6fab8a17a10b8f6157086c6aebd5049d774318a1b0447b9374993")
 
 
 _REPLAYED = ("base-uvm", "deepum-like", "flashneuron-like", "g10",
@@ -527,7 +530,7 @@ def _fully_simulated(policy, trace, dev, **kwargs):
     """The run with no steady-state replay: every start is a new one."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Engine, "_fast_forward", lambda engine: False)
-        return run_policy(policy, trace, dev, keep_events=True, **kwargs)
+        return run_policy(policy, trace, dev, **kwargs)
 
 
 @settings(max_examples=12, deadline=None)
@@ -548,8 +551,7 @@ def test_steady_state_replay_matches_full_simulation(layers, seed, fraction,
                       fault_chunk_bytes=chunk, fault_handling_us=1,
                       num_iterations=iterations)
     for policy in _REPLAYED:
-        fast = run_policy(policy, trace, dev, keep_events=True,
-                          noise_pct=noise, seed=seed)
+        fast = run_policy(policy, trace, dev, noise_pct=noise, seed=seed)
         assert fast == _fully_simulated(policy, trace, dev, noise_pct=noise,
                                         seed=seed)
 
@@ -570,16 +572,15 @@ def test_no_steady_state_replay_with_a_transfer_in_flight(monkeypatch):
     starts = {0: "gpu", 1: "gpu"}
     replays = _watch_replays(monkeypatch)
     context = make_context(trace, dev)
-    fast = simulate(context, program, keep_events=True,
-                    initial_locations=starts)
+    fast = simulate(context, program, initial_locations=starts)
     monkeypatch.setattr(_Engine, "_fast_forward", lambda engine: False)
-    full = simulate(context, program, keep_events=True,
-                    initial_locations=starts)
+    full = simulate(context, program, initial_locations=starts)
     assert replays == []
     assert fast == full
-    assert "20 iteration 1" in fast.events
-    assert "26 xfer_done prefetch t0" in fast.events
-    assert "50 xfer_done prefetch t0" in fast.events
+    events = fast.log.splitlines()
+    assert "20 iteration 1" in events
+    assert "26 xfer_done prefetch t0" in events
+    assert "50 xfer_done prefetch t0" in events
 
 
 def test_planned_host_eviction_falls_back_to_flash_then_fails():
@@ -596,9 +597,10 @@ def test_planned_host_eviction_falls_back_to_flash_then_fails():
 
     def evictions(**device):
         result = simulate(make_context(trace, make_device(**device)),
-                          program, keep_events=True, initial_locations=starts)
+                          program, initial_locations=starts)
         t = result.traffic
-        return ([line for line in result.events if "xfer_start evict" in line],
+        return ([line for line in result.log.splitlines()
+                 if "xfer_start evict" in line],
                 (t.ssd_write, t.host_out))
 
     assert evictions() == (["12 xfer_start evict t0 host/from_device 8192"],
@@ -630,10 +632,10 @@ def test_steady_state_waits_for_the_same_gap_after_the_last_kernel(
     starts = {0: "host"}
     replays = _watch_replays(monkeypatch)
     context = make_context(trace, dev)
-    fast = simulate(context, program, policy="base-uvm", keep_events=True,
+    fast = simulate(context, program, policy="base-uvm",
                     initial_locations=starts)
     monkeypatch.setattr(_Engine, "_fast_forward", lambda engine: False)
-    full = simulate(context, program, policy="base-uvm", keep_events=True,
+    full = simulate(context, program, policy="base-uvm",
                     initial_locations=starts)
     assert replays == [3]
     assert fast == full
@@ -641,5 +643,5 @@ def test_steady_state_waits_for_the_same_gap_after_the_last_kernel(
     # the last iteration's 7 us wait for the free delays no kernel
     assert fast.stall_breakdown == {"fault": 8, "free": 21}
     assert sum(fast.stall_breakdown.values()) == fast.stall_us
-    assert fast.events[-3:] == ["136 xfer_done evict t1", "136 free t1",
-                                "136 done"]
+    assert fast.log.splitlines()[-3:] == [
+        "136 xfer_done evict t1", "136 free t1", "136 done"]

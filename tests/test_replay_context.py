@@ -68,7 +68,7 @@ def _from_text(policy, context, plan):
     hook = _correlation_hook() if policy == "deepum-like" else None
     text = serialize_program(emit_program(context, plan))
     return text, _outcome(lambda: simulate(
-        context, parse_program(text), policy=policy, keep_events=True,
+        context, parse_program(text), policy=policy,
         allow_host_fallback=allow_host, initial_locations=locations,
         on_kernel_start=hook))
 
@@ -108,7 +108,7 @@ def test_corpus_plans_emit_and_replay_alike_with_a_shared_context():
         text, reference = _from_text(policy, context, plan)
         assert _sha(text) == digests["program"], name
         assert _outcome(lambda: replay_plan(
-            policy, context, plan, keep_events=True)) == reference, name
+            policy, context, plan)) == reference, name
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -118,11 +118,9 @@ def test_generated_policy_replays_alike_with_a_shared_context(case):
     context = make_context(trace, dev)
     for name in REPLAYED:
         plan = policy_plan(name, context)
-        shared = _outcome(lambda: replay_plan(name, context, plan,
-                                              keep_events=True))
+        shared = _outcome(lambda: replay_plan(name, context, plan))
         assert shared == _from_text(name, context, plan)[1], name
-        assert shared == _outcome(lambda: run_policy(
-            name, trace, dev, keep_events=True)), name
+        assert shared == _outcome(lambda: run_policy(name, trace, dev)), name
 
 
 def _tables(context):
@@ -167,11 +165,10 @@ def test_program_with_its_own_placement_replays_from_its_own_stream():
     assert frees
     moved = parse_program("\n".join(
         [line for line in lines if line not in frees] + frees) + "\n")
-    shared = simulate(context, moved, keep_events=True)
-    assert shared == simulate(make_context(trace, dev), moved,
-                              keep_events=True)
-    assert shared != simulate(context, emitted, keep_events=True)
-    tail = shared.events[-len(frees) - 1:-1]
+    shared = simulate(context, moved)
+    assert shared == simulate(make_context(trace, dev), moved)
+    assert shared != simulate(context, emitted)
+    tail = shared.log.splitlines()[-len(frees) - 1:-1]
     assert [e.split()[1] for e in tail] == ["free"] * len(frees)
 
 
@@ -192,9 +189,7 @@ def test_program_of_another_context_is_checked_and_flattened():
     roomier = make_context(trace, make_device(gpu_mem_bytes=262_144))
     parsed = parse_program(serialize_program(program))
     for locations in (None, planned_placement(roomier, True)):
-        got = simulate(roomier, program, keep_events=True,
-                       initial_locations=locations)
-        assert got == simulate(roomier, parsed, keep_events=True,
-                               initial_locations=locations)
-    assert got != simulate(context, program, keep_events=True,
+        got = simulate(roomier, program, initial_locations=locations)
+        assert got == simulate(roomier, parsed, initial_locations=locations)
+    assert got != simulate(context, program,
                            initial_locations=planned_placement(context, True))

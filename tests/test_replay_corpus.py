@@ -14,6 +14,7 @@ Record it with `PYTHONPATH=src python tests/test_replay_corpus.py`, which
 prints the corpus as JSON.
 """
 
+import hashlib
 import json
 import pathlib
 import random
@@ -33,6 +34,8 @@ GENERATED = 200
 
 
 def _record(result):
+    assert hashlib.sha256(result.log.encode()).hexdigest() == (
+        result.event_log_sha256)
     t = result.traffic
     return {
         "sha": result.event_log_sha256,

@@ -124,7 +124,7 @@ def test_kernels_csv_rounds_slowdowns_as_render_csv():
                                   stall))
         now = start + duration
     result = SimResult("g10", now, now, 0, 0, 0, Traffic(), kernels, {}, [],
-                       "")
+                       "", "")
     text = simulation_tables(result)["kernels.csv"]
     assert text == _render_csv_kernels(result)
     assert text.splitlines()[1:3] == ["0,1,129,1,1.007812",
