@@ -11,7 +11,10 @@ from then on it answers from a prefix sum of the clamped overflow, built for
 that key, by two bisects. That is ski rental: the work is at most twice the
 cheaper of walking every query and building up front. Short windows over a
 curve with many distinct clamps keep walking; many queries with one clamp
-go to the prefix.
+go to the prefix. Both find the first and last segments meeting the window
+by bisection; a walk sums the segments from the first up to the last at
+whole width, as the prefix difference does, and both then clip the two
+ends. A walk counts every segment it meets, the last one included.
 
 A prefix lives on across `add` only while it is used:
 
@@ -30,7 +33,7 @@ A prefix lives on across `add` only while it is used:
   `copy` starts with no index at all.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 BACKEND = "py"
 
@@ -225,33 +228,31 @@ class StepCurve:
             prefix = self._kept.pop(key, None)
             if prefix is not None:
                 self._prefixes[key] = prefix
+        # segments i to j meet the window; the prefix or a walk sums i to
+        # j - 1 at whole width, then both ends are clipped
+        i = bisect_right(times, t0) - 1
+        j = bisect_left(times, t1, i) - 1
         if prefix is not None:
-            i = bisect_right(times, t0) - 1
-            j = bisect_right(times, t1, i) - 1
             total = prefix[j] - prefix[i]
-            over = vals[i] - cap
-            if over > 0:
-                total -= (over if over < clamp else clamp) * (t0 - times[i])
-            over = vals[j] - cap
-            if over > 0:
-                total += (over if over < clamp else clamp) * (t1 - times[j])
-            return total
-        total = 0
-        n = len(times)
-        k = start = bisect_right(times, t0) - 1
-        while k < n and times[k] < t1:
-            over = vals[k] - cap
-            if over > 0:
-                if over > clamp:
-                    over = clamp
-                end = times[k + 1] if k + 1 < n else self.horizon
-                total += over * (min(end, t1) - max(times[k], t0))
-            k += 1
-        walked = self._walked.get(key, 0) + k - start
-        if walked > n:
-            self._prefixes[key] = self._overflow_prefix(cap, clamp)
         else:
-            self._walked[key] = walked
+            total = 0
+            for k in range(i, j):
+                over = vals[k] - cap
+                if over > 0:
+                    total += (over if over < clamp else clamp) * (
+                        times[k + 1] - times[k])
+        over = vals[i] - cap
+        if over > 0:
+            total -= (over if over < clamp else clamp) * (t0 - times[i])
+        over = vals[j] - cap
+        if over > 0:
+            total += (over if over < clamp else clamp) * (t1 - times[j])
+        if prefix is None:
+            walked = self._walked.get(key, 0) + j + 1 - i
+            if walked > len(times):
+                self._prefixes[key] = self._overflow_prefix(cap, clamp)
+            else:
+                self._walked[key] = walked
         return total
 
     def _overflow_prefix(self, cap, clamp):

@@ -49,12 +49,24 @@ event log and figure as a full re-evaluation would:
   fault, prefetch or eviction and every unpark goes through `_kick`, which
   bumps a state epoch; those are all the changes to what a blocked stream
   step reads (free bytes, the parked list, tensor locations and pending
-  flags, host and SSD use, lane heads). Each completion but a quiet chunk
+  flags, host and SSD use, lane heads). A blocked step takes the epoch
+  after its own run as its idle mark. Each completion but a quiet chunk
   landing (below) arms a stream advance, which runs the blocked step again
-  only if the epoch moved since the step last ran or that run moved it
-  itself (a fault, an LRU eviction, an unpark that parks again). Otherwise
-  that would change nothing: the block's start is already noted, and its
-  stall is charged to the cause of the advance that finally resolves it.
+  only if (1) the epoch moved since that mark and (2) the step is not an
+  alloc that still waits. Otherwise the run would change nothing: the
+  block's start is already noted, and its stall is charged to the cause of
+  the advance that finally resolves it. (1) holds although the step's own
+  run may move the epoch (a fault, an LRU eviction): a blocked step is
+  idempotent. A kernel queues its faults, whose fetches start or park at
+  once, before it computes its deficit from the parked list, and
+  `_lru_evict` counts the bytes already outgoing, so a second run finds
+  every missing tensor pending, the same deficit, and either that deficit
+  covered or no victim the first run passed over. (2) A blocked alloc,
+  which keeps its padded size in `_alloc_wait`, logs or queues something
+  only when that size fits in free (it allocates) or free plus the
+  outgoing bytes falls short of it (`_lru_evict` looks for more victims).
+  In between, `run` drops the advance and takes the idle mark, as the run
+  would.
 - Run-ahead. Every full fault chunk takes the same time, so a landing
   chunk also lands, in closed form, the chunks after it whose boundaries
   fall strictly before the heap's next event, never the train's last one.
@@ -104,6 +116,16 @@ event log and figure as a full re-evaluation would:
   counter deltas; `done` follows where the last copy ends. The template is
   iteration 1 or later because a hook may act differently in iteration 0
   (below).
+
+Progress bound. While the stream waits on a kernel, `_lru_evict` pins the
+kernel's tensors, so a tensor it faulted can leave the GPU again only by a
+pre-eviction directive, and each armed directive (one per pre_evict and
+iteration) evicts at most once. A correct run therefore takes at most the
+kernel's tensor count plus iterations times the program's pre_evicts
+faults in one block; one more raises SimulationError, so an engine defect
+that faults two tensors against each other fails instead of running on.
+The bound is read only when a fault is taken and the block has already
+taken as many faults as the kernel has tensors.
 
 An `on_kernel_start` hook must act the same in every iteration after the
 first, given the same engine state, since the iterations a steady-state
@@ -401,6 +423,8 @@ class _Engine:
         self.iter_started = False
         self.running: _Running | None = None
         self.block_started: int | None = None
+        self._block_faults = 0           # fault-log entries before the block
+        self._alloc_wait = 0             # bytes of the alloc blocked on, or 0
         self.finished = False
         self.prev_end = 0                # end of previous kernel instance
 
@@ -702,7 +726,6 @@ class _Engine:
                 self.iter_started = False
                 continue
             kind, payload = stream[pos]
-            epoch = self._epoch
             if kind == "alloc":
                 done = self._do_alloc(tensors[payload], cause)
             elif kind == "free":
@@ -712,8 +735,8 @@ class _Engine:
                 # after on_kernel_start has seen it on the kernel
                 done = self._start_kernel(payload, cause)
             if not done:
-                if self._epoch == epoch:
-                    self._idle_epoch = epoch
+                # idle even if this run moved the epoch (module docstring)
+                self._idle_epoch = self._epoch
                 return
             if kind != "kernel":
                 self.pos = pos + 1
@@ -721,6 +744,7 @@ class _Engine:
     def _note_block(self) -> None:
         if self.block_started is None:
             self.block_started = self.now
+            self._block_faults = len(self.fault_log)
 
     def _resolve_block(self, cause: str) -> None:
         """End the open block (callers test that one is open)."""
@@ -737,9 +761,11 @@ class _Engine:
             # evict what can go now; a short result is not fatal, the next
             # transfer completion retries and true wedges hit the drain check
             self._note_block()
+            self._alloc_wait = tensor.size
             self._lru_evict(tensor.size - self.free, cause="alloc")
             return False
         if self.block_started is not None:
+            self._alloc_wait = 0
             self._resolve_block(cause if cause != "none" else "alloc")
         self.free -= tensor.size
         tensor.loc = GPU
@@ -807,6 +833,11 @@ class _Engine:
             if tensor.loc is None:
                 raise SimulationError(
                     f"kernel {k} touches unallocated tensor {tensor.id}")
+            # a block with as many faults as the kernel has tensors is
+            # rare, one past the bound a defect (module docstring,
+            # progress bound)
+            if len(self.fault_log) - self._block_faults >= len(needed):
+                self._check_refaults(k, len(needed))
             self.fault_log.append((self.iter_index, k, tensor.id))
             self._log.append(f"{self.now} fault t{tensor.id} kernel {k}\n")
             self._enqueue_fetch(tensor, "fault")
@@ -817,6 +848,18 @@ class _Engine:
                       if xfer.tensor in missing)
         if deficit:
             self._lru_evict(deficit - self.free, cause="wait")
+
+    def _check_refaults(self, k: int, n: int) -> None:
+        """Raise if the block of kernel k, which touches n tensors, has
+        taken as many faults as a correct run can (module docstring,
+        progress bound)."""
+        bound = n + self.iterations * sum(
+            ins.op is _PRE_EVICT for ins in self._directives)
+        if len(self.fault_log) - self._block_faults >= bound:
+            raise SimulationError(
+                f"no progress: kernel {k} of iteration {self.iter_index} "
+                f"faults more than the {bound} times its {n} tensors and "
+                f"the run's {bound - n} pre-evictions allow")
 
     def _end_kernel(self) -> None:
         info = self.running
@@ -915,9 +958,14 @@ class _Engine:
             if armed is not None and (not events or events[0] > armed):
                 # where the heap would pop it (module docstring)
                 self._armed = None
+                # otherwise the blocked step would change nothing
                 if self._idle_epoch != self._epoch:
-                    # otherwise the blocked step would change nothing
-                    self._advance(armed[3])
+                    wait = self._alloc_wait
+                    if wait and self.free < wait <= self.free + self._outgoing:
+                        # an alloc that would neither log nor queue anything
+                        self._idle_epoch = self._epoch
+                    else:
+                        self._advance(armed[3])
             elif events:
                 t, _rank, _seq, fn, args = heappop(events)
                 if t < self.now:

@@ -148,6 +148,43 @@ def test_backends_match_dense_model(ops, cap, clamp, t0, t1):
     assert all(a != b for a, b in zip(values, values[1:]))
 
 
+# breakpoints at 0, 8, 20, 32, 40 and 48 of a 64 us horizon; over cap 5
+# the segments read 0, 25, 15, 37, 7, 0
+_EDGE_ADDS = ((8, 40, 30), (20, 32, -10), (32, 48, 12))
+
+
+@pytest.mark.parametrize("t0, t1", [
+    (10, 15),        # inside one segment
+    (8, 32),         # both ends on breakpoints
+    (20, 21), (47, 48), (48, 49),   # one unit at a breakpoint
+    (9, 40), (8, 39),               # one end on a breakpoint
+    (30, 64), (45, 99), (0, 64),    # t1 at or past the horizon
+    (-5, 25), (-5, 8), (-9, 0),     # t0 < 0
+    (63, 64), (64, 70), (25, 25)])
+@pytest.mark.parametrize("clamp", [3, 14, 100])  # below, inside, above
+def test_window_overflow_area_at_the_window_ends(t0, t1, clamp):
+    """A walk and a prefix answer the dense sum; the walk takes the
+    segments meeting the window at whole width between its ends and counts
+    each one it meets, so the prefix builds at the same query."""
+    horizon, cap = 64, 5
+    dense = DenseCurve(horizon)
+    c = StepCurve(horizon)
+    for a, b, delta in _EDGE_ADDS:
+        dense.add(a, b, delta)
+        c.add(a, b, delta)
+    want = dense.window_overflow_area(cap, clamp, t0, t1)
+    times = [t for t, _ in c.breakpoints()] + [horizon]
+    lo, hi = max(t0, 0), min(t1, horizon)
+    met = sum(a < hi and b > lo for a, b in zip(times, times[1:])) * (lo < hi)
+    walker = c.copy()
+    assert walker.window_overflow_area(cap, clamp, t0, t1) == want
+    assert walker._walked.get((cap, clamp), 0) == met
+    for _ in range(2):   # two full-domain walks build the prefix
+        c.window_overflow_area(cap, clamp, 0, horizon)
+    assert (cap, clamp) in c._prefixes
+    assert c.window_overflow_area(cap, clamp, t0, t1) == want
+
+
 windows = st.lists(st.tuples(st.integers(0, 70), st.integers(0, 70)),
                    min_size=1, max_size=25)
 

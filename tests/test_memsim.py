@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import pathlib
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -390,6 +391,150 @@ def test_quiet_chunk_landings_arm_no_advance_and_change_nothing(due):
         assert events[start - 2:start + 2] == [
             "22 xfer_done fault t2", "22 xfer_start fault t2 host/to_device "
             "4096", "22 xfer_start prefetch t4 ssd/to_device 28672", evict]
+
+
+# recorded before a blocked step took its idle mark after its own run
+_TRAIN_EVENTS = [
+    "0 iteration 0", "0 kernel_start 0 iter 0", "10 kernel_end 0",
+    "10 fault t1 kernel 1", "10 xfer_start fault t1 host/to_device 4096",
+    *(f"{t} xfer_{step}" for t in (17, 24, 31, 38)
+      for step in ("done fault t1", "start fault t1 host/to_device 4096")),
+    "45 xfer_done fault t1", "45 kernel_start 1 iter 0", "55 kernel_end 1",
+    "55 done"]
+
+
+def test_fault_train_runs_ahead_from_its_first_landing(monkeypatch):
+    # kernel 1 faults t1 (host, five 4 KiB chunks, 7 us each) and nothing
+    # else is due. The fault moved the epoch in the blocked step's own run,
+    # which is idle all the same, so the first landing at 17 runs ahead
+    # over 24 and 31 to 38, where the last chunk starts.
+    landings = []
+    run_train = _Engine._run_train
+
+    def spy(engine, lane, xfer):
+        start = engine.now
+        run_train(engine, lane, xfer)
+        landings.append((start, engine.now, xfer.tail_bytes))
+
+    monkeypatch.setattr(_Engine, "_run_train", spy)
+    trace = WorkloadTrace(
+        tensors={0: TensorDescriptor(0, 8_192, TensorKind.GLOBAL),
+                 1: TensorDescriptor(1, 20_480, TensorKind.GLOBAL)},
+        kernels=(KernelRecord(0, "k0", 10, frozenset({0}), frozenset()),
+                 KernelRecord(1, "k1", 10, frozenset({0, 1}), frozenset())))
+    program = parse_program("KERNEL 0 k0 10\nKERNEL 1 k1 10\n")
+    dev = make_device(fault_chunk_bytes=4_096, fault_handling_us=1)
+    result = simulate(make_context(trace, dev), program, policy="base-uvm",
+                      initial_locations={0: "gpu", 1: "host"})
+    assert landings == [(17, 38, 0)]
+    assert result.log.splitlines() == _TRAIN_EVENTS
+
+
+# recorded before a blocked alloc waited without re-running
+_ALLOC_EVENTS = {
+    None: ["0 iteration 0", "0 kernel_start 0 iter 0", "10 kernel_end 0",
+           "10 lru_evict t0 cause alloc",
+           "10 xfer_start evict t0 host/from_device 8192",
+           "10 lru_evict t1 cause alloc", "17 xfer_done evict t0",
+           "17 xfer_start evict t1 host/from_device 8192",
+           "24 xfer_done evict t1", "24 alloc t2", "24 fault t3 kernel 1",
+           "24 park fault t3", "24 lru_evict t4 cause wait",
+           "24 xfer_start evict t4 host/from_device 4096",
+           "30 xfer_done evict t4", "30 xfer_start fault t3 ssd/to_device 4096",
+           "81 xfer_done fault t3", "81 kernel_start 1 iter 0",
+           "91 kernel_end 1", "91 done"],
+    12: ["0 iteration 0", "0 kernel_start 0 iter 0", "10 kernel_end 0",
+         "10 lru_evict t0 cause alloc",
+         "10 xfer_start evict t0 host/from_device 8192",
+         "10 lru_evict t1 cause alloc", "12 park prefetch t3",
+         "17 xfer_done evict t0",
+         "17 xfer_start evict t1 host/from_device 8192",
+         "17 xfer_start prefetch t3 ssd/to_device 4096",
+         "17 lru_evict t4 cause alloc", "23 xfer_done prefetch t3",
+         "24 xfer_done evict t1",
+         "24 xfer_start evict t4 host/from_device 4096",
+         "30 xfer_done evict t4", "30 alloc t2", "30 kernel_start 1 iter 0",
+         "40 kernel_end 1", "40 done"]}
+
+
+@pytest.mark.parametrize("due, advances", [(None, [0, 10, 24, 30, 81, 91]),
+                                           (12, [0, 10, 17, 30, 40])])
+def test_blocked_alloc_runs_again_only_when_it_can_act(monkeypatch, due,
+                                                       advances):
+    # the alloc of t2 (16 KiB) after k0 finds no free byte and evicts t0
+    # and t1 by LRU; they land at 17 and 24. Alone, the landing at 17
+    # leaves the deficit covered, so no stream advance runs until t2 fits
+    # at 24. With t3's prefetch, parked at 12, the landing at 17 unparks it
+    # and the outgoing bytes fall short: the alloc runs and evicts t4, then
+    # waits through 23 and 24 until t4 lands at 30.
+    times = []
+    advance = _Engine._advance
+
+    def spy(engine, cause):
+        times.append(engine.now)
+        advance(engine, cause)
+
+    monkeypatch.setattr(_Engine, "_advance", spy)
+    sizes = {0: 8_192, 1: 8_192, 2: 16_384, 3: 4_096, 4: 4_096}
+    trace = WorkloadTrace(
+        tensors={t: TensorDescriptor(t, size, TensorKind.INTERMEDIATE if t == 2
+                                     else TensorKind.GLOBAL)
+                 for t, size in sizes.items()},
+        kernels=(KernelRecord(0, "k0", 10, frozenset({0, 1, 4}), frozenset()),
+                 KernelRecord(1, "k1", 10, frozenset({3}), frozenset({2}))))
+    program = parse_program(
+        (f"G10 prefetch 3 4096 @{due}\n" if due else "")
+        + "KERNEL 0 k0 10\nG10 alloc 2 16384 @10\nKERNEL 1 k1 10\n")
+    result = simulate(make_context(trace, make_device(gpu_mem_bytes=20_480)),
+                      program, initial_locations={0: "gpu", 1: "gpu",
+                                                  4: "gpu", 3: "ssd"})
+    assert result.log.splitlines() == _ALLOC_EVENTS[due]
+    assert times == advances
+
+
+def test_refault_after_a_pre_eviction_is_within_the_progress_bound():
+    # k0 faults t0 and t1; t0 lands at 6, its pre-eviction at 8 takes it
+    # out again while t1 is still moving, and k0 faults it a second time:
+    # three faults for two tensors, which the one pre_evict allows
+    trace = WorkloadTrace(
+        tensors={0: TensorDescriptor(0, 4_096, TensorKind.GLOBAL),
+                 1: TensorDescriptor(1, 40_960, TensorKind.GLOBAL)},
+        kernels=(KernelRecord(0, "k0", 10, frozenset({0, 1}), frozenset()),))
+    program = parse_program("G10 pre_evict 0 4096 host @8\nKERNEL 0 k0 10\n")
+    dev = make_device(fault_handling_us=0)
+    result = simulate(make_context(trace, dev), program, policy="base-uvm",
+                      initial_locations={0: "host", 1: "ssd"})
+    assert [tid for _, _, tid in result.fault_log] == [0, 1, 0]
+
+
+def test_a_livelock_raises_instead_of_hanging(monkeypatch, s1_trace, device):
+    # with the next kernel's tensors unpinned, kernel 1 faults t1 and t2
+    # against each other: the LRU eviction each fault's room takes is the
+    # other one, so neither the log nor the clock stops growing
+    lru_evict = _Engine._lru_evict
+
+    def unpinned(engine, deficit, cause):
+        # a cursor past the stream's end pins no next kernel
+        pos, engine.pos = engine.pos, len(engine.stream)
+        try:
+            lru_evict(engine, deficit, cause)
+        finally:
+            engine.pos = pos
+
+    def hang(signum, frame):
+        raise TimeoutError("the replay did not end")
+
+    monkeypatch.setattr(_Engine, "_lru_evict", unpinned)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        with pytest.raises(SimulationError, match=(
+                "^no progress: kernel 1 of iteration 0 faults more than the "
+                "2 times its 2 tensors and the run's 0 pre-evictions allow$")):
+            run_policy("base-uvm", s1_trace, device)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _equal_time_run(iterations, locations=()):
