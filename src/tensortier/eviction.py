@@ -22,8 +22,8 @@ loop in tests/reference_planner.py does just that), and redoes only what
 the last pick can have changed. While the planner runs, the pressure curve
 and the flash left only fall, and host occupancy and lane bookings only
 grow. Per (period, destination) route the planner keeps the constant parts
-(padded size, lanes, and the transfer times from route_times), the slot
-starts e0 and p0, the host-capacity verdict and the benefit:
+(padded size, lanes, and the context's transfer times), the slot starts e0
+and p0, the host-capacity verdict and the benefit:
 
 - a slot moves exactly when a new booking on its lane overlaps it, and is
   searched again from where it was; a search that failed keeps failing;
@@ -82,7 +82,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from tensortier.config import Destination, Direction, transfer_us
+from tensortier.config import Destination, Direction
 from tensortier.curve import (StepCurve, wrap_add, wrap_max, wrap_pieces,
                               wrap_window_overflow_area)
 from tensortier.reservations import LaneReservations
@@ -153,10 +153,12 @@ class SchedulerState:
             {k: v.copy() for k, v in self.lanes.items()},
             self.host_occupancy.copy(), self.ssd_occupancy)
 
-    def book(self, item: PlanItem) -> None:
-        """Book item's windows on the state, then add it to the plan."""
-        apply_candidate(item, self)
+    def book(self, item: PlanItem):
+        """Book item's windows on the state, then add it to the plan;
+        returns what apply_candidate booked."""
+        booked = apply_candidate(item, self)
         self.plan.items.append(item)
+        return booked
 
     def residual(self) -> int:
         """The pressure's overflow area above GPU memory: the one place a
@@ -182,19 +184,6 @@ def _overlap_us(pieces, interval) -> int:
         if a < hi and lo < b:
             total += min(b, hi) - max(a, lo)
     return total
-
-
-def route_times(context):
-    """Outbound and inbound transfer times by (destination, padded size),
-    from the lane constants the replay reads (context.lanes)."""
-    times = {}
-    for dest in Destination:
-        out = context.lanes[dest, Direction.FROM_DEVICE]
-        back = context.lanes[dest, Direction.TO_DEVICE]
-        for size in set(context.sizes.values()):
-            times[dest, size] = (transfer_us(size, out.bw, out.latency),
-                                 transfer_us(size, back.bw, back.latency))
-    return times
 
 
 class _Memo:
@@ -253,10 +242,10 @@ class _Memo:
 class _Route:
     """Scoring inputs for evicting one period to one destination.
 
-    Size, lanes and transfer times (the context's route_times) never
-    change. The slot starts are kept between rounds: e0 on the outbound
-    lane and p0 on the inbound lane (in lane time, before the wrap shift);
-    win is the window they make and span its pieces in the iteration. A
+    Size, lanes and transfer times (the context's times) never change.
+    The slot starts are kept between rounds: e0 on the outbound lane and
+    p0 on the inbound lane (in lane time, before the wrap shift); win is
+    the window they make and span its pieces in the iteration. A
     slot is searched within [e_lo, e_hi) or [0, p_hi); a search again
     after a booking took the slot starts from it, since the times it
     skipped were taken before and still are. host_ok caches the
@@ -446,16 +435,17 @@ def _better(a, b) -> bool:
     return a.tensor_id < b.tensor_id
 
 
-def apply_candidate(item: PlanItem, state: SchedulerState) -> None:
-    """Book the windows and update pressure and occupancy."""
+def apply_candidate(item: PlanItem, state: SchedulerState):
+    """Book the windows and update pressure and occupancy. Returns (evict,
+    prefetch, freed): the lane bookings in lane time and the freed pieces."""
     total, config = state.plan.total_us, state.context.config
     owner = item.owner()
     size = state.context.sizes[item.tensor_id]
-    state.lanes[item.dest, Direction.FROM_DEVICE].reserve(
-        item.evict_start, item.evict_end, owner)
+    evict = (item.evict_start, item.evict_end)
+    state.lanes[item.dest, Direction.FROM_DEVICE].reserve(*evict, owner)
     shift = total if item.prefetch_start >= total else 0
-    state.lanes[item.dest, Direction.TO_DEVICE].reserve(
-        item.prefetch_start - shift, item.prefetch_end - shift, owner)
+    prefetch = (item.prefetch_start - shift, item.prefetch_end - shift)
+    state.lanes[item.dest, Direction.TO_DEVICE].reserve(*prefetch, owner)
     freed = wrap_pieces(item.evict_end, item.prefetch_start, total)
     for a, b in freed:
         state.pressure.add(a, b, -size)
@@ -473,6 +463,7 @@ def apply_candidate(item: PlanItem, state: SchedulerState) -> None:
         state.ssd_occupancy += size
         if state.ssd_occupancy > config.ssd_capacity_bytes:
             raise CapacityViolationError("ssd occupancy above capacity")
+    return evict, prefetch, freed
 
 
 class _Entry:
@@ -558,18 +549,15 @@ class _RouteCache:
                 best = route
         return best, [self._entries.pop(key).period for key in dropped]
 
-    def picked(self, best: PlanItem) -> None:
-        """Forget what booking best can have changed (after it was
-        booked)."""
+    def picked(self, best: PlanItem, booked) -> None:
+        """Forget what booking best can have changed; booked is what
+        SchedulerState.book returned for it."""
         self._memo.clear()
         del self._entries[best.owner()]
+        evict, prefetch, freed = booked
         state = self._state
-        config, total = state.context.config, state.plan.total_us
+        config = state.context.config
         size = state.context.sizes[best.tensor_id]
-        evict = (best.evict_start, best.evict_end)
-        shift = total if best.prefetch_start >= total else 0
-        prefetch = (best.prefetch_start - shift, best.prefetch_end - shift)
-        freed = wrap_pieces(best.evict_end, best.prefetch_start, total)
         # The pressure fell by best's size on freed. A benefit clamps the
         # overflow to its route's size, so it moved only where the pressure
         # was above capacity and is now below capacity plus that size.
@@ -618,8 +606,7 @@ def schedule_evictions(context, *,
         if best is None:
             break
         item = best.item()
-        state.book(item)
-        routes.picked(item)
+        routes.picked(item, state.book(item))
 
     plan.residual_overflow = state.residual()
     return state

@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from tensortier.eviction import Destination, MigrationPlan
+from tensortier.config import Destination
 from tensortier.vitality import VitalityAnalysis
 
 
@@ -145,9 +145,9 @@ def program_skeleton(analysis: VitalityAnalysis):
             tuple(tuple(f + a) for f, a in zip(frees, allocs)))
 
 
-def emit_program(context, plan: MigrationPlan) -> Program:
-    """plan's program over the skeleton of context (a
-    simulate.ReplayContext), which it names as its origin."""
+def emit_program(context, plan) -> Program:
+    """The program of plan (an eviction.MigrationPlan) over the skeleton of
+    context (a simulate.ReplayContext), which it names as its origin."""
     trace = context.trace
     timeline = context.analysis.timeline
     total = timeline.total_us

@@ -67,7 +67,7 @@ def simulation_tables(result: SimResult) -> dict[str, str]:
     kernel_rows = [f"{i},{start},{end},{stall},"
                    f"{(stall + end - start) / (end - start):.6f}\n" if stall
                    else f"{i},{start},{end},0,1.000000\n"
-                   for i, _, _, _, start, end, stall in result.kernels]
+                   for i, start, end, stall in result.kernels]
     summary_rows = [[result.policy, result.total_us, result.compute_us,
                      result.compute_us, result.overlap_us, result.stall_us,
                      result.faults]]

@@ -20,9 +20,9 @@ lanes' constants (DeviceConfig.lane, keyed by destination and direction),
 and, built on first use so that a stage builds only what it reads,
 instrument's skeleton (a Program of no directives), its stream and each
 kernel's sorted ids, the periods in canonical order (by_start), the initial
-pressure curve and the planner's transfer times. The planners (through the
-SchedulerState that holds it) and the analyze tables read its attributes
-and never import it.
+pressure curve and, from the lanes, the planner's transfer times. The
+planners (through the SchedulerState that holds it) and the analyze tables
+read its attributes and never import it; the replay imports no planner.
 simulate(context, program) replays on the context's trace and device, and
 takes them from nowhere else. A replay, not the context's construction,
 raises the first working set over capacity. A program emitted from the
@@ -145,7 +145,6 @@ from typing import NamedTuple
 
 from tensortier.config import (Destination, DeviceConfig, Direction,
                                transfer_us)
-from tensortier.eviction import route_times
 from tensortier.instrument import Op, Program, program_skeleton
 from tensortier.trace import WorkloadTrace
 from tensortier.vitality import VitalityAnalysis, initial_pressure_curve
@@ -188,10 +187,9 @@ class Traffic:
 
 
 class KernelStat(NamedTuple):
+    """One kernel instance's run. Its iteration and kernel index are
+    divmod(instance, kernels per iteration); its name is the trace's."""
     instance: int
-    iteration: int
-    kernel_index: int
-    name: str
     start_us: int
     end_us: int
     stall_us: int
@@ -257,7 +255,7 @@ class _Xfer:
         self.dest_loc = dest_loc
 
 
-# a transfer lane's constants, read by the engine and by route_times
+# a transfer lane's constants, read by the engine and ReplayContext.times
 LaneSpec = NamedTuple("LaneSpec", [("label", str), ("to_device", bool),
                                    ("bw", int), ("latency", int)])
 
@@ -337,8 +335,15 @@ class ReplayContext:
 
     @cached_property
     def times(self):
-        """The planner's transfer times (eviction.route_times)."""
-        return route_times(self)
+        """The planner's (outbound, inbound) times by (dest, padded size)."""
+        times = {}
+        for dest in Destination:
+            out = self.lanes[dest, Direction.FROM_DEVICE]
+            back = self.lanes[dest, Direction.TO_DEVICE]
+            for size in set(self.sizes.values()):
+                times[dest, size] = (transfer_us(size, out.bw, out.latency),
+                                     transfer_us(size, back.bw, back.latency))
+        return times
 
 
 class _Engine:
@@ -378,7 +383,6 @@ class _Engine:
         self.tensors = {tid: _Tensor(tid, size) for tid, size in sizes.items()}
         self._needed = [tuple(map(self.tensors.__getitem__, k))
                         for k in self._ids]
-        self._names = [kernel.name for kernel in program.kernels]
         self.free = config.gpu_mem_bytes
         self.host_used = 0
         self.ssd_used = 0
@@ -813,8 +817,7 @@ class _Engine:
         for tensor in needed:
             tensor.last_use = instance
         self.running = _Running(k, self._ids[k])
-        self.kernel_stats.append(KernelStat(
-            instance, iteration, k, self._names[k], start, end, stall))
+        self.kernel_stats.append(KernelStat(instance, start, end, stall))
         self._log.append(f"{start} kernel_start {k} iter {iteration}\n")
         if self.on_kernel_start is not None:
             self.on_kernel_start(self, iteration, k)
@@ -922,9 +925,8 @@ class _Engine:
             self._log.append(fmt.replace("\0", str(first + r))
                              % tuple(map(shift.__add__, times)))
             self.kernel_stats.extend(
-                KernelStat(s.instance + r * n, s.iteration + r,
-                           s.kernel_index, s.name, s.start_us + shift,
-                           s.end_us + shift, s.stall_us) for s in stats)
+                KernelStat(i + r * n, start + shift, end + shift, stall)
+                for i, start, end, stall in stats)
             self.fault_log.extend((it + r, k, tid) for it, k, tid in faults)
         self.overlap_us += runs * (self.overlap_us - mark.overlap_us)
         for cause, total in self.stall_breakdown.items():
@@ -1046,8 +1048,7 @@ def ideal_run(trace: WorkloadTrace, config: DeviceConfig,
     for j, row in enumerate(durations):
         for k in range(n):
             end = clock + row[k]
-            stats.append(KernelStat(j * n + k, j, k, trace.kernels[k].name,
-                                    clock, end, 0))
+            stats.append(KernelStat(j * n + k, clock, end, 0))
             lines.append(f"{clock} kernel {k}\n")
             clock = end
     log = "".join(lines)

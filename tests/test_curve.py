@@ -22,9 +22,14 @@ class DenseCurve:
     def value_at(self, t):
         return self.vals[t]
 
+    def window(self, t0, t1):
+        """The values on [t0, t1) clipped to the domain, empty if nothing
+        is left (a slice bound below 0 would count from the end)."""
+        t0, t1 = max(t0, 0), min(t1, self.horizon)
+        return self.vals[t0:t1] if t0 < t1 else []
+
     def max_over(self, t0, t1):
-        window = self.vals[max(t0, 0):min(t1, self.horizon)]
-        return max(window) if window else 0
+        return max(self.window(t0, t1), default=0)
 
     def max_value(self):
         return max(self.vals) if self.vals else 0
@@ -36,8 +41,7 @@ class DenseCurve:
         return sum(max(0, v - cap) for v in self.vals)
 
     def window_overflow_area(self, cap, clamp, t0, t1):
-        return sum(min(clamp, max(0, v - cap))
-                   for v in self.vals[max(t0, 0):min(t1, self.horizon)])
+        return sum(min(clamp, max(0, v - cap)) for v in self.window(t0, t1))
 
     def pieces_between(self, lo, hi, t0, t1):
         out = []
@@ -160,6 +164,7 @@ _EDGE_ADDS = ((8, 40, 30), (20, 32, -10), (32, 48, 12))
     (9, 40), (8, 39),               # one end on a breakpoint
     (30, 64), (45, 99), (0, 64),    # t1 at or past the horizon
     (-5, 25), (-5, 8), (-9, 0),     # t0 < 0
+    (-9, -1),                       # wholly below 0
     (63, 64), (64, 70), (25, 25)])
 @pytest.mark.parametrize("clamp", [3, 14, 100])  # below, inside, above
 def test_window_overflow_area_at_the_window_ends(t0, t1, clamp):
@@ -183,6 +188,22 @@ def test_window_overflow_area_at_the_window_ends(t0, t1, clamp):
         c.window_overflow_area(cap, clamp, 0, horizon)
     assert (cap, clamp) in c._prefixes
     assert c.window_overflow_area(cap, clamp, t0, t1) == want
+
+
+@pytest.mark.parametrize("t0, t1, want", [
+    (-9, -1, 0), (-9, 0, 0),        # wholly below 0: the empty max
+    (-5, 9, 30), (-5, 8, 0),        # t0 < 0
+    (40, 99, 12), (64, 70, 0)])     # at or past the horizon
+def test_max_over_at_the_window_ends(t0, t1, want):
+    """The curve and the dense model read only the window's part inside
+    the domain, and 0 where none is left."""
+    horizon = 64
+    dense = DenseCurve(horizon)
+    c = StepCurve(horizon)
+    for a, b, delta in _EDGE_ADDS:
+        dense.add(a, b, delta)
+        c.add(a, b, delta)
+    assert c.max_over(t0, t1) == dense.max_over(t0, t1) == want
 
 
 windows = st.lists(st.tuples(st.integers(0, 70), st.integers(0, 70)),

@@ -60,3 +60,45 @@ def test_every_import_is_used():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text())
              for path in MODULES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+PLANNER = ("tensortier.eviction", "tensortier.prefetch",
+           "tensortier.reservations")
+
+
+def planner_imports(source: str) -> list[str]:
+    """'module (line n)' for each planner module the source imports from."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module]
+            if node.module == "tensortier":
+                modules += [f"tensortier.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [f"{module} (line {node.lineno})" for module in modules
+                  if module.startswith(PLANNER)]
+    return found
+
+
+def test_layering_checker_flags_planner_imports():
+    source = (
+        "import tensortier.eviction\n"
+        "from tensortier import prefetch, config\n"
+        "from tensortier.reservations import LaneReservations\n"
+        "from tensortier.config import Destination\n"
+    )
+    assert planner_imports(source) == [
+        "tensortier.eviction (line 1)", "tensortier.prefetch (line 2)",
+        "tensortier.reservations (line 3)"]
+
+
+def test_replay_imports_nothing_from_the_planner():
+    """The replay (simulate) and the program it runs (instrument) read the
+    planner's output, and import none of its modules."""
+    replay = ("simulate.py", "instrument.py")
+    found = {name: planner_imports(
+        (ROOT / "src" / "tensortier" / name).read_text()) for name in replay}
+    assert found == {name: [] for name in replay}

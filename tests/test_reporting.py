@@ -120,8 +120,7 @@ def test_kernels_csv_rounds_slowdowns_as_render_csv():
     kernels, now = [], 0
     for i, (duration, stall) in enumerate(spans):
         start = now + stall
-        kernels.append(KernelStat(i, 0, i, f"k{i}", start, start + duration,
-                                  stall))
+        kernels.append(KernelStat(i, start, start + duration, stall))
         now = start + duration
     result = SimResult("g10", now, now, 0, 0, 0, Traffic(), kernels, {}, [],
                        "", "")

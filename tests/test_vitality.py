@@ -83,8 +83,8 @@ def test_pressure_uses_padded_sizes():
 
 
 def test_transfer_time_examples():
-    """The planner's route_times and the replay's lanes read one set of
-    lane constants."""
+    """The planner's transfer times (the context's times) and the
+    replay's lanes read one set of lane constants."""
     tensors = {0: TensorDescriptor(0, 4096, TensorKind.GLOBAL)}
     kernels = (KernelRecord(0, "a", 10, frozenset({0}), frozenset()),)
     context = make_context(WorkloadTrace(tensors, kernels), DeviceConfig())
